@@ -15,9 +15,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -301,12 +299,7 @@ def cmd_campaign(args) -> int:
         row["trial"] = trial
         return row
 
-    threads = int(os.environ.get("BELLWIRE_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_trial, range(args.trials)))
-    else:
-        rows = [run_trial(t) for t in range(args.trials)]
+    rows = [run_trial(t) for t in range(args.trials)]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

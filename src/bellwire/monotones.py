@@ -14,7 +14,7 @@ Four quantities are computed, all in bits:
   lower-bounds it.
 * `s_c` — equal to `s_nl` by the minimax theorem; reported with the
   optimizing input distribution. A direct alternating max-min
-  evaluation (`s_c_alternating`) is kept deliberately separate so the
+  evaluation (`s_c_alternating`) keeps its own ascent dynamics so the
   two routes can cross-validate.
 * `s_uc` — the same game restricted to product input distributions.
   The product set is nonconvex, so the alternating coordinate ascent
@@ -29,12 +29,12 @@ the barycenter. Per-setting divergences are clamped at a finite ceiling
 wherever they feed an outer model; reported values are re-evaluated
 unclamped at the optimizer.
 
-The input-side updates combine three tactics, cheapest first: Newton
+The input-side updates combine two tactics, cheapest first: Newton
 equalization of the active settings' divergences (at the saddle point
-all supported settings agree), an epigraph polish of the vertex-weight
-side with recovery of the input weights from the stationarity system,
-and plain cutting planes. Each tactic only ever tightens the same
-certified bracket, so the tactic mix cannot compromise correctness.
+all supported settings agree), and an epigraph polish of the
+vertex-weight side with recovery of the input weights from the
+stationarity system. Each tactic only ever tightens the same certified
+bracket, so the tactic mix cannot compromise correctness.
 """
 
 from __future__ import annotations
@@ -117,6 +117,13 @@ def _kl_table_from_q(P: np.ndarray, q: np.ndarray, n_settings: int) -> np.ndarra
         else:
             out[s] = float(np.sum(Ps[s][mask] * np.log2(Ps[s][mask] / qs[s][mask])))
     return out
+
+
+def _clamped(kl_table: np.ndarray) -> np.ndarray:
+    """Per-setting divergences clipped to [0, CLAMP_BITS] (+inf maps to
+    the ceiling), as fed to an outer model."""
+    return np.clip(np.where(np.isfinite(kl_table), kl_table, CLAMP_BITS),
+                   0.0, CLAMP_BITS)
 
 
 def _fw_minimize(
@@ -393,23 +400,17 @@ class _MinimaxSolver:
     the worst-setting divergence of any vertex-weight iterate."""
 
     def __init__(self, p: Behavior, tol: float):
-        self.scenario = p.scenario
         self.V = local_vertex_matrix(p.scenario)
         self.P = p.flat()
         self.m = p.scenario.sA * p.scenario.sB
-        self.k = self.P.size // self.m
-        self.Ps = self.P.reshape(self.m, self.k)
-        self.masks = [self.Ps[s] > 0.0 for s in range(self.m)]
         self.tol = tol
         self.n = self.V.shape[0]
         self.lower = 0.0
         self.upper = math.inf
         self.lam_best: np.ndarray | None = None
         self.kl_best: np.ndarray | None = None
-        self.D_best: np.ndarray | None = None
         self.iterations = 0
         self.lam_warm: np.ndarray | None = None
-        self.cuts: list[np.ndarray] = []
 
     @property
     def gap(self) -> float:
@@ -426,20 +427,13 @@ class _MinimaxSolver:
             self.lam_best = lam
             self.kl_best = kl_table
 
-    def solve_at(self, D: np.ndarray, gap_tol: float,
-                 max_iter: int = MAX_INNER_ITER) -> _InnerSolution:
+    def solve_at(self, D: np.ndarray, gap_tol: float) -> _InnerSolution:
         inner = _fw_minimize(self.P, self.V, D, gap_tol=gap_tol,
-                             max_iter=max_iter, lam0=self.lam_warm)
+                             lam0=self.lam_warm)
         self.iterations += inner.iterations
         self.lam_warm = inner.lam
-        bound = max(0.0, inner.value - inner.gap)
-        if bound > self.lower:
-            self.lower = bound
-            self.D_best = D
+        self.lower = max(self.lower, inner.value - inner.gap)
         self.observe_lam(inner.lam, inner.kl_table)
-        self.cuts.append(np.clip(
-            np.where(np.isfinite(inner.kl_table), inner.kl_table, CLAMP_BITS),
-            0.0, CLAMP_BITS))
         return inner
 
     # -- phase 1: Newton equalization of active-setting divergences -------
@@ -545,86 +539,53 @@ class _MinimaxSolver:
             if self.closed:
                 return
 
-    # -- phase 3: cutting planes on the input side ------------------------
-
-    def kelley_phase(self, max_rounds: int = 40) -> None:
-        uniform = np.full(self.m, 1.0 / self.m)
-        floor = 1e-3
-        inner_gap = self.tol / 8.0
-        stall = 0
-        for _ in range(max_rounds):
-            D_model = self._model_inputs()
-            if D_model is None:
-                return
-            D = (1.0 - floor) * D_model + floor * uniform
-            u_before = self.upper
-            l_before = self.lower
-            self.solve_at(D, inner_gap)
-            if self.closed:
-                return
-            if self.upper >= u_before - self.tol / 10.0 and \
-               self.lower <= l_before + self.tol / 10.0:
-                stall += 1
-                inner_gap = max(inner_gap / 8.0, 1e-13)
-            else:
-                stall = 0
-            if stall >= 4:
-                return
-            floor = max(floor * 0.5, 1e-9)
-
-    def _model_inputs(self) -> np.ndarray | None:
-        """Maximize the cutting-plane upper model max_D min_i <D, r_i>."""
-        kcut = len(self.cuts)
-        if kcut == 0:
-            return np.full(self.m, 1.0 / self.m)
-        m = self.m
-        n_var = m + 1 + kcut
-        A = np.zeros((kcut + 1, n_var))
-        b = np.zeros(kcut + 1)
-        for i, r in enumerate(self.cuts):
-            A[i, :m] = r
-            A[i, m] = -1.0
-            A[i, m + 1 + i] = -1.0
-        A[kcut, :m] = 1.0
-        b[kcut] = 1.0
-        obj = np.zeros(n_var)
-        obj[m] = -1.0
-        try:
-            res = solve_lp(obj, A, b)
-        except SolverFailure:
-            return None
-        if res.status != "optimal":
-            return None
-        D = np.clip(res.x[:m], 0.0, None)
-        total = D.sum()
-        if total <= 0.0:
-            return None
-        return D / total
-
     # -- driver ------------------------------------------------------------
 
     def run(self, max_effort: int = 3) -> None:
         uniform = np.full(self.m, 1.0 / self.m)
         self.solve_at(uniform, self.tol / (2.0 * self.m))
-        if self.closed:
-            return
         for _ in range(max_effort):
+            if self.closed:
+                return
             self.newton_phase()
-            if self.closed:
-                return
-            self.nlp_polish()
-            if self.closed:
-                return
-            self.kelley_phase()
-            if self.closed:
-                return
-        raise NoConvergence(self.iterations, float(self.gap))
+            if not self.closed:
+                self.nlp_polish()
+        if not self.closed:
+            raise NoConvergence(self.iterations, float(self.gap))
+
+
+class _AveragingSolver(_MinimaxSolver):
+    """The same bracket, also keeping the running sum of every inner
+    minimizer for the averaged-iterate upper bounds of
+    `s_c_alternating`."""
+
+    def __init__(self, p: Behavior, tol: float):
+        super().__init__(p, tol)
+        self.lam_sum = np.zeros(self.n)
+        self.n_avg = 0
+
+    def solve_at(self, D: np.ndarray, gap_tol: float) -> _InnerSolution:
+        inner = super().solve_at(D, gap_tol)
+        self.lam_sum += inner.lam
+        self.n_avg += 1
+        return inner
 
 
 def _minimax_solve(p: Behavior, tol: float) -> _MinimaxSolver:
     solver = _MinimaxSolver(p, tol)
     solver.run()
     return solver
+
+
+def _point_mass_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
+    """The closed bracket's result, reporting as optimizer input the
+    point mass on the worst setting of the best vertex weights."""
+    sc = p.scenario
+    arg = _lex_argmax(solver.kl_best)
+    inputs = InputDistribution.point_mass(sc, arg // sc.sB, arg % sc.sB)
+    return _result_from_lam(
+        p, solver.lam_best, inputs, solver.upper, solver.gap, solver.iterations
+    )
 
 
 def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
@@ -640,13 +601,7 @@ def s_c(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Max-min statistical strength over unrestricted input
     distributions; equals `s_nl` by the minimax theorem. The reported
     optimizer input is the point mass on the final worst setting."""
-    solver = _minimax_solve(p, tol)
-    sc = p.scenario
-    arg = _lex_argmax(solver.kl_best)
-    inputs = InputDistribution.point_mass(sc, arg // sc.sB, arg % sc.sB)
-    return _result_from_lam(
-        p, solver.lam_best, inputs, solver.upper, solver.gap, solver.iterations
-    )
+    return _point_mass_result(p, _minimax_solve(p, tol))
 
 
 def s_c_alternating(
@@ -663,129 +618,74 @@ def s_c_alternating(
     over vertex weights at every probe; upper bounds also come from
     running averages of the minimizing weights. The exploration dynamics
     are deliberately different from the engine behind `s_nl` so the two
-    routes cross-validate; only the degenerate-face polisher, needed when
-    weighted-sum minimizers are not unique, is shared between them.
+    routes cross-validate; only the bracket bookkeeping (inner solves,
+    bounds, closure test) and the degenerate-face polisher, needed when
+    weighted-sum minimizers are not unique, are shared between them.
     """
-    sc = p.scenario
-    V = local_vertex_matrix(sc)
-    P = p.flat()
-    m = sc.sA * sc.sB
-    n = V.shape[0]
+    solver = _AveragingSolver(p, tol)
+    P, V, m = solver.P, solver.V, solver.m
     inner_tol = tol / (2.0 * m)
-    uniform = np.full(m, 1.0 / m)
-
-    state = {
-        "lower": 0.0,
-        "upper": math.inf,
-        "iterations": 0,
-        "lam_warm": None,
-        "lam_best": None,
-        "kl_best": None,
-        "lam_sum": np.zeros(n),
-        "n_avg": 0,
-    }
-
-    def observe(lam: np.ndarray, kl_table: np.ndarray) -> None:
-        u_here = float(np.max(kl_table))
-        if u_here < state["upper"]:
-            state["upper"] = u_here
-            state["lam_best"] = lam
-            state["kl_best"] = kl_table
-
-    def evaluate(D: np.ndarray, gap: float) -> _InnerSolution:
-        inner = _fw_minimize(P, V, D, gap_tol=gap, lam0=state["lam_warm"])
-        state["iterations"] += inner.iterations
-        state["lam_warm"] = inner.lam
-        state["lower"] = max(state["lower"], max(0.0, inner.value - inner.gap))
-        observe(inner.lam, inner.kl_table)
-        state["lam_sum"] += inner.lam
-        state["n_avg"] += 1
-        return inner
-
-    def closed() -> bool:
-        return state["upper"] - state["lower"] <= tol
-
-    D = uniform.copy()
-    inner = evaluate(D, inner_tol)
+    D = np.full(m, 1.0 / m)
+    inner = solver.solve_at(D, inner_tol)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     stalled = 0
     for _ in range(max_outer):
-        if closed():
+        if solver.closed:
             break
         # averaged-iterate upper candidate
-        if state["n_avg"] > 1:
-            lam_avg = state["lam_sum"] / state["n_avg"]
-            observe(lam_avg, _kl_table_from_q(P, lam_avg @ V, m))
-            if closed():
+        if solver.n_avg > 1:
+            lam_avg = solver.lam_sum / solver.n_avg
+            solver.observe_lam(lam_avg, _kl_table_from_q(P, lam_avg @ V, m))
+            if solver.closed:
                 break
-        u_before, l_before = state["upper"], state["lower"]
-        table = np.clip(
-            np.where(np.isfinite(inner.kl_table), inner.kl_table, CLAMP_BITS),
-            0.0, CLAMP_BITS)
+        u_before, l_before = solver.upper, solver.lower
         best_response = np.zeros(m)
-        best_response[_lex_argmax(table)] = 1.0
+        best_response[_lex_argmax(_clamped(inner.kl_table))] = 1.0
+
+        def probe(x: float) -> float:
+            return solver.solve_at((1 - x) * D + x * best_response, inner_tol).value
+
         # golden-section line search for the ascent step
         a, b = 0.0, 1.0
         x1 = b - golden * (b - a)
         x2 = a + golden * (b - a)
-        f1 = evaluate((1 - x1) * D + x1 * best_response, inner_tol).value
-        f2 = evaluate((1 - x2) * D + x2 * best_response, inner_tol).value
+        f1 = probe(x1)
+        f2 = probe(x2)
         for _ in range(8):
-            if closed():
+            if solver.closed:
                 break
             if f1 < f2:
                 a, x1, f1 = x1, x2, f2
                 x2 = a + golden * (b - a)
-                f2 = evaluate((1 - x2) * D + x2 * best_response, inner_tol).value
+                f2 = probe(x2)
             else:
                 b, x2, f2 = x2, x1, f1
                 x1 = b - golden * (b - a)
-                f1 = evaluate((1 - x1) * D + x1 * best_response, inner_tol).value
-        if closed():
+                f1 = probe(x1)
+        if solver.closed:
             break
         eta = x1 if f1 >= f2 else x2
         D = (1 - eta) * D + eta * best_response
         D = np.clip(D, 1e-12, None)
         D = D / D.sum()
-        inner = evaluate(D, inner_tol)
-        if state["upper"] >= u_before - tol / 10.0 and \
-           state["lower"] <= l_before + tol / 10.0:
+        inner = solver.solve_at(D, inner_tol)
+        if solver.upper >= u_before - tol / 10.0 and \
+           solver.lower <= l_before + tol / 10.0:
             stalled += 1
         else:
             stalled = 0
         if stalled >= 2:
             # degenerate optimal face: alternate exchanges cannot select
             # the equalizing minimizer, so polish and recover the inputs
-            polished = _epigraph_lambda(P, V, m, state["lam_best"])
             stalled = 0
-            if polished is not None:
-                lam_star, kls, grads = polished
-                observe(lam_star, kls)
-                if closed():
-                    break
-                state["lam_warm"] = lam_star
-                for margin in (4.0 * tol, 1e-5, 1e-4, 1e-3):
-                    D_hat = _stationary_inputs(
-                        grads, lam_star, kls, float(np.max(kls)), margin, m
-                    )
-                    if D_hat is None:
-                        continue
-                    evaluate(D_hat, min(tol / 8.0, 1e-9))
-                    if closed():
-                        break
-                if closed():
-                    break
+            solver.nlp_polish()
+            if solver.closed:
+                break
             inner_tol = max(inner_tol / 8.0, 1e-13)
 
-    if not closed():
-        raise NoConvergence(state["iterations"], float(state["upper"] - state["lower"]))
-
-    arg = _lex_argmax(state["kl_best"])
-    inputs = InputDistribution.point_mass(sc, arg // sc.sB, arg % sc.sB)
-    return _result_from_lam(
-        p, state["lam_best"], inputs, state["upper"],
-        state["upper"] - state["lower"], state["iterations"],
-    )
+    if not solver.closed:
+        raise NoConvergence(solver.iterations, float(solver.gap))
+    return _point_mass_result(p, solver)
 
 
 # ---------------------------------------------------------------------------
@@ -830,9 +730,12 @@ def s_uc(
     Alternating coordinate ascent on the two input marginals, each block
     maximized by cutting planes over its own simplex, multi-started from
     the uniform product, all point-mass products, and seeded random
-    products. The product set is nonconvex, so global optimality is not
-    certified: the result reports the best value found, flagged as a
-    lower bound; its gap_estimate certifies only the inner minimization.
+    products. `restarts` is a floor on the number of starts: the uniform
+    product and all sA*sB point-mass products always run, and seeded
+    random products fill up to `restarts`. The product set is
+    nonconvex, so global optimality is not certified: the result reports
+    the best value found, flagged as a lower bound; its gap_estimate
+    certifies only the inner minimization.
     """
     sc = p.scenario
     V = local_vertex_matrix(sc)
@@ -853,7 +756,6 @@ def s_uc(
         starts.append(
             (rng.dirichlet(np.ones(sc.sA)), rng.dirichlet(np.ones(sc.sB)))
         )
-    starts = starts[: max(restarts, len(starts))]
 
     best_val = -math.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
@@ -862,7 +764,7 @@ def s_uc(
 
     def block_max(
         fixed: np.ndarray, free_size: int, axis: int, warm: np.ndarray | None
-    ) -> tuple[np.ndarray, float, np.ndarray | None, int]:
+    ) -> tuple[np.ndarray, float, np.ndarray | None]:
         """Maximize the inner value over one marginal by cutting planes."""
         nonlocal iterations
         uniform_f = np.full(free_size, 1.0 / free_size)
@@ -870,21 +772,18 @@ def s_uc(
         cuts: list[np.ndarray] = []
         best_v = -math.inf
         best_d = d_free.copy()
-        used = 0
         floor = 1e-3
         for _ in range(30):
             D = (np.outer(d_free, fixed) if axis == 0
                  else np.outer(fixed, d_free)).reshape(-1)
             inner = _fw_minimize(P, V, D, gap_tol=tol / 4.0, lam0=warm)
-            used += inner.iterations
+            iterations += inner.iterations
             warm = inner.lam
             val = max(0.0, inner.value - inner.gap)
             if val > best_v:
                 best_v = val
                 best_d = d_free.copy()
-            table = np.clip(
-                np.where(np.isfinite(inner.kl_table), inner.kl_table, CLAMP_BITS),
-                0.0, CLAMP_BITS).reshape(sc.sA, sc.sB)
+            table = _clamped(inner.kl_table).reshape(sc.sA, sc.sB)
             grad = table @ fixed if axis == 0 else fixed @ table
             cuts.append(grad)
             model_d = _model_inputs_from_cuts(cuts, free_size)
@@ -895,15 +794,14 @@ def s_uc(
                 break
             d_free = (1.0 - floor) * model_d + floor * uniform_f
             floor = max(floor * 0.5, 1e-9)
-        iterations += used
-        return best_d, best_v, warm, used
+        return best_d, best_v, warm
 
     for dx0, dy0 in starts:
         dx, dy = dx0.copy(), dy0.copy()
         val_prev = -math.inf
         for _ in range(16):
-            dx, vx, lam_warm, _ = block_max(dy, sc.sA, 0, lam_warm)
-            dy, vy, lam_warm, _ = block_max(dx, sc.sB, 1, lam_warm)
+            dx, vx, lam_warm = block_max(dy, sc.sA, 0, lam_warm)
+            dy, vy, lam_warm = block_max(dx, sc.sB, 1, lam_warm)
             if vy <= val_prev + tol / 2.0:
                 val_prev = max(val_prev, vy)
                 break

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -74,20 +73,6 @@ def test_campaign_minimax_identity(tmp_path):
     out = tmp_path / "mm.csv"
     assert run_cli("campaign", "--suite", "minimax_identity", "--trials", "5",
                    "--seed", "3", "--out", str(out)) == 0
-
-
-def test_campaign_worker_pool_matches_sequential(tmp_path):
-    out1 = tmp_path / "seq.csv"
-    out2 = tmp_path / "par.csv"
-    assert run_cli("campaign", "--suite", "losr_closure", "--trials", "8",
-                   "--seed", "1", "--out", str(out1)) == 0
-    os.environ["BELLWIRE_THREADS"] = "4"
-    try:
-        assert run_cli("campaign", "--suite", "losr_closure", "--trials", "8",
-                       "--seed", "1", "--out", str(out2)) == 0
-    finally:
-        del os.environ["BELLWIRE_THREADS"]
-    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_eval_local_check_pr_box(tmp_path):

@@ -76,12 +76,31 @@ def test_s_c_equals_s_nl():
         assert np.max(c.optimizer_inputs.d) == 1.0
 
 
+def pr_relabeling_mixture(k: int, w: float, vertex: int) -> bw.Behavior:
+    """PR relabeling k (a xor b = xy xor k0*x xor k1*y xor k2) at weight
+    w, mixed with one deterministic box; nonlocal for w > 2/3."""
+    t = np.zeros(SC2222.shape)
+    for x in range(2):
+        for y in range(2):
+            for a in range(2):
+                b = a ^ (x * y) ^ ((k & 1) * x) ^ (((k >> 1) & 1) * y) ^ (k >> 2)
+                t[x, y, a, b] = 0.5
+    det = bw.local_vertex_matrix(SC2222)[vertex].reshape(SC2222.shape)
+    return bw.Behavior(SC2222, w * t + (1 - w) * det)
+
+
 def test_s_c_alternating_agrees():
-    for seed in (0, 5, 92):
-        p = bw.random_ns_behavior(SC2222, seed)
+    # random_ns_behavior draws are almost surely local, so the nonlocal
+    # boxes are what reach s_nl's Newton equalization and the shared
+    # epigraph polish
+    cases = [(bw.random_ns_behavior(SC2222, seed), False) for seed in (0, 5, 92)]
+    cases += [(p, True) for p in (noisy_pr(0.7), pr_relabeling_mixture(7, 0.7, 1),
+                                  pr_relabeling_mixture(6, 0.95, 1))]
+    for p, nonlocal_ in cases:
         a = bw.s_nl(p, TOL)
         b = bw.s_c_alternating(p, TOL)
         assert abs(a.value - b.value) <= 2 * TOL
+        assert a.value > 1e-3 or not nonlocal_
 
 
 def test_ordering_chain():
@@ -212,6 +231,39 @@ def test_s_nl_hard_nonlocal_instances_certified():
         p = bw.Behavior(SC2222, 0.5 * bw.pr_box().p + 0.5 * qb.p)
         r = bw.s_nl(p, TOL)
         assert r.gap_estimate <= TOL
+
+
+def tsirelson_4222_4() -> bw.Behavior:
+    """The tsirelson_four_setting correlation pattern on Scenario(4,2,2,2)
+    with permuted settings, possibly flipped outcomes and Dirichlet local
+    noise: entry tsirelson-4222-4 of the perfbench snl_tsirelson pool."""
+    sc = bw.Scenario(4, 2, 2, 2)
+    rng = np.random.default_rng([20051, 3, 4])
+    vis = float(rng.uniform(0.7, 0.8))
+    base = bw.TSIRELSON_P
+    t = np.empty(sc.shape)
+    for x in range(sc.sA):
+        for y in range(sc.sB):
+            prod = x * y
+            same = 0.5 if prod > 1 else (base / 2 if prod == 0 else (1 - base) / 2)
+            t[x, y] = [[same, 0.5 - same], [0.5 - same, same]]
+    t = t[rng.permutation(sc.sA)][:, rng.permutation(sc.sB)]
+    if rng.integers(2):
+        t = t[:, :, ::-1, ::-1]
+    V = bw.local_vertex_matrix(sc)
+    noise = (rng.dirichlet(np.ones(V.shape[0])) @ V).reshape(sc.shape)
+    return bw.Behavior(sc, vis * t + (1.0 - vis) * noise)
+
+
+def test_s_nl_closes_when_first_polish_misses():
+    # depending on BLAS threading, the first epigraph polish on this box
+    # can miss; the second Newton + polish round must then close it
+    # without a long detour (the bound is on work, not wall time)
+    r = bw.s_nl(tsirelson_4222_4(), TOL)
+    assert r.gap_estimate <= TOL
+    # the box's reference value and certified gap in perfbench/reference.json
+    assert abs(r.value - 0.004230582926677485) <= r.gap_estimate + 3.6e-10
+    assert r.iterations < 100_000
 
 
 def test_results_deterministic():
