@@ -5,7 +5,7 @@ certificates.
 Exit status is 0 iff every check passed; degenerate cases (such as the
 vanishing-divergence point of the doubling family) are reported
 distinctly and do not fail the run. All output is deterministic for a
-fixed command line, including seeds.
+fixed command line, including seeds, and a fixed BLAS thread count.
 """
 
 from __future__ import annotations

@@ -69,6 +69,13 @@ DEFAULT_TOL = 1e-6
 
 MAX_INNER_ITER = 100000
 
+#: Every PAIRWISE_EVERY-th inner step is a pairwise vertex exchange.
+PAIRWISE_EVERY = 8
+
+#: Cap on derivative evaluations in one exchange line search; a search
+#: that reaches it returns the left end of its bracket.
+LINE_SEARCH_EVALS = 64
+
 
 @dataclass(frozen=True)
 class MonotoneResult:
@@ -126,22 +133,72 @@ def _clamped(kl_table: np.ndarray) -> np.ndarray:
                    0.0, CLAMP_BITS)
 
 
+def _exchange_step(
+    cE: np.ndarray, qE: np.ndarray, d: np.ndarray, gamma_max: float
+) -> tuple[float, int]:
+    """Exact line search of a pairwise exchange: minimize the convex
+    phi(g) = -sum cE log(qE + g d) over [0, gamma_max].
+
+    Safeguarded Newton on phi' inside a sign bracket [lo, hi] with
+    phi'(lo) < 0; a Newton step that leaves the bracket is replaced by
+    bisection. It stops once |phi'| is 1e-12 of |phi'(0)| or the bracket
+    is narrower than 1e-15 of gamma_max. phi' is +inf where a
+    denominator is not positive, so the returned step keeps every entry
+    of qE + g d positive unless it is the full step. When phi' is
+    rounding noise before either test is met (a search that starts next
+    to the minimizer with a small gamma_max), Newton steps can stall
+    below the resolution of the denominators; LINE_SEARCH_EVALS bounds
+    such a search.
+    Returns (step, number of derivative evaluations).
+    """
+
+    def derivs(g: float) -> tuple[float, float]:
+        denom = qE + g * d
+        if denom.min() <= 0.0:
+            return math.inf, math.nan
+        r = d / denom
+        cr = cE * r
+        return -float(cr.sum()), float(cr @ r)
+
+    d1, _ = derivs(gamma_max)
+    if d1 <= 0.0:
+        return gamma_max, 1
+    lo, hi = 0.0, gamma_max
+    g = 0.0
+    d1, d2 = derivs(g)
+    tol = 1e-12 * abs(d1)
+    evals = 2
+    while evals < LINE_SEARCH_EVALS:
+        if abs(d1) <= tol:
+            return g, evals
+        if d1 < 0.0:
+            lo = g
+        else:
+            hi = g
+        if hi - lo <= 1e-15 * gamma_max:
+            break
+        step = g - d1 / d2 if d2 > 0.0 else math.nan
+        g = step if lo < step < hi else 0.5 * (lo + hi)
+        d1, d2 = derivs(g)
+        evals += 1
+    return lo, evals
+
+
 def _fw_minimize(
     P: np.ndarray,
     V: np.ndarray,
     setting_weights: np.ndarray,
     *,
     gap_tol: float,
-    max_iter: int = MAX_INNER_ITER,
     lam0: np.ndarray | None = None,
-    pairwise_every: int = 8,
 ) -> _InnerSolution:
     """Minimize sum_s w_s KL(P_s || (V.lam)_s) over the weight simplex.
 
     Steps are multiplicative (expectation-maximization form); every
-    eighth step a pairwise vertex exchange with exact line search prunes
-    or revives vertices. Progress is certified by the Frank-Wolfe gap,
-    whose linear subproblem is exact enumeration over the vertices.
+    PAIRWISE_EVERY-th step a pairwise vertex exchange with exact line
+    search prunes or revives vertices. Progress is certified by the
+    Frank-Wolfe gap, whose linear subproblem is exact enumeration over
+    the vertices.
     """
     n, dim = V.shape
     n_settings = setting_weights.size
@@ -166,7 +223,7 @@ def _fw_minimize(
     gap = math.inf
     it = 0
     converged = False
-    while it < max_iter:
+    while it < MAX_INNER_ITER:
         it += 1
         # the floor only matters for entries whose target weight is
         # rounding dust; it keeps incremental cancellation from feeding
@@ -179,30 +236,12 @@ def _fw_minimize(
         if gap <= gap_tol:
             converged = True
             break
-        if it % pairwise_every == 0:
+        if it % PAIRWISE_EVERY == 0:
             support = np.where(lam > 1e-15)[0]
             aw = int(support[np.argmax(scores[support])])
             if aw != fw:
                 d = VE[fw] - VE[aw]
-                gamma_max = float(lam[aw])
-
-                def dphi(g: float) -> float:
-                    denom = qE + g * d
-                    if np.any(denom <= 0.0):
-                        return math.inf
-                    return -float(np.sum(cE * d / denom)) / LN2
-
-                if dphi(gamma_max) <= 0.0:
-                    gamma = gamma_max
-                else:
-                    lo, hi = 0.0, gamma_max
-                    for _ in range(50):
-                        mid = 0.5 * (lo + hi)
-                        if dphi(mid) < 0.0:
-                            lo = mid
-                        else:
-                            hi = mid
-                    gamma = lo
+                gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
                 if gamma > 0.0:
                     lam[fw] += gamma
                     lam[aw] -= gamma

@@ -274,3 +274,104 @@ def test_results_deterministic():
     r1 = bw.s_uc(p, TOL, restarts=8, seed=5)
     r2 = bw.s_uc(p, TOL, restarts=8, seed=5)
     assert r1.value == r2.value
+
+
+# ---------------------------------------------------------------------------
+# The pairwise-exchange line search of the inner Frank-Wolfe solver
+# ---------------------------------------------------------------------------
+
+
+def _phi(cE, qE, d, g):
+    denom = qE + g * d
+    return math.inf if denom.min() <= 0.0 else -float(np.sum(cE * np.log(denom)))
+
+
+def _dphi(cE, qE, d, g):
+    denom = qE + g * d
+    return math.inf if denom.min() <= 0.0 else -float(np.sum(cE * d / denom))
+
+
+def _exchange_case(kind: str, seed: int):
+    """Random (cE, qE, d, gamma_max) shaped like a pairwise exchange
+    (d = toward vertex - away vertex, entries in {-1, 0, 1}), drawn until
+    the line search falls in the named regime."""
+    rng = np.random.default_rng([31, seed])
+    k = 16
+    for _ in range(1000):
+        d = rng.choice([-1.0, 0.0, 1.0], size=k)
+        if not (np.any(d > 0) and np.any(d < 0)):
+            continue
+        gamma_max = float(rng.uniform(0.05, 0.5))
+        qE = rng.uniform(0.01, 0.5, size=k) + np.where(d < 0, gamma_max, 0.0)
+        if kind == "pole":
+            # an entry only the away vertex covers: its denominator
+            # reaches 0 exactly at the full step
+            qE[np.flatnonzero(d < 0)[0]] = gamma_max
+        cE = rng.uniform(0.01, 1.0, size=k)
+        at_max = _dphi(cE, qE, d, gamma_max)
+        regime = ("pole" if math.isinf(at_max)
+                  else "full" if at_max <= 0.0 else "interior")
+        if regime == kind and _dphi(cE, qE, d, 0.0) < 0.0:
+            return cE, qE, d, gamma_max
+    raise AssertionError(f"no {kind} case drawn")
+
+
+def _line_search_oracle(cE, qE, d, gamma_max):
+    """SciPy's bounded Brent search, refined in a second search around
+    its first answer x0: in the offset s, phi(x0 + s) - phi(x0) =
+    -sum cE log1p(s d / (qE + x0 d)) keeps full relative precision, and
+    the search's sqrt(eps)*|s| tolerance becomes negligible."""
+    from scipy.optimize import minimize_scalar
+
+    x0 = minimize_scalar(lambda g: _phi(cE, qE, d, g), bounds=(0.0, gamma_max),
+                         method="bounded", options={"xatol": 1e-12 * gamma_max}).x
+    ratio = d / (qE + x0 * d)
+
+    def offset_phi(s):
+        arg = s * ratio
+        return math.inf if arg.min() <= -1.0 else -float(np.sum(cE * np.log1p(arg)))
+
+    w = 1e-6 * gamma_max
+    s = minimize_scalar(offset_phi, bounds=(max(-x0, -w), min(gamma_max - x0, w)),
+                        method="bounded", options={"xatol": 1e-13 * gamma_max}).x
+    # the refined optimum must lie inside the refinement window
+    assert abs(s) < 0.99 * w or x0 + s > gamma_max * (1 - 1e-9)
+    return x0 + s
+
+
+@pytest.mark.parametrize("kind", ["interior", "full", "pole"])
+def test_exchange_step_matches_bounded_oracle(kind):
+    from bellwire.monotones import _exchange_step
+
+    for seed in range(20):
+        cE, qE, d, gamma_max = _exchange_case(kind, seed)
+        gamma, evals = _exchange_step(cE, qE, d, gamma_max)
+        assert 0.0 <= gamma <= gamma_max
+        assert _phi(cE, qE, d, gamma) <= _phi(cE, qE, d, 0.0)
+        assert abs(gamma - _line_search_oracle(cE, qE, d, gamma_max)) <= 1e-9 * gamma_max
+        if kind == "full":
+            assert gamma == gamma_max and evals == 1
+        else:
+            assert gamma < gamma_max
+            # a 50-step bisection takes 51 evaluations
+            assert evals <= 16
+
+
+def test_exchange_step_bounded_at_rounding_noise():
+    # an interior case cut down to a window of 1e-6..1e-10 of its full
+    # step around the minimizer, as when the away vertex has little
+    # weight left: phi' reaches rounding noise long before the bracket is
+    # 1e-15 of gamma_max wide, and the search must still end, near the
+    # minimizer
+    from bellwire.monotones import LINE_SEARCH_EVALS, _exchange_step
+
+    for seed in range(20):
+        cE, qE, d, gamma_max = _exchange_case("interior", seed)
+        rng = np.random.default_rng([37, seed])
+        width = gamma_max * 10.0 ** rng.uniform(-10.0, -6.0)
+        offset = rng.uniform(0.1, 0.9) * width
+        start = _line_search_oracle(cE, qE, d, gamma_max) - offset
+        gamma, evals = _exchange_step(cE, qE + start * d, d, width)
+        assert 0.0 <= gamma < width
+        assert abs(gamma - offset) <= 1e-9 * gamma_max
+        assert evals <= LINE_SEARCH_EVALS
