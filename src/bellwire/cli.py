@@ -34,12 +34,11 @@ from .divergence import behavior_re
 from .errors import BellwireError, ParameterOutOfRange
 from .geometry import is_local, is_no_signaling, random_local_behavior, random_ns_behavior
 from .monotones import (
+    evaluate_quantifier,
     monotonicity_audit,
-    s_c,
     s_c_alternating,
     s_nl,
     s_u,
-    s_uc,
     apply_wiring,
 )
 from .wirings import (
@@ -332,7 +331,6 @@ def cmd_campaign(args) -> int:
 def cmd_eval(args) -> int:
     cap = args.vertex_cap
     what = args.what
-    ok = True
     if what == "ns_check":
         p = _load_behavior(args.infile, args.epsilon, cap)
         rep = is_no_signaling(p, 1e-9)
@@ -354,14 +352,8 @@ def cmd_eval(args) -> int:
         report = json.loads(jsonio.divergence_to_json(val))
     elif what in ("snl", "su", "suc", "sc"):
         p = _load_behavior(args.infile, args.epsilon, cap)
-        if what == "snl":
-            res = s_nl(p, args.tol)
-        elif what == "su":
-            res = s_u(p, args.tol)
-        elif what == "sc":
-            res = s_c(p, args.tol)
-        else:
-            res = s_uc(p, args.tol, restarts=args.restarts, seed=args.seed)
+        extra = {"restarts": args.restarts, "seed": args.seed} if what == "suc" else {}
+        res = evaluate_quantifier(what, p, args.tol, **extra)
         report = json.loads(jsonio.monotone_result_to_json(res))
     elif what == "apply":
         w = _load_wiring(args.infile, cap)
@@ -371,7 +363,7 @@ def cmd_eval(args) -> int:
     else:
         raise ParameterOutOfRange(f"unknown eval target {what!r}")
     _emit(_report_text(report, args.format), args.out)
-    return 0 if ok else 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

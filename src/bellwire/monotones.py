@@ -19,6 +19,9 @@ Four quantities are computed, all in bits:
 * `s_uc` — the same game restricted to product input distributions.
   The product set is nonconvex, so the alternating coordinate ascent
   with multi-start reports a certified LOWER bound, flagged as such.
+  Each block of the ascent, over one party's marginal with the other
+  fixed, is again a convex min-max problem, solved by the same engine
+  as `s_nl` with the settings grouped by the free party's input.
 
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
@@ -29,12 +32,14 @@ the barycenter. Per-setting divergences are clamped at a finite ceiling
 wherever they feed an outer model; reported values are re-evaluated
 unclamped at the optimizer.
 
-The input-side updates combine two tactics, cheapest first: Newton
-equalization of the active settings' divergences (at the saddle point
-all supported settings agree), and an epigraph polish of the
-vertex-weight side with recovery of the input weights from the
-stationarity system. Each tactic only ever tightens the same certified
-bracket, so the tactic mix cannot compromise correctness.
+The engine works on input coordinates, each a fixed weighting of the
+settings (for `s_nl` one coordinate per setting). Its input-side updates
+combine two tactics, cheapest first: Newton equalization of the active
+coordinates' divergences (at the saddle point all supported coordinates
+agree), and an epigraph polish of the vertex-weight side with recovery
+of the input weights from the stationarity system. Each tactic only ever
+tightens the same certified bracket, so the tactic mix cannot
+compromise correctness.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behaviors import Behavior, InputDistribution, Scenario
+from .divergence import _kl_terms
 from .errors import NoConvergence, SolverFailure
 from .geometry import LocalModel, local_vertex_matrix
 from .lp import solve_lp
@@ -113,17 +119,8 @@ class _InnerSolution:
 
 def _kl_table_from_q(P: np.ndarray, q: np.ndarray, n_settings: int) -> np.ndarray:
     """Per-setting KL(P || q) from flat tables, +inf on support mismatch."""
-    k = P.size // n_settings
-    Ps = P.reshape(n_settings, k)
-    qs = q.reshape(n_settings, k)
-    out = np.empty(n_settings)
-    for s in range(n_settings):
-        mask = Ps[s] > 0.0
-        if np.any(qs[s][mask] <= 0.0):
-            out[s] = math.inf
-        else:
-            out[s] = float(np.sum(Ps[s][mask] * np.log2(Ps[s][mask] / qs[s][mask])))
-    return out
+    return np.array([_kl_terms(Ps, qs) for Ps, qs in
+                     zip(P.reshape(n_settings, -1), q.reshape(n_settings, -1))])
 
 
 def _clamped(kl_table: np.ndarray) -> np.ndarray:
@@ -299,18 +296,6 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
 # ---------------------------------------------------------------------------
 
 
-def _lex_argmax(table: np.ndarray) -> int:
-    """Index of the maximum with lexicographic tie-breaking, matching the
-    scan order of behavior_re."""
-    best = -math.inf
-    arg = 0
-    for i, v in enumerate(table):
-        if v > best:
-            best = v
-            arg = i
-    return arg
-
-
 def _kls_and_grads(
     P: np.ndarray, V: np.ndarray, m: int, lam: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -333,29 +318,29 @@ def _kls_and_grads(
 
 
 def _epigraph_lambda(
-    P: np.ndarray, V: np.ndarray, m: int, lam0: np.ndarray
+    P: np.ndarray, V: np.ndarray, m: int, M: np.ndarray, lam0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Polish the vertex weights by solving the epigraph program
-    min t s.t. every per-setting divergence <= t, with analytic
-    gradients. This is the tiebreaker for degenerate optimal faces,
-    where weighted-sum minimizers are not unique and plain exchanges
-    stall; returns (weights, divergences, gradients)."""
+    min t s.t. every row value of M @ (per-setting divergences) <= t,
+    with analytic gradients. This is the tiebreaker for degenerate
+    optimal faces, where weighted-sum minimizers are not unique and
+    plain exchanges stall; returns (weights, row values, row gradients)."""
     from scipy.optimize import minimize
 
     n = V.shape[0]
     lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
     lam0 = lam0 / lam0.sum()
     kls0, _ = _kls_and_grads(P, V, m, lam0)
-    x0 = np.concatenate([lam0, [float(np.max(kls0)) + 1e-3]])
+    x0 = np.concatenate([lam0, [float(np.max(M @ kls0)) + 1e-3]])
 
     def cons_f(x):
         kls, _ = _kls_and_grads(P, V, m, np.clip(x[:n], 0.0, None))
-        return x[-1] - kls
+        return x[-1] - M @ kls
 
     def cons_j(x):
         _, grads = _kls_and_grads(P, V, m, np.clip(x[:n], 0.0, None))
-        J = np.zeros((m, n + 1))
-        J[:, :n] = -grads
+        J = np.zeros((M.shape[0], n + 1))
+        J[:, :n] = -(M @ grads)
         J[:, -1] = 1.0
         return J
 
@@ -381,7 +366,7 @@ def _epigraph_lambda(
         return None
     lam_star = lam_star / total
     kls, grads = _kls_and_grads(P, V, m, lam_star)
-    return lam_star, kls, grads
+    return lam_star, M @ kls, M @ grads
 
 
 def _stationary_inputs(
@@ -393,8 +378,9 @@ def _stationary_inputs(
     m: int,
 ) -> np.ndarray | None:
     """Input weights under which `lam_star` is stationary: minimize, over
-    weights supported on the near-maximal settings, the Frank-Wolfe gap
-    of the weighted problem at `lam_star` (a small LP)."""
+    weights supported on the near-maximal of the m input coordinates
+    (rows), the Frank-Wolfe gap of the weighted problem at `lam_star`
+    (a small LP)."""
     n = lam_star.size
     S = [j for j in range(m) if kls[j] >= upper - margin]
     if not S:
@@ -433,21 +419,27 @@ def _stationary_inputs(
 
 
 class _MinimaxSolver:
-    """Certified solver for min over vertex weights of the worst-setting
-    divergence. Maintains a bracket [lower, upper]: lower bounds come
-    from inner minimizations at fixed input weights, upper bounds from
-    the worst-setting divergence of any vertex-weight iterate."""
+    """Certified solver for min over vertex weights of the worst row value
+    of M @ (per-setting divergences). Row j of the (k, sA*sB) matrix M is
+    the setting-weight vector of input coordinate j; the default identity
+    makes the rows the settings. Maintains a bracket [lower, upper]:
+    lower bounds come from inner minimizations at fixed input weights d
+    (setting weights d @ M), upper bounds from the worst row value of any
+    vertex-weight iterate."""
 
-    def __init__(self, p: Behavior, tol: float):
+    def __init__(self, p: Behavior, tol: float, M: np.ndarray | None = None):
         self.V = local_vertex_matrix(p.scenario)
         self.P = p.flat()
         self.m = p.scenario.sA * p.scenario.sB
+        self.M = np.eye(self.m) if M is None else M
+        self.k = self.M.shape[0]
         self.tol = tol
         self.n = self.V.shape[0]
         self.lower = 0.0
         self.upper = math.inf
+        self.d_lower: np.ndarray | None = None  # input weights that set lower
         self.lam_best: np.ndarray | None = None
-        self.kl_best: np.ndarray | None = None
+        self.rows_best: np.ndarray | None = None
         self.iterations = 0
         self.lam_warm: np.ndarray | None = None
 
@@ -459,63 +451,78 @@ class _MinimaxSolver:
     def closed(self) -> bool:
         return self.gap <= self.tol
 
-    def observe_lam(self, lam: np.ndarray, kl_table: np.ndarray) -> None:
-        u_here = float(np.max(kl_table))
+    def rows(self, kl_table: np.ndarray) -> np.ndarray:
+        """Row values M @ kl_table; +inf where a setting with positive
+        weight has +inf divergence."""
+        inf = np.isinf(kl_table)
+        out = self.M @ np.where(inf, 0.0, kl_table)
+        if inf.any():
+            out[np.any(self.M[:, inf] > 0.0, axis=1)] = math.inf
+        return out
+
+    def observe_lam(self, lam: np.ndarray, rows: np.ndarray) -> None:
+        u_here = float(np.max(rows))
         if u_here < self.upper:
             self.upper = u_here
             self.lam_best = lam
-            self.kl_best = kl_table
+            self.rows_best = rows
 
-    def solve_at(self, D: np.ndarray, gap_tol: float) -> _InnerSolution:
-        inner = _fw_minimize(self.P, self.V, D, gap_tol=gap_tol,
+    def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
+        """Inner minimization at input weights d; returns its value and
+        the row values at its minimizer."""
+        inner = _fw_minimize(self.P, self.V, d @ self.M, gap_tol=gap_tol,
                              lam0=self.lam_warm)
         self.iterations += inner.iterations
         self.lam_warm = inner.lam
-        self.lower = max(self.lower, inner.value - inner.gap)
-        self.observe_lam(inner.lam, inner.kl_table)
-        return inner
+        if self.d_lower is None or inner.value - inner.gap > self.lower:
+            self.lower = max(self.lower, inner.value - inner.gap)
+            self.d_lower = d
+        rows = self.rows(inner.kl_table)
+        self.observe_lam(inner.lam, rows)
+        return inner.value, rows
 
-    # -- phase 1: Newton equalization of active-setting divergences -------
+    # -- phase 1: Newton equalization of active-coordinate divergences ----
 
     @staticmethod
-    def _embed(z: np.ndarray, S: list[int], m: int) -> np.ndarray:
+    def _embed(z: np.ndarray, S: list[int], k: int) -> np.ndarray:
         w = np.exp(z - np.max(z))
         w = w / w.sum()
-        D = np.zeros(m)
+        D = np.zeros(k)
         D[np.array(S)] = w
         return D
 
     def newton_phase(self, max_rounds: int = 25) -> None:
         inner_gap = self.tol / 8.0
-        r0 = self.kl_best if self.kl_best is not None else None
+        r0 = self.rows_best
         if r0 is None:
             return
+        k = self.k
         margin = max(2.0 * self.gap, 1e-9)
-        S = [j for j in range(self.m) if r0[j] >= self.upper - margin]
+        S = [j for j in range(k) if r0[j] >= self.upper - margin]
         if len(S) < 1:
             return
         if len(S) == 1:
-            D = np.zeros(self.m)
+            D = np.zeros(k)
             D[S[0]] = 1.0
             self.solve_at(D, inner_gap)
-            if not self.closed and self.m > 1:
-                S = list(range(self.m))
+            if not self.closed and k > 1:
+                S = list(range(k))
             else:
                 return
         z = np.zeros(len(S))
         spread_prev = math.inf
         for _ in range(max_rounds):
-            inner = self.solve_at(self._embed(z, S, self.m), inner_gap)
+            _, rows = self.solve_at(self._embed(z, S, k), inner_gap)
             if self.closed:
                 return
-            rS = inner.kl_table[np.array(S)]
+            rS = rows[np.array(S)]
             if not np.all(np.isfinite(rS)):
                 return
             rho = rS - rS.mean()
             spread = float(np.max(rS) - np.min(rS))
-            outside = [j for j in range(self.m) if j not in S]
+            outside = [j for j in range(k) if j not in S]
             if outside:
-                r_out = inner.kl_table[np.array(outside)]
+                r_out = rows[np.array(outside)]
                 if np.max(r_out) > np.max(rS) + self.tol / 4.0:
                     S.append(outside[int(np.argmax(r_out))])
                     z = np.append(z, math.log(1.0 / len(S)))
@@ -529,7 +536,7 @@ class _MinimaxSolver:
                 S = [S[i] for i in keep]
                 z = z[np.array(keep)]
                 if len(S) == 1:
-                    D = np.zeros(self.m)
+                    D = np.zeros(k)
                     D[S[0]] = 1.0
                     self.solve_at(D, inner_gap)
                     return
@@ -545,10 +552,10 @@ class _MinimaxSolver:
             for i in range(k_free):
                 z2 = z.copy()
                 z2[i] += h
-                probe = self.solve_at(self._embed(z2, S, self.m), inner_gap)
+                _, probe = self.solve_at(self._embed(z2, S, k), inner_gap)
                 if self.closed:
                     return
-                rS2 = probe.kl_table[np.array(S)]
+                rS2 = probe[np.array(S)]
                 if not np.all(np.isfinite(rS2)):
                     return
                 J[:, i] = ((rS2 - rS2.mean()) - rho) / h
@@ -561,17 +568,17 @@ class _MinimaxSolver:
         lam0 = self.lam_best if self.lam_best is not None else np.full(
             self.n, 1.0 / self.n
         )
-        polished = _epigraph_lambda(self.P, self.V, self.m, lam0)
+        polished = _epigraph_lambda(self.P, self.V, self.m, self.M, lam0)
         if polished is None:
             return
-        lam_star, kls, grads = polished
-        self.observe_lam(lam_star, kls)
+        lam_star, rows, grads = polished
+        self.observe_lam(lam_star, rows)
         if self.closed:
             return
-        U_here = float(np.max(kls))
+        U_here = float(np.max(rows))
         self.lam_warm = lam_star
         for margin in (4.0 * self.tol, 1e-5, 1e-4, 1e-3):
-            D_hat = _stationary_inputs(grads, lam_star, kls, U_here, margin, self.m)
+            D_hat = _stationary_inputs(grads, lam_star, rows, U_here, margin, self.k)
             if D_hat is None:
                 continue
             self.solve_at(D_hat, min(self.tol / 8.0, 1e-9))
@@ -581,8 +588,8 @@ class _MinimaxSolver:
     # -- driver ------------------------------------------------------------
 
     def run(self, max_effort: int = 3) -> None:
-        uniform = np.full(self.m, 1.0 / self.m)
-        self.solve_at(uniform, self.tol / (2.0 * self.m))
+        uniform = np.full(self.k, 1.0 / self.k)
+        self.solve_at(uniform, self.tol / (2.0 * self.k))
         for _ in range(max_effort):
             if self.closed:
                 return
@@ -603,11 +610,11 @@ class _AveragingSolver(_MinimaxSolver):
         self.lam_sum = np.zeros(self.n)
         self.n_avg = 0
 
-    def solve_at(self, D: np.ndarray, gap_tol: float) -> _InnerSolution:
-        inner = super().solve_at(D, gap_tol)
-        self.lam_sum += inner.lam
+    def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
+        out = super().solve_at(d, gap_tol)
+        self.lam_sum += self.lam_warm
         self.n_avg += 1
-        return inner
+        return out
 
 
 def _minimax_solve(p: Behavior, tol: float) -> _MinimaxSolver:
@@ -620,7 +627,8 @@ def _point_mass_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
     """The closed bracket's result, reporting as optimizer input the
     point mass on the worst setting of the best vertex weights."""
     sc = p.scenario
-    arg = _lex_argmax(solver.kl_best)
+    # np.argmax takes the first maximum: behavior_re's lexicographic tie-break
+    arg = int(np.argmax(solver.rows_best))
     inputs = InputDistribution.point_mass(sc, arg // sc.sB, arg % sc.sB)
     return _result_from_lam(
         p, solver.lam_best, inputs, solver.upper, solver.gap, solver.iterations
@@ -665,7 +673,7 @@ def s_c_alternating(
     P, V, m = solver.P, solver.V, solver.m
     inner_tol = tol / (2.0 * m)
     D = np.full(m, 1.0 / m)
-    inner = solver.solve_at(D, inner_tol)
+    _, rows = solver.solve_at(D, inner_tol)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     stalled = 0
     for _ in range(max_outer):
@@ -679,10 +687,10 @@ def s_c_alternating(
                 break
         u_before, l_before = solver.upper, solver.lower
         best_response = np.zeros(m)
-        best_response[_lex_argmax(_clamped(inner.kl_table))] = 1.0
+        best_response[int(np.argmax(_clamped(rows)))] = 1.0
 
         def probe(x: float) -> float:
-            return solver.solve_at((1 - x) * D + x * best_response, inner_tol).value
+            return solver.solve_at((1 - x) * D + x * best_response, inner_tol)[0]
 
         # golden-section line search for the ascent step
         a, b = 0.0, 1.0
@@ -707,7 +715,7 @@ def s_c_alternating(
         D = (1 - eta) * D + eta * best_response
         D = np.clip(D, 1e-12, None)
         D = D / D.sum()
-        inner = solver.solve_at(D, inner_tol)
+        _, rows = solver.solve_at(D, inner_tol)
         if solver.upper >= u_before - tol / 10.0 and \
            solver.lower <= l_before + tol / 10.0:
             stalled += 1
@@ -732,32 +740,6 @@ def s_c_alternating(
 # ---------------------------------------------------------------------------
 
 
-def _model_inputs_from_cuts(cuts: list[np.ndarray], m: int) -> np.ndarray | None:
-    kcut = len(cuts)
-    n_var = m + 1 + kcut
-    A = np.zeros((kcut + 1, n_var))
-    b = np.zeros(kcut + 1)
-    for i, r in enumerate(cuts):
-        A[i, :m] = r
-        A[i, m] = -1.0
-        A[i, m + 1 + i] = -1.0
-    A[kcut, :m] = 1.0
-    b[kcut] = 1.0
-    obj = np.zeros(n_var)
-    obj[m] = -1.0
-    try:
-        res = solve_lp(obj, A, b)
-    except SolverFailure:
-        return None
-    if res.status != "optimal":
-        return None
-    D = np.clip(res.x[:m], 0.0, None)
-    total = D.sum()
-    if total <= 0.0:
-        return None
-    return D / total
-
-
 def s_uc(
     p: Behavior,
     tol: float = DEFAULT_TOL,
@@ -766,13 +748,17 @@ def s_uc(
 ) -> MonotoneResult:
     """Certified lower bound on the product-input statistical strength.
 
-    Alternating coordinate ascent on the two input marginals, each block
-    maximized by cutting planes over its own simplex, multi-started from
-    the uniform product, all point-mass products, and seeded random
-    products. `restarts` is a floor on the number of starts: the uniform
-    product and all sA*sB point-mass products always run, and seeded
-    random products fill up to `restarts`. The product set is
-    nonconvex, so global optimality is not certified: the result reports
+    Alternating coordinate ascent on the two input marginals,
+    multi-started from the uniform product, all point-mass products, and
+    seeded random products. Each block maximizes min over vertex weights
+    of sum_x d_x r_x over one marginal d, where r_x is the divergence of
+    the settings with that party's input x weighted by the other, fixed
+    marginal: the saddle problem of `s_nl` with the settings grouped by
+    the free party's input, certified by the same engine; a block whose
+    bracket does not close raises NoConvergence. `restarts` is a floor
+    on the number of starts: the uniform product and all sA*sB
+    point-mass products always run, and seeded random products fill up
+    to `restarts`. The product set is nonconvex, so global optimality is not certified: the result reports
     the best value found, flagged as a lower bound; its gap_estimate
     certifies only the inner minimization.
     """
@@ -802,45 +788,23 @@ def s_uc(
     lam_warm: np.ndarray | None = None
 
     def block_max(
-        fixed: np.ndarray, free_size: int, axis: int, warm: np.ndarray | None
+        M: np.ndarray, warm: np.ndarray | None
     ) -> tuple[np.ndarray, float, np.ndarray | None]:
-        """Maximize the inner value over one marginal by cutting planes."""
+        """Maximize the inner value over the input weights of the rows of M."""
         nonlocal iterations
-        uniform_f = np.full(free_size, 1.0 / free_size)
-        d_free = uniform_f.copy()
-        cuts: list[np.ndarray] = []
-        best_v = -math.inf
-        best_d = d_free.copy()
-        floor = 1e-3
-        for _ in range(30):
-            D = (np.outer(d_free, fixed) if axis == 0
-                 else np.outer(fixed, d_free)).reshape(-1)
-            inner = _fw_minimize(P, V, D, gap_tol=tol / 4.0, lam0=warm)
-            iterations += inner.iterations
-            warm = inner.lam
-            val = max(0.0, inner.value - inner.gap)
-            if val > best_v:
-                best_v = val
-                best_d = d_free.copy()
-            table = _clamped(inner.kl_table).reshape(sc.sA, sc.sB)
-            grad = table @ fixed if axis == 0 else fixed @ table
-            cuts.append(grad)
-            model_d = _model_inputs_from_cuts(cuts, free_size)
-            if model_d is None:
-                break
-            model_val = float(min(cut @ model_d for cut in cuts))
-            if model_val - best_v <= tol / 2.0:
-                break
-            d_free = (1.0 - floor) * model_d + floor * uniform_f
-            floor = max(floor * 0.5, 1e-9)
-        return best_d, best_v, warm
+        solver = _MinimaxSolver(p, tol, M)
+        solver.lam_warm = warm
+        solver.run()
+        iterations += solver.iterations
+        return solver.d_lower, solver.lower, solver.lam_warm
 
+    eye_A, eye_B = np.eye(sc.sA), np.eye(sc.sB)
     for dx0, dy0 in starts:
         dx, dy = dx0.copy(), dy0.copy()
         val_prev = -math.inf
         for _ in range(16):
-            dx, vx, lam_warm = block_max(dy, sc.sA, 0, lam_warm)
-            dy, vy, lam_warm = block_max(dx, sc.sB, 1, lam_warm)
+            dx, _, lam_warm = block_max(np.kron(eye_A, dy), lam_warm)
+            dy, vy, lam_warm = block_max(np.kron(dx, eye_B), lam_warm)
             if vy <= val_prev + tol / 2.0:
                 val_prev = max(val_prev, vy)
                 break

@@ -127,20 +127,23 @@ def test_s_uc_local_vanishes_from_every_start():
 
 
 def test_s_uc_grid_cross_check():
-    # dense grid over product distributions on the 2x2 setting simplex
-    p = noisy_pr(0.8)
+    # dense grid over product distributions on the 2x2 setting simplex;
+    # the PR-relabeling mixture is setting-asymmetric, so its best
+    # product input is not the uniform one
     from bellwire.monotones import _fw_minimize
     from bellwire.geometry import local_vertex_matrix
 
     V = local_vertex_matrix(SC2222)
-    best = 0.0
-    for ax in np.linspace(0, 1, 21):
-        for by in np.linspace(0, 1, 21):
-            D = np.outer([ax, 1 - ax], [by, 1 - by]).reshape(-1)
-            inner = _fw_minimize(p.flat(), V, D, gap_tol=1e-7)
-            best = max(best, max(0.0, inner.value - inner.gap))
-    r = bw.s_uc(p, TOL, restarts=8, seed=0)
-    assert r.value >= best - 1e-4
+    for p in (noisy_pr(0.8), pr_relabeling_mixture(7, 0.8, 1)):
+        best = 0.0
+        for ax in np.linspace(0, 1, 21):
+            for by in np.linspace(0, 1, 21):
+                D = np.outer([ax, 1 - ax], [by, 1 - by]).reshape(-1)
+                inner = _fw_minimize(p.flat(), V, D, gap_tol=1e-7)
+                best = max(best, max(0.0, inner.value - inner.gap))
+        r = bw.s_uc(p, TOL, restarts=8, seed=0)
+        assert best > 1e-3
+        assert r.value >= best - 1e-4
 
 
 def test_tsirelson_s_u_strictly_positive():
@@ -233,12 +236,12 @@ def test_s_nl_hard_nonlocal_instances_certified():
         assert r.gap_estimate <= TOL
 
 
-def tsirelson_4222_4() -> bw.Behavior:
+def tsirelson_4222(i: int) -> bw.Behavior:
     """The tsirelson_four_setting correlation pattern on Scenario(4,2,2,2)
     with permuted settings, possibly flipped outcomes and Dirichlet local
-    noise: entry tsirelson-4222-4 of the perfbench snl_tsirelson pool."""
+    noise: entry tsirelson-4222-i of the perfbench snl_tsirelson pool."""
     sc = bw.Scenario(4, 2, 2, 2)
-    rng = np.random.default_rng([20051, 3, 4])
+    rng = np.random.default_rng([20051, 3, i])
     vis = float(rng.uniform(0.7, 0.8))
     base = bw.TSIRELSON_P
     t = np.empty(sc.shape)
@@ -259,11 +262,24 @@ def test_s_nl_closes_when_first_polish_misses():
     # depending on BLAS threading, the first epigraph polish on this box
     # can miss; the second Newton + polish round must then close it
     # without a long detour (the bound is on work, not wall time)
-    r = bw.s_nl(tsirelson_4222_4(), TOL)
+    r = bw.s_nl(tsirelson_4222(4), TOL)
     assert r.gap_estimate <= TOL
     # the box's reference value and certified gap in perfbench/reference.json
     assert abs(r.value - 0.004230582926677485) <= r.gap_estimate + 3.6e-10
     assert r.iterations < 100_000
+
+
+def test_s_uc_blocks_close_on_four_settings():
+    # each coordinate-ascent block is a saddle problem over one marginal
+    # with 4 (Alice) or 2 (Bob) input coordinates; the block solver must
+    # close it in bounded work and land between s_u and s_nl
+    p = tsirelson_4222(0)
+    su = bw.s_u(p, TOL)
+    snl = bw.s_nl(p, TOL)
+    r = bw.s_uc(p, TOL, restarts=8, seed=0)
+    gaps = su.gap_estimate + r.gap_estimate + snl.gap_estimate
+    assert su.value - gaps <= r.value <= snl.value + gaps
+    assert r.iterations < 1_000_000
 
 
 def test_results_deterministic():
