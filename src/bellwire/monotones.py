@@ -228,14 +228,14 @@ def _fw_minimize(
         ratio = cE / np.maximum(qE, 1e-300)
         back = VE @ ratio  # also the (negated, scaled) vertex scores
         scores = -back / LN2
-        fw = int(np.argmin(scores))
+        fw = int(scores.argmin())
         gap = float(lam @ scores - scores[fw])
         if gap <= gap_tol:
             converged = True
             break
         if it % PAIRWISE_EVERY == 0:
-            support = np.where(lam > 1e-15)[0]
-            aw = int(support[np.argmax(scores[support])])
+            support = (lam > 1e-15).nonzero()[0]
+            aw = int(support[scores[support].argmax()])
             if aw != fw:
                 d = VE[fw] - VE[aw]
                 gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
@@ -296,25 +296,41 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
 # ---------------------------------------------------------------------------
 
 
-def _kls_and_grads(
-    P: np.ndarray, V: np.ndarray, m: int, lam: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-setting divergences and their gradients in the vertex weights."""
-    n, dim = V.shape
-    k = dim // m
-    Ps = P.reshape(m, k)
-    q = lam @ V
-    qs = q.reshape(m, k)
-    kls = np.empty(m)
-    grads = np.zeros((m, n))
-    for s in range(m):
-        mask = Ps[s] > 0.0
-        pe = Ps[s][mask]
-        qe = np.maximum(qs[s][mask], 1e-300)
-        kls[s] = float(np.sum(pe * np.log2(pe / qe)))
-        cols = s * k + np.where(mask)[0]
-        grads[s] = -(V[:, cols] @ (pe / qe)) / LN2
-    return kls, grads
+class _DivergenceTables:
+    """Per-setting divergences KL(P_s || (V.lam)_s) in bits, and their
+    gradients in the vertex weights, for fixed P and V with m settings.
+    The support of P and each setting's column block of V are indexed
+    once; `kls` then costs one mat-vec and one vectorized pass over the
+    support, and `grads` one mat-vec per setting."""
+
+    def __init__(self, P: np.ndarray, V: np.ndarray, m: int):
+        k = V.shape[1] // m
+        self.V = V
+        self.shape = (m, k)
+        positive = P > 0.0
+        self.support = np.flatnonzero(positive)
+        self.P_support = P[self.support]
+        rows = positive.reshape(m, k)
+        self.blocks = [V[:, s * k + np.flatnonzero(rows[s])] for s in range(m)]
+        self.splits = np.cumsum(rows.sum(axis=1))[:-1]
+
+    def _ratio(self, lam: np.ndarray) -> np.ndarray:
+        q = lam @ self.V
+        return self.P_support / np.maximum(q[self.support], 1e-300)
+
+    def kls(self, lam: np.ndarray) -> np.ndarray:
+        # a row sum with zeros off the support equals the sum over each
+        # setting's support bit for bit while a setting has fewer than 8
+        # outcome pairs (numpy adds rows that short in order); at 8 or
+        # more it can differ in the last digit. np.add.reduceat over the
+        # support differs even on short rows, which moves SLSQP's path
+        terms = np.zeros(self.V.shape[1])
+        terms[self.support] = self.P_support * np.log2(self._ratio(lam))
+        return terms.reshape(self.shape).sum(axis=1)
+
+    def grads(self, lam: np.ndarray) -> np.ndarray:
+        ratios = np.split(self._ratio(lam), self.splits)
+        return -np.array([B @ r for B, r in zip(self.blocks, ratios)]) / LN2
 
 
 def _epigraph_lambda(
@@ -324,23 +340,25 @@ def _epigraph_lambda(
     min t s.t. every row value of M @ (per-setting divergences) <= t,
     with analytic gradients. This is the tiebreaker for degenerate
     optimal faces, where weighted-sum minimizers are not unique and
-    plain exchanges stall; returns (weights, row values, row gradients)."""
+    plain exchanges stall; returns (weights, row values, row gradients).
+    The divergence tables are built once per call. The constraint values
+    compute no gradients; only the constraint Jacobian and the returned
+    row gradients do."""
     from scipy.optimize import minimize
 
     n = V.shape[0]
     lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
     lam0 = lam0 / lam0.sum()
-    kls0, _ = _kls_and_grads(P, V, m, lam0)
+    tables = _DivergenceTables(P, V, m)
+    kls0 = tables.kls(lam0)
     x0 = np.concatenate([lam0, [float(np.max(M @ kls0)) + 1e-3]])
 
     def cons_f(x):
-        kls, _ = _kls_and_grads(P, V, m, np.clip(x[:n], 0.0, None))
-        return x[-1] - M @ kls
+        return x[-1] - M @ tables.kls(np.clip(x[:n], 0.0, None))
 
     def cons_j(x):
-        _, grads = _kls_and_grads(P, V, m, np.clip(x[:n], 0.0, None))
         J = np.zeros((M.shape[0], n + 1))
-        J[:, :n] = -(M @ grads)
+        J[:, :n] = -(M @ tables.grads(np.clip(x[:n], 0.0, None)))
         J[:, -1] = 1.0
         return J
 
@@ -365,8 +383,7 @@ def _epigraph_lambda(
     if not np.isfinite(total) or total <= 0.0:
         return None
     lam_star = lam_star / total
-    kls, grads = _kls_and_grads(P, V, m, lam_star)
-    return lam_star, M @ kls, M @ grads
+    return lam_star, M @ tables.kls(lam_star), M @ tables.grads(lam_star)
 
 
 def _stationary_inputs(
@@ -755,7 +772,8 @@ def s_uc(
     the settings with that party's input x weighted by the other, fixed
     marginal: the saddle problem of `s_nl` with the settings grouped by
     the free party's input, certified by the same engine; a block whose
-    bracket does not close raises NoConvergence. `restarts` is a floor
+    bracket does not close, or a final re-solve at the best product that
+    misses the gap, raises NoConvergence. `restarts` is a floor
     on the number of starts: the uniform product and all sA*sB
     point-mass products always run, and seeded random products fill up
     to `restarts`. The product set is nonconvex, so global optimality is not certified: the result reports
@@ -817,6 +835,8 @@ def s_uc(
     D = np.outer(dx, dy).reshape(-1)
     inner = _fw_minimize(P, V, D, gap_tol=tol, lam0=None)
     iterations += inner.iterations
+    if not inner.converged:
+        raise NoConvergence(inner.iterations, inner.gap)
     inputs = InputDistribution.product(sc, dx, dy)
     return _result_from_lam(
         p, inner.lam, inputs, inner.value, inner.gap, iterations,

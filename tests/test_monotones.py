@@ -292,6 +292,135 @@ def test_results_deterministic():
     assert r1.value == r2.value
 
 
+def test_s_uc_final_resolve_must_converge(monkeypatch):
+    # s_uc re-solves the inner problem at its best product input; a
+    # re-solve that stops above the gap must raise, as s_u's does
+    from dataclasses import replace
+
+    from bellwire import monotones
+
+    real = monotones._fw_minimize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(monotones, "_fw_minimize", counting)
+    p = noisy_pr(0.8)
+    r = bw.s_uc(p, TOL, restarts=1, seed=0)
+    assert r.value > 1e-3 and r.gap_estimate <= TOL
+    last = len(calls)
+
+    def stalled_last(*args, **kwargs):
+        calls.append(None)
+        inner = real(*args, **kwargs)
+        if len(calls) == 2 * last:
+            return replace(inner, converged=False, gap=1e-3)
+        return inner
+
+    monkeypatch.setattr(monotones, "_fw_minimize", stalled_last)
+    with pytest.raises(NoConvergence) as err:
+        bw.s_uc(p, TOL, restarts=1, seed=0)
+    assert len(calls) == 2 * last
+    assert err.value.gap == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The divergence tables of the epigraph polish
+# ---------------------------------------------------------------------------
+
+
+def _kls_and_grads_oracle(P, V, m, lam):
+    """Per-setting divergences and their gradients in the vertex
+    weights, one setting at a time."""
+    n, dim = V.shape
+    k = dim // m
+    Ps = P.reshape(m, k)
+    qs = (lam @ V).reshape(m, k)
+    kls = np.empty(m)
+    grads = np.zeros((m, n))
+    for s in range(m):
+        mask = Ps[s] > 0.0
+        pe = Ps[s][mask]
+        qe = np.maximum(qs[s][mask], 1e-300)
+        kls[s] = float(np.sum(pe * np.log2(pe / qe)))
+        cols = s * k + np.where(mask)[0]
+        grads[s] = -(V[:, cols] @ (pe / qe)) / math.log(2.0)
+    return kls, grads
+
+
+class _OracleTables:
+    def __init__(self, P, V, m):
+        self.args = (P, V, m)
+
+    def kls(self, lam):
+        return _kls_and_grads_oracle(*self.args, lam)[0]
+
+    def grads(self, lam):
+        return _kls_and_grads_oracle(*self.args, lam)[1]
+
+
+def _random_lams(n: int, seed: int, count: int = 6) -> list[np.ndarray]:
+    # half of them with exact zeros, as SLSQP iterates on the bounds have
+    rng = np.random.default_rng([41, seed])
+    lams = []
+    for j in range(count):
+        lam = rng.dirichlet(np.full(n, 0.3))
+        if j % 2:
+            lam[rng.random(n) < 0.5] = 0.0
+            lam[rng.integers(n)] = 0.5
+            lam /= lam.sum()
+        lams.append(lam)
+    return lams
+
+
+def test_divergence_tables_match_per_setting_loop():
+    from bellwire.monotones import _DivergenceTables
+
+    boxes = [bw.pr_box(), noisy_pr(0.8)]
+    boxes += [pr_relabeling_mixture(k, w, v)
+              for k, w, v in ((7, 0.8, 1), (6, 0.95, 1), (3, 0.7, 9), (0, 0.5, 14))]
+    boxes += [tsirelson_4222(i) for i in (0, 4)]
+    for seed, p in enumerate(boxes):
+        P = p.flat()
+        V = bw.local_vertex_matrix(p.scenario)
+        m = p.scenario.sA * p.scenario.sB
+        tables = _DivergenceTables(P, V, m)
+        for lam in _random_lams(V.shape[0], seed):
+            kls, grads = _kls_and_grads_oracle(P, V, m, lam)
+            assert np.array_equal(tables.kls(lam), kls)
+            assert np.array_equal(tables.grads(lam), grads)
+    # zero-filled entries are summed over with the rest: bit for bit the
+    # per-support sum while a setting has fewer than 8 outcome pairs
+    # (numpy sums such short rows in order), equal to rounding beyond
+    assert np.any(bw.pr_box().flat() == 0.0)
+    sc = bw.Scenario(2, 3, 2, 3)
+    p = bw.Behavior(sc, 0.6 * bw.local_vertex_matrix(sc)[5].reshape(sc.shape)
+                    + 0.4 * bw.random_ns_behavior(sc, 1).p)
+    V = bw.local_vertex_matrix(sc)
+    tables = _DivergenceTables(p.flat(), V, 4)
+    for lam in _random_lams(V.shape[0], 99):
+        kls, grads = _kls_and_grads_oracle(p.flat(), V, 4, lam)
+        np.testing.assert_allclose(tables.kls(lam), kls, rtol=1e-13, atol=1e-15)
+        assert np.array_equal(tables.grads(lam), grads)
+
+
+def test_epigraph_polish_matches_per_setting_loop(monkeypatch):
+    from bellwire import monotones
+
+    p = tsirelson_4222(4)
+    P = p.flat()
+    V = bw.local_vertex_matrix(p.scenario)
+    m = p.scenario.sA * p.scenario.sB
+    lam0 = monotones._fw_minimize(P, V, np.full(m, 1.0 / m), gap_tol=1e-4).lam
+    got = monotones._epigraph_lambda(P, V, m, np.eye(m), lam0)
+    monkeypatch.setattr(monotones, "_DivergenceTables", _OracleTables)
+    want = monotones._epigraph_lambda(P, V, m, np.eye(m), lam0)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # The pairwise-exchange line search of the inner Frank-Wolfe solver
 # ---------------------------------------------------------------------------
