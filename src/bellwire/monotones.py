@@ -33,13 +33,16 @@ wherever they feed an outer model; reported values are re-evaluated
 unclamped at the optimizer.
 
 The engine works on input coordinates, each a fixed weighting of the
-settings (for `s_nl` one coordinate per setting). Its input-side updates
-combine two tactics, cheapest first: Newton equalization of the active
-coordinates' divergences (at the saddle point all supported coordinates
-agree), and an epigraph polish of the vertex-weight side with recovery
-of the input weights from the stationarity system. Each tactic only ever
-tightens the same certified bracket, so the tactic mix cannot
-compromise correctness.
+settings (for `s_nl` one coordinate per setting). After an inner
+minimization at uniform input weights, it polishes by a log-barrier
+Newton solve of the epigraph program (minimize t subject to every
+coordinate's divergence being at most t, over the vertex-weight
+simplex), whose central path also yields input weights: the barrier's
+multipliers on the coordinate constraints. The barrier's outputs are
+never trusted as such: the exact worst-coordinate divergence at its
+vertex weights bounds the value from above, and an inner minimization
+at its multipliers bounds it from below, so the polish can only tighten
+the certified bracket.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .behaviors import Behavior, InputDistribution, Scenario
 from .divergence import _kl_terms
 from .errors import NoConvergence, SolverFailure
 from .geometry import LocalModel, local_vertex_matrix
-from .lp import solve_lp
+from .lp import solve_lp  # noqa: F401 -- perfbench/tracing.py wraps it here
 from .wirings import (
     GlobalWiring,
     LosrWiring,
@@ -297,11 +300,12 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
 
 
 class _DivergenceTables:
-    """Per-setting divergences KL(P_s || (V.lam)_s) in bits, and their
-    gradients in the vertex weights, for fixed P and V with m settings.
-    The support of P and each setting's column block of V are indexed
-    once; `kls` then costs one mat-vec and one vectorized pass over the
-    support, and `grads` one mat-vec per setting."""
+    """Per-setting divergences KL(P_s || (V.lam)_s) in bits, their
+    gradients and their Hessians in the vertex weights, for fixed P and V
+    with m settings. The support of P and each setting's column block of
+    V are indexed once; `kls` then costs one mat-vec and one vectorized
+    pass over the support, `grads` one mat-vec per setting and `hessian`
+    one weighted Gram product per setting."""
 
     def __init__(self, P: np.ndarray, V: np.ndarray, m: int):
         k = V.shape[1] // m
@@ -312,127 +316,129 @@ class _DivergenceTables:
         self.P_support = P[self.support]
         rows = positive.reshape(m, k)
         self.blocks = [V[:, s * k + np.flatnonzero(rows[s])] for s in range(m)]
-        self.splits = np.cumsum(rows.sum(axis=1))[:-1]
+        ends = np.cumsum(rows.sum(axis=1)).tolist()
+        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
 
-    def _ratio(self, lam: np.ndarray) -> np.ndarray:
-        q = lam @ self.V
-        return self.P_support / np.maximum(q[self.support], 1e-300)
+    def _q(self, lam: np.ndarray) -> np.ndarray:
+        return np.maximum((lam @ self.V)[self.support], 1e-300)
 
     def kls(self, lam: np.ndarray) -> np.ndarray:
         # a row sum with zeros off the support equals the sum over each
         # setting's support bit for bit while a setting has fewer than 8
         # outcome pairs (numpy adds rows that short in order); at 8 or
         # more it can differ in the last digit. np.add.reduceat over the
-        # support differs even on short rows, which moves SLSQP's path
+        # support differs even on short rows, which moves the barrier's
+        # path
         terms = np.zeros(self.V.shape[1])
-        terms[self.support] = self.P_support * np.log2(self._ratio(lam))
+        terms[self.support] = self.P_support * np.log2(self.P_support / self._q(lam))
         return terms.reshape(self.shape).sum(axis=1)
 
     def grads(self, lam: np.ndarray) -> np.ndarray:
-        ratios = np.split(self._ratio(lam), self.splits)
-        return -np.array([B @ r for B, r in zip(self.blocks, ratios)]) / LN2
+        ratio = self.P_support / self._q(lam)
+        return -np.array([B @ ratio[s] for B, s in zip(self.blocks, self.slices)]) / LN2
+
+    def hessian(self, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """sum_s c_s H_s, with H_s = V_s diag(P_s / q_s^2) V_s^T / ln 2
+        the Hessian of setting s's divergence."""
+        q = self._q(lam)
+        curvature = self.P_support / (q * q)
+        H = np.zeros((lam.size, lam.size))
+        for c_s, B, s in zip(c, self.blocks, self.slices):
+            H += c_s * ((B * curvature[s]) @ B.T)
+        return H / LN2
 
 
-def _epigraph_lambda(
-    P: np.ndarray, V: np.ndarray, m: int, M: np.ndarray, lam0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Polish the vertex weights by solving the epigraph program
-    min t s.t. every row value of M @ (per-setting divergences) <= t,
-    with analytic gradients. This is the tiebreaker for degenerate
-    optimal faces, where weighted-sum minimizers are not unique and
-    plain exchanges stall; returns (weights, row values, row gradients).
-    The divergence tables are built once per call. The constraint values
-    compute no gradients; only the constraint Jacobian and the returned
-    row gradients do."""
-    from scipy.optimize import minimize
+#: Barrier parameter growth per centering stage.
+BARRIER_GROWTH = 8.0
 
-    n = V.shape[0]
-    lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
-    lam0 = lam0 / lam0.sum()
+#: Newton steps allowed per centering stage.
+CENTERING_STEPS = 50
+
+
+def _barrier_epigraph(
+    P: np.ndarray, V: np.ndarray, m: int, M: np.ndarray, lam0: np.ndarray,
+    gap0: float, tol: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Log-barrier solve of the epigraph program min t s.t. every row
+    value g_j of M @ (per-setting divergences) is <= t, lam >= 0,
+    sum lam = 1: damped Newton centering of
+    tau t - sum_j log(t - g_j) - sum_i log lam_i on the simplex, tau
+    growing by BARRIER_GROWTH per stage from where the barrier's duality
+    gap (k + n) / tau is about gap0 to where it is tol / 8. The lam block
+    of each KKT system is scaled by diag(lam), so the barrier's own term
+    is the identity however close lam comes to its bounds. This is the
+    tiebreaker for degenerate optimal faces, where weighted-sum
+    minimizers are not unique and plain exchanges stall.
+
+    Returns the final weights and the central-path input weights
+    D_j = 1 / (tau (t - g_j)), normalized, or None when a KKT system is
+    singular or a step is not finite. Neither output is trusted: the
+    caller re-evaluates the rows at the weights and runs its own inner
+    minimization at D.
+    """
     tables = _DivergenceTables(P, V, m)
-    kls0 = tables.kls(lam0)
-    x0 = np.concatenate([lam0, [float(np.max(M @ kls0)) + 1e-3]])
-
-    def cons_f(x):
-        return x[-1] - M @ tables.kls(np.clip(x[:n], 0.0, None))
-
-    def cons_j(x):
-        J = np.zeros((M.shape[0], n + 1))
-        J[:, :n] = -(M @ tables.grads(np.clip(x[:n], 0.0, None)))
-        J[:, -1] = 1.0
-        return J
-
-    res = minimize(
-        lambda x: x[-1],
-        x0,
-        jac=lambda x: np.concatenate([np.zeros(n), [1.0]]),
-        method="SLSQP",
-        bounds=[(0.0, None)] * n + [(None, None)],
-        constraints=[
-            {"type": "ineq", "fun": cons_f, "jac": cons_j},
-            {
-                "type": "eq",
-                "fun": lambda x: np.sum(x[:n]) - 1.0,
-                "jac": lambda x: np.concatenate([np.ones(n), [0.0]]),
-            },
-        ],
-        options={"maxiter": 400, "ftol": 1e-16},
-    )
-    lam_star = np.clip(res.x[:n], 0.0, None)
-    total = lam_star.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        return None
-    lam_star = lam_star / total
-    return lam_star, M @ tables.kls(lam_star), M @ tables.grads(lam_star)
-
-
-def _stationary_inputs(
-    grads: np.ndarray,
-    lam_star: np.ndarray,
-    kls: np.ndarray,
-    upper: float,
-    margin: float,
-    m: int,
-) -> np.ndarray | None:
-    """Input weights under which `lam_star` is stationary: minimize, over
-    weights supported on the near-maximal of the m input coordinates
-    (rows), the Frank-Wolfe gap of the weighted problem at `lam_star`
-    (a small LP)."""
-    n = lam_star.size
-    S = [j for j in range(m) if kls[j] >= upper - margin]
-    if not S:
-        return None
-    gS = grads[np.array(S)]
-    base = gS @ lam_star
-    H = base[:, None] - gS  # (|S|, n): gap contribution per vertex
-    scale = max(float(np.max(np.abs(H))), 1.0)
-    Hs = H / scale
-    ms = len(S)
-    nv = ms + 2 + n
-    A = np.zeros((n + 1, nv))
-    b = np.zeros(n + 1)
-    for v in range(n):
-        A[v, :ms] = Hs[:, v]
-        A[v, ms] = -1.0
-        A[v, ms + 1] = 1.0
-        A[v, ms + 2 + v] = 1.0
-    A[n, :ms] = 1.0
-    b[n] = 1.0
-    c = np.zeros(nv)
-    c[ms] = 1.0
-    c[ms + 1] = -1.0
-    try:
-        lp = solve_lp(c, A, b)
-    except SolverFailure:
-        return None
-    if lp.status != "optimal":
-        return None
-    DS = np.clip(lp.x[:ms], 0.0, None)
-    if DS.sum() <= 0.0:
-        return None
-    D = np.zeros(m)
-    D[np.array(S)] = DS / DS.sum()
-    return D
+    n, k = V.shape[0], M.shape[0]
+    gap0 = min(gap0, 1.0)
+    # mixing in uniform weights at the scale of the bracket's gap puts
+    # every weight near where the first stage's central path has it
+    lam = (1.0 - gap0) * np.clip(lam0, 0.0, None) + gap0 / n
+    lam = lam / lam.sum()
+    g = M @ tables.kls(lam)
+    # the last stage sits exactly at the stopping gap; earlier stages
+    # start one growth factor apart, from the bracket's gap
+    tau_end = 8.0 * (k + n) / tol
+    tau = tau_end
+    while (k + n) / tau < gap0:
+        tau /= BARRIER_GROWTH
+    t = float(np.max(g)) + k / tau
+    kkt = np.zeros((n + 2, n + 2))
+    while True:
+        for _ in range(CENTERING_STEPS):
+            w = 1.0 / (t - g)
+            w2 = w * w
+            GL = (M @ tables.grads(lam)) * lam  # row gradients, scaled
+            grad = np.concatenate([GL.T @ w - 1.0, [tau - w.sum(), 0.0]])
+            kkt[:n, :n] = (lam[:, None] * tables.hessian(lam, M.T @ w) * lam
+                           + (GL.T * w2) @ GL)
+            kkt[:n, :n] += np.eye(n)
+            kkt[:n, n] = kkt[n, :n] = -(GL.T @ w2)
+            kkt[n, n] = w2.sum()
+            kkt[:n, n + 1] = kkt[n + 1, :n] = lam
+            try:
+                step = np.linalg.solve(kkt, -grad)
+            except np.linalg.LinAlgError:
+                return None
+            u, dt = step[:n], step[n]
+            decrement = -float(grad[:n + 1] @ step[:n + 1])
+            if not (np.all(np.isfinite(step)) and math.isfinite(decrement)):
+                return None
+            # only the last stage's multipliers are used, so earlier
+            # stages stop well short of the quadratic phase's end
+            if decrement <= (2e-9 if tau >= tau_end else 0.1):
+                break
+            # at most halve any weight, then backtrack on the barrier's
+            # change, evaluated as a difference so that tau t does not
+            # swamp it
+            s = 1.0 if u.min() >= 0.0 else min(1.0, 0.5 / -float(u.min()))
+            while s >= 1e-12:
+                g_new = M @ tables.kls(lam * (1.0 + s * u))
+                slack_ratio = (t + s * dt - g_new) * w
+                if np.all(slack_ratio > 0.0):
+                    change = (tau * s * dt - float(np.sum(np.log(slack_ratio)))
+                              - float(np.sum(np.log1p(s * u))))
+                    if change <= -0.25 * s * decrement:
+                        break
+                s *= 0.5
+            else:
+                # the barrier's change is rounding noise: this stage is
+                # centered as far as the divergences resolve
+                break
+            lam, t, g = lam * (1.0 + s * u), t + s * dt, g_new
+        if tau >= tau_end:
+            break
+        tau *= BARRIER_GROWTH
+    D = 1.0 / (tau * (t - g))
+    return lam / lam.sum(), D / D.sum()
 
 
 class _MinimaxSolver:
@@ -498,111 +504,24 @@ class _MinimaxSolver:
         self.observe_lam(inner.lam, rows)
         return inner.value, rows
 
-    # -- phase 1: Newton equalization of active-coordinate divergences ----
-
-    @staticmethod
-    def _embed(z: np.ndarray, S: list[int], k: int) -> np.ndarray:
-        w = np.exp(z - np.max(z))
-        w = w / w.sum()
-        D = np.zeros(k)
-        D[np.array(S)] = w
-        return D
-
-    def newton_phase(self, max_rounds: int = 25) -> None:
-        inner_gap = self.tol / 8.0
-        r0 = self.rows_best
-        if r0 is None:
-            return
-        k = self.k
-        margin = max(2.0 * self.gap, 1e-9)
-        S = [j for j in range(k) if r0[j] >= self.upper - margin]
-        if len(S) < 1:
-            return
-        if len(S) == 1:
-            D = np.zeros(k)
-            D[S[0]] = 1.0
-            self.solve_at(D, inner_gap)
-            if not self.closed and k > 1:
-                S = list(range(k))
-            else:
-                return
-        z = np.zeros(len(S))
-        spread_prev = math.inf
-        for _ in range(max_rounds):
-            _, rows = self.solve_at(self._embed(z, S, k), inner_gap)
-            if self.closed:
-                return
-            rS = rows[np.array(S)]
-            if not np.all(np.isfinite(rS)):
-                return
-            rho = rS - rS.mean()
-            spread = float(np.max(rS) - np.min(rS))
-            outside = [j for j in range(k) if j not in S]
-            if outside:
-                r_out = rows[np.array(outside)]
-                if np.max(r_out) > np.max(rS) + self.tol / 4.0:
-                    S.append(outside[int(np.argmax(r_out))])
-                    z = np.append(z, math.log(1.0 / len(S)))
-                    spread_prev = math.inf
-                    continue
-            w = np.exp(z - np.max(z))
-            w = w / w.sum()
-            drop = [i for i in range(len(S)) if w[i] < 1e-7 and rho[i] < 0.0]
-            if drop and len(S) - len(drop) >= 1:
-                keep = [i for i in range(len(S)) if i not in drop]
-                S = [S[i] for i in keep]
-                z = z[np.array(keep)]
-                if len(S) == 1:
-                    D = np.zeros(k)
-                    D[S[0]] = 1.0
-                    self.solve_at(D, inner_gap)
-                    return
-                spread_prev = math.inf
-                continue
-            if spread >= spread_prev * 0.9:
-                # oscillation or stall: give up on this tactic
-                return
-            spread_prev = spread
-            h = max(1e-4, min(1e-2, 10.0 * float(np.max(np.abs(rho)))))
-            k_free = len(S) - 1
-            J = np.zeros((len(S), k_free))
-            for i in range(k_free):
-                z2 = z.copy()
-                z2[i] += h
-                _, probe = self.solve_at(self._embed(z2, S, k), inner_gap)
-                if self.closed:
-                    return
-                rS2 = probe[np.array(S)]
-                if not np.all(np.isfinite(rS2)):
-                    return
-                J[:, i] = ((rS2 - rS2.mean()) - rho) / h
-            step, *_ = np.linalg.lstsq(J, -rho, rcond=None)
-            z[: k_free] += np.clip(step, -2.0, 2.0)
-
-    # -- phase 2: epigraph polish and stationarity recovery ---------------
-
-    def nlp_polish(self) -> None:
+    def polish(self) -> None:
+        """One barrier solve of the epigraph program from the best weights
+        so far. The exact row values at its weights bound the value from
+        above; an inner minimization at its central-path input weights,
+        warm-started there, bounds it from below."""
         lam0 = self.lam_best if self.lam_best is not None else np.full(
             self.n, 1.0 / self.n
         )
-        polished = _epigraph_lambda(self.P, self.V, self.m, self.M, lam0)
+        polished = _barrier_epigraph(self.P, self.V, self.m, self.M, lam0,
+                                     self.gap, self.tol)
         if polished is None:
             return
-        lam_star, rows, grads = polished
-        self.observe_lam(lam_star, rows)
+        lam, D = polished
+        self.observe_lam(lam, self.rows(_kl_table_from_q(self.P, lam @ self.V, self.m)))
         if self.closed:
             return
-        U_here = float(np.max(rows))
-        self.lam_warm = lam_star
-        for margin in (4.0 * self.tol, 1e-5, 1e-4, 1e-3):
-            D_hat = _stationary_inputs(grads, lam_star, rows, U_here, margin, self.k)
-            if D_hat is None:
-                continue
-            self.solve_at(D_hat, min(self.tol / 8.0, 1e-9))
-            if self.closed:
-                return
-
-    # -- driver ------------------------------------------------------------
+        self.lam_warm = lam
+        self.solve_at(D, self.tol / 8.0)
 
     def run(self, max_effort: int = 3) -> None:
         uniform = np.full(self.k, 1.0 / self.k)
@@ -610,9 +529,7 @@ class _MinimaxSolver:
         for _ in range(max_effort):
             if self.closed:
                 return
-            self.newton_phase()
-            if not self.closed:
-                self.nlp_polish()
+            self.polish()
         if not self.closed:
             raise NoConvergence(self.iterations, float(self.gap))
 
@@ -742,7 +659,7 @@ def s_c_alternating(
             # degenerate optimal face: alternate exchanges cannot select
             # the equalizing minimizer, so polish and recover the inputs
             stalled = 0
-            solver.nlp_polish()
+            solver.polish()
             if solver.closed:
                 break
             inner_tol = max(inner_tol / 8.0, 1e-13)
@@ -802,6 +719,7 @@ def s_uc(
 
     best_val = -math.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
+    best_lam: np.ndarray | None = None
     iterations = 0
     lam_warm: np.ndarray | None = None
 
@@ -830,10 +748,11 @@ def s_uc(
         if val_prev > best_val:
             best_val = val_prev
             best_pair = (dx.copy(), dy.copy())
+            best_lam = lam_warm
 
     dx, dy = best_pair
     D = np.outer(dx, dy).reshape(-1)
-    inner = _fw_minimize(P, V, D, gap_tol=tol, lam0=None)
+    inner = _fw_minimize(P, V, D, gap_tol=tol, lam0=best_lam)
     iterations += inner.iterations
     if not inner.converged:
         raise NoConvergence(inner.iterations, inner.gap)

@@ -165,3 +165,48 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "ratio" in proc.stdout
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+
+import bellwire as bw
+from bellwire import monotones
+from bellwire.cli import main
+
+polishes = []
+barrier = monotones._barrier_epigraph
+monotones._barrier_epigraph = lambda *a: polishes.append(1) or barrier(*a)
+
+p = bw.pr_box()
+for quantifier in (bw.s_u, bw.s_nl, bw.s_c):
+    assert quantifier(p, 1e-6).gap_estimate <= 1e-6
+assert bw.s_uc(p, 1e-6, restarts=2, seed=0).lower_bound
+assert not bw.is_local(p).is_local
+# a PR box mixed with a deterministic box reaches the epigraph polish
+sc = p.scenario
+mixed = bw.Behavior(sc, 0.8 * p.p + 0.2 * bw.local_vertex_matrix(sc)[5].reshape(sc.shape))
+assert bw.s_nl(mixed, 1e-6).gap_estimate <= 1e-6 and polishes
+code = main(["eval", "snl", "--in", "pr-box"])
+assert "scipy" not in sys.modules
+sys.exit(code)
+"""
+
+
+def test_library_runs_without_scipy():
+    # SciPy is a test-only dependency: every quantifier, the membership
+    # test and the CLI must run with its import blocked
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "value" in proc.stdout

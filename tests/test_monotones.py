@@ -91,8 +91,7 @@ def pr_relabeling_mixture(k: int, w: float, vertex: int) -> bw.Behavior:
 
 def test_s_c_alternating_agrees():
     # random_ns_behavior draws are almost surely local, so the nonlocal
-    # boxes are what reach s_nl's Newton equalization and the shared
-    # epigraph polish
+    # boxes are what reach the shared epigraph polish
     cases = [(bw.random_ns_behavior(SC2222, seed), False) for seed in (0, 5, 92)]
     cases += [(p, True) for p in (noisy_pr(0.7), pr_relabeling_mixture(7, 0.7, 1),
                                   pr_relabeling_mixture(6, 0.95, 1))]
@@ -259,9 +258,9 @@ def tsirelson_4222(i: int) -> bw.Behavior:
 
 
 def test_s_nl_closes_when_first_polish_misses():
-    # depending on BLAS threading, the first epigraph polish on this box
-    # can miss; the second Newton + polish round must then close it
-    # without a long detour (the bound is on work, not wall time)
+    # this box has needed a second polish round under some BLAS thread
+    # counts; whichever path it takes, it must close without a long
+    # detour (the bound is on work, not wall time)
     r = bw.s_nl(tsirelson_4222(4), TOL)
     assert r.gap_estimate <= TOL
     # the box's reference value and certified gap in perfbench/reference.json
@@ -327,27 +326,31 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The divergence tables of the epigraph polish
+# The barrier epigraph solve and its divergence tables
 # ---------------------------------------------------------------------------
 
 
-def _kls_and_grads_oracle(P, V, m, lam):
-    """Per-setting divergences and their gradients in the vertex
-    weights, one setting at a time."""
+def _kls_grads_hessian_oracle(P, V, m, lam, c=None):
+    """Per-setting divergences, their gradients in the vertex weights and
+    (given setting weights c) the c-weighted sum of their Hessians, one
+    setting at a time."""
     n, dim = V.shape
     k = dim // m
     Ps = P.reshape(m, k)
     qs = (lam @ V).reshape(m, k)
     kls = np.empty(m)
     grads = np.zeros((m, n))
+    hess = np.zeros((n, n))
     for s in range(m):
         mask = Ps[s] > 0.0
         pe = Ps[s][mask]
         qe = np.maximum(qs[s][mask], 1e-300)
         kls[s] = float(np.sum(pe * np.log2(pe / qe)))
-        cols = s * k + np.where(mask)[0]
-        grads[s] = -(V[:, cols] @ (pe / qe)) / math.log(2.0)
-    return kls, grads
+        Vs = V[:, s * k + np.where(mask)[0]]
+        grads[s] = -(Vs @ (pe / qe)) / math.log(2.0)
+        if c is not None:
+            hess += c[s] * ((Vs * (pe / (qe * qe))) @ Vs.T)
+    return kls, grads, hess / math.log(2.0)
 
 
 class _OracleTables:
@@ -355,14 +358,18 @@ class _OracleTables:
         self.args = (P, V, m)
 
     def kls(self, lam):
-        return _kls_and_grads_oracle(*self.args, lam)[0]
+        return _kls_grads_hessian_oracle(*self.args, lam)[0]
 
     def grads(self, lam):
-        return _kls_and_grads_oracle(*self.args, lam)[1]
+        return _kls_grads_hessian_oracle(*self.args, lam)[1]
+
+    def hessian(self, lam, c):
+        return _kls_grads_hessian_oracle(*self.args, lam, c)[2]
 
 
 def _random_lams(n: int, seed: int, count: int = 6) -> list[np.ndarray]:
-    # half of them with exact zeros, as SLSQP iterates on the bounds have
+    # half of them with exact zeros, as the weights pairwise exchanges
+    # leave (and the barrier's warm starts) have
     rng = np.random.default_rng([41, seed])
     lams = []
     for j in range(count):
@@ -375,7 +382,10 @@ def _random_lams(n: int, seed: int, count: int = 6) -> list[np.ndarray]:
     return lams
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_tables_match_per_setting_loop():
+    # weights with exact zeros can leave a supported outcome uncovered:
+    # its divergence is +inf and its curvature inf or nan, alike on both
     from bellwire.monotones import _DivergenceTables
 
     boxes = [bw.pr_box(), noisy_pr(0.8)]
@@ -387,10 +397,12 @@ def test_divergence_tables_match_per_setting_loop():
         V = bw.local_vertex_matrix(p.scenario)
         m = p.scenario.sA * p.scenario.sB
         tables = _DivergenceTables(P, V, m)
+        c = np.random.default_rng([43, seed]).dirichlet(np.ones(m))
         for lam in _random_lams(V.shape[0], seed):
-            kls, grads = _kls_and_grads_oracle(P, V, m, lam)
+            kls, grads, hess = _kls_grads_hessian_oracle(P, V, m, lam, c)
             assert np.array_equal(tables.kls(lam), kls)
             assert np.array_equal(tables.grads(lam), grads)
+            assert np.array_equal(tables.hessian(lam, c), hess, equal_nan=True)
     # zero-filled entries are summed over with the rest: bit for bit the
     # per-support sum while a setting has fewer than 8 outcome pairs
     # (numpy sums such short rows in order), equal to rounding beyond
@@ -400,10 +412,84 @@ def test_divergence_tables_match_per_setting_loop():
                     + 0.4 * bw.random_ns_behavior(sc, 1).p)
     V = bw.local_vertex_matrix(sc)
     tables = _DivergenceTables(p.flat(), V, 4)
+    c = np.array([0.5, 0.0, 0.25, 0.25])
     for lam in _random_lams(V.shape[0], 99):
-        kls, grads = _kls_and_grads_oracle(p.flat(), V, 4, lam)
+        kls, grads, hess = _kls_grads_hessian_oracle(p.flat(), V, 4, lam, c)
         np.testing.assert_allclose(tables.kls(lam), kls, rtol=1e-13, atol=1e-15)
         assert np.array_equal(tables.grads(lam), grads)
+        assert np.array_equal(tables.hessian(lam, c), hess, equal_nan=True)
+
+
+def _slsqp_epigraph_oracle(P, V, m, M, lam0):
+    """SciPy's SLSQP on the epigraph program min t s.t. every row value of
+    M @ (per-setting divergences) is <= t, over the weight simplex, with
+    the per-setting loop's divergences and gradients; returns the worst
+    row value at its (clipped, renormalized) weights."""
+    from scipy.optimize import minimize
+
+    n = V.shape[0]
+    lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
+    lam0 = lam0 / lam0.sum()
+    tables = _OracleTables(P, V, m)
+    x0 = np.concatenate([lam0, [float(np.max(M @ tables.kls(lam0))) + 1e-3]])
+
+    def cons_j(x):
+        J = np.zeros((M.shape[0], n + 1))
+        J[:, :n] = -(M @ tables.grads(np.clip(x[:n], 0.0, None)))
+        J[:, -1] = 1.0
+        return J
+
+    res = minimize(
+        lambda x: x[-1],
+        x0,
+        jac=lambda x: np.concatenate([np.zeros(n), [1.0]]),
+        method="SLSQP",
+        bounds=[(0.0, None)] * n + [(None, None)],
+        constraints=[
+            {"type": "ineq", "jac": cons_j,
+             "fun": lambda x: x[-1] - M @ tables.kls(np.clip(x[:n], 0.0, None))},
+            {"type": "eq", "fun": lambda x: np.sum(x[:n]) - 1.0,
+             "jac": lambda x: np.concatenate([np.ones(n), [0.0]])},
+        ],
+        options={"maxiter": 400, "ftol": 1e-16},
+    )
+    lam = np.clip(res.x[:n], 0.0, None)
+    return float(np.max(M @ tables.kls(lam / lam.sum())))
+
+
+def _barrier_cases():
+    """(behavior, input map M) pairs: settings as rows on the Tsirelson
+    4222 pool and PR-relabeling mixtures, and s_uc's two block maps, one
+    with zero entries in the fixed marginal."""
+    cases = [(tsirelson_4222(i), None) for i in range(5)]
+    cases += [(pr_relabeling_mixture(k, w, v), None)
+              for k, w, v in ((7, 0.8, 1), (6, 0.95, 1), (3, 0.7, 9))]
+    p = tsirelson_4222(0)
+    cases.append((p, np.kron(np.eye(4), [0.3, 0.7])))
+    cases.append((p, np.kron([0.49, 0.51, 0.0, 0.0], np.eye(2))))
+    cases.append((p, np.kron([0.0, 0.2, 0.0, 0.8], np.eye(2))))
+    cases.append((pr_relabeling_mixture(7, 0.8, 1), np.kron([1.0, 0.0], np.eye(2))))
+    return cases
+
+
+def test_barrier_epigraph_matches_slsqp_oracle():
+    # from the minimizer at a point mass on the first row, far from the
+    # saddle point: the bracket starts open by 0.18 to 1.07 bits
+    from bellwire import monotones
+
+    for p, M in _barrier_cases():
+        solver = monotones._MinimaxSolver(p, TOL, M)
+        solver.solve_at(np.eye(solver.k)[0], 1e-4)
+        assert solver.gap > 0.1
+        P, V, m, M = solver.P, solver.V, solver.m, solver.M
+        lam, D = monotones._barrier_epigraph(P, V, m, M, solver.lam_best,
+                                             solver.gap, TOL)
+        upper = float(np.max(solver.rows(monotones._kl_table_from_q(P, lam @ V, m))))
+        oracle = _slsqp_epigraph_oracle(P, V, m, M, solver.lam_best)
+        assert abs(upper - oracle) <= TOL / 8.0
+        inner = monotones._fw_minimize(P, V, D @ M, gap_tol=TOL / 8.0, lam0=lam)
+        assert inner.converged
+        assert upper - (inner.value - inner.gap) <= TOL
 
 
 def test_epigraph_polish_matches_per_setting_loop(monkeypatch):
@@ -414,9 +500,9 @@ def test_epigraph_polish_matches_per_setting_loop(monkeypatch):
     V = bw.local_vertex_matrix(p.scenario)
     m = p.scenario.sA * p.scenario.sB
     lam0 = monotones._fw_minimize(P, V, np.full(m, 1.0 / m), gap_tol=1e-4).lam
-    got = monotones._epigraph_lambda(P, V, m, np.eye(m), lam0)
+    got = monotones._barrier_epigraph(P, V, m, np.eye(m), lam0, 1e-3, TOL)
     monkeypatch.setattr(monotones, "_DivergenceTables", _OracleTables)
-    want = monotones._epigraph_lambda(P, V, m, np.eye(m), lam0)
+    want = monotones._barrier_epigraph(P, V, m, np.eye(m), lam0, 1e-3, TOL)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
