@@ -24,7 +24,10 @@ snl = bw.s_nl(pr, 1e-6)
 print("PR box:")
 print(f"  s_u  = {su.value:.8f}  (gap {su.gap_estimate:.1e})")
 print(f"  s_uc = {suc.value:.8f}  (lower bound: {suc.lower_bound})")
-print(f"  s_c  = {scv.value:.8f}  (worst setting {scv.optimizer_inputs.d.argmax()})")
+# s_c's input distribution is a max-min certificate: the closest local
+# box under these inputs is at least s_c minus the gap away
+print(f"  s_c  = {scv.value:.8f}  "
+      f"(maximin inputs {np.round(scv.optimizer_inputs.d.reshape(-1), 4)})")
 print(f"  s_nl = {snl.value:.8f}")
 print("  all four coincide here by the box's setting symmetry")
 

@@ -19,6 +19,7 @@ from .behaviors import Behavior, Scenario
 from .errors import (
     LengthMismatch,
     NegativeEntry,
+    NotNormalized,
     ParameterOutOfRange,
     SolverFailure,
     VertexCapExceeded,
@@ -108,7 +109,7 @@ class LocalModel:
         if np.any(w < 0):
             raise NegativeEntry("local-model weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-9:
-            raise NegativeEntry(
+            raise NotNormalized(
                 f"local-model weights sum to {w.sum():.12f}, expected 1"
             )
         w = np.array(w, copy=True)

@@ -12,10 +12,12 @@ Four quantities are computed, all in bits:
   inequality: any vertex-weight iterate upper-bounds the value by its
   worst-setting divergence, and any inner minimization at fixed inputs
   lower-bounds it.
-* `s_c` — equal to `s_nl` by the minimax theorem; reported with the
-  optimizing input distribution. A direct alternating max-min
-  evaluation (`s_c_alternating`) keeps its own ascent dynamics so the
-  two routes can cross-validate.
+* `s_c` — equal to `s_nl` by the minimax theorem; reported with a
+  maximin input distribution D, the input weights whose inner
+  minimization set the bracket's lower bound: the minimum over vertex
+  weights at D is certified to be at least the value minus the gap. A
+  direct alternating max-min evaluation (`s_c_alternating`) keeps its
+  own ascent dynamics so the two routes can cross-validate.
 * `s_uc` — the same game restricted to product input distributions.
   The product set is nonconvex, so the alternating coordinate ascent
   with multi-start reports a certified LOWER bound, flagged as such.
@@ -28,9 +30,7 @@ The inner minimization over vertex weights uses multiplicative
 walk into the +inf boundary, interleaved with pairwise vertex exchanges;
 its stopping certificate is the Frank-Wolfe gap, whose linear subproblem
 is exact enumeration over the deterministic vertices. Iterates start at
-the barycenter. Per-setting divergences are clamped at a finite ceiling
-wherever they feed an outer model; reported values are re-evaluated
-unclamped at the optimizer.
+the barycenter.
 
 The engine works on input coordinates, each a fixed weighting of the
 settings (for `s_nl` one coordinate per setting). After an inner
@@ -70,9 +70,6 @@ from .wirings import (
 
 LN2 = math.log(2.0)
 
-#: Ceiling (in bits) applied to per-setting divergences inside optimizers.
-CLAMP_BITS = 60.0
-
 #: Default optimality gap, in bits.
 DEFAULT_TOL = 1e-6
 
@@ -84,6 +81,12 @@ PAIRWISE_EVERY = 8
 #: Cap on derivative evaluations in one exchange line search; a search
 #: that reaches it returns the left end of its bracket.
 LINE_SEARCH_EVALS = 64
+
+#: Epigraph polishes `_MinimaxSolver.run` tries after its uniform start.
+POLISH_ROUNDS = 3
+
+#: Outer ascent steps of `s_c_alternating`.
+ALTERNATING_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -124,13 +127,6 @@ def _kl_table_from_q(P: np.ndarray, q: np.ndarray, n_settings: int) -> np.ndarra
     """Per-setting KL(P || q) from flat tables, +inf on support mismatch."""
     return np.array([_kl_terms(Ps, qs) for Ps, qs in
                      zip(P.reshape(n_settings, -1), q.reshape(n_settings, -1))])
-
-
-def _clamped(kl_table: np.ndarray) -> np.ndarray:
-    """Per-setting divergences clipped to [0, CLAMP_BITS] (+inf maps to
-    the ceiling), as fed to an outer model."""
-    return np.clip(np.where(np.isfinite(kl_table), kl_table, CLAMP_BITS),
-                   0.0, CLAMP_BITS)
 
 
 def _exchange_step(
@@ -462,7 +458,6 @@ class _MinimaxSolver:
         self.upper = math.inf
         self.d_lower: np.ndarray | None = None  # input weights that set lower
         self.lam_best: np.ndarray | None = None
-        self.rows_best: np.ndarray | None = None
         self.iterations = 0
         self.lam_warm: np.ndarray | None = None
 
@@ -488,7 +483,6 @@ class _MinimaxSolver:
         if u_here < self.upper:
             self.upper = u_here
             self.lam_best = lam
-            self.rows_best = rows
 
     def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
         """Inner minimization at input weights d; returns its value and
@@ -523,32 +517,15 @@ class _MinimaxSolver:
         self.lam_warm = lam
         self.solve_at(D, self.tol / 8.0)
 
-    def run(self, max_effort: int = 3) -> None:
+    def run(self) -> None:
         uniform = np.full(self.k, 1.0 / self.k)
         self.solve_at(uniform, self.tol / (2.0 * self.k))
-        for _ in range(max_effort):
+        for _ in range(POLISH_ROUNDS):
             if self.closed:
                 return
             self.polish()
         if not self.closed:
             raise NoConvergence(self.iterations, float(self.gap))
-
-
-class _AveragingSolver(_MinimaxSolver):
-    """The same bracket, also keeping the running sum of every inner
-    minimizer for the averaged-iterate upper bounds of
-    `s_c_alternating`."""
-
-    def __init__(self, p: Behavior, tol: float):
-        super().__init__(p, tol)
-        self.lam_sum = np.zeros(self.n)
-        self.n_avg = 0
-
-    def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
-        out = super().solve_at(d, gap_tol)
-        self.lam_sum += self.lam_warm
-        self.n_avg += 1
-        return out
 
 
 def _minimax_solve(p: Behavior, tol: float) -> _MinimaxSolver:
@@ -557,13 +534,12 @@ def _minimax_solve(p: Behavior, tol: float) -> _MinimaxSolver:
     return solver
 
 
-def _point_mass_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
+def _maximin_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
     """The closed bracket's result, reporting as optimizer input the
-    point mass on the worst setting of the best vertex weights."""
-    sc = p.scenario
-    # np.argmax takes the first maximum: behavior_re's lexicographic tie-break
-    arg = int(np.argmax(solver.rows_best))
-    inputs = InputDistribution.point_mass(sc, arg // sc.sB, arg % sc.sB)
+    input weights `d_lower` whose certified inner minimum set the lower
+    bound: the minimum over vertex weights at them is at least
+    value - gap_estimate."""
+    inputs = InputDistribution.general(p.scenario, solver.d_lower)
     return _result_from_lam(
         p, solver.lam_best, inputs, solver.upper, solver.gap, solver.iterations
     )
@@ -581,47 +557,39 @@ def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
 def s_c(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Max-min statistical strength over unrestricted input
     distributions; equals `s_nl` by the minimax theorem. The reported
-    optimizer input is the point mass on the final worst setting."""
-    return _point_mass_result(p, _minimax_solve(p, tol))
+    optimizer input is a maximin input distribution: an inner
+    minimization at it certifies at least value - gap_estimate."""
+    return _maximin_result(p, _minimax_solve(p, tol))
 
 
-def s_c_alternating(
-    p: Behavior,
-    tol: float = DEFAULT_TOL,
-    *,
-    max_outer: int = 60,
-) -> MonotoneResult:
+def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Direct alternating max-min evaluation of the unrestricted
     statistical strength.
 
-    The input distribution ascends by line-searched steps toward the
-    best-response point mass (the worst setting), fully re-minimizing
-    over vertex weights at every probe; upper bounds also come from
-    running averages of the minimizing weights. The exploration dynamics
-    are deliberately different from the engine behind `s_nl` so the two
-    routes cross-validate; only the bracket bookkeeping (inner solves,
-    bounds, closure test) and the degenerate-face polisher, needed when
-    weighted-sum minimizers are not unique, are shared between them.
+    The input distribution ascends by golden-section line-searched steps
+    toward the best-response point mass (the worst setting), fully
+    re-minimizing over vertex weights at every probe. The exploration
+    dynamics are deliberately different from the engine behind `s_nl` so
+    the two routes cross-validate; only the bracket bookkeeping (inner
+    solves, bounds, closure test) and the degenerate-face polisher are
+    shared between them. An outer step that does not halve the gap
+    is followed by a polish: on degenerate optimal faces, where
+    weighted-sum minimizers are not unique, the ascent alone cannot
+    select the equalizing minimizer. Reports the same maximin input
+    certificate as `s_c`.
     """
-    solver = _AveragingSolver(p, tol)
-    P, V, m = solver.P, solver.V, solver.m
+    solver = _MinimaxSolver(p, tol)
+    m = solver.m
     inner_tol = tol / (2.0 * m)
     D = np.full(m, 1.0 / m)
     _, rows = solver.solve_at(D, inner_tol)
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    stalled = 0
-    for _ in range(max_outer):
+    for _ in range(ALTERNATING_STEPS):
         if solver.closed:
             break
-        # averaged-iterate upper candidate
-        if solver.n_avg > 1:
-            lam_avg = solver.lam_sum / solver.n_avg
-            solver.observe_lam(lam_avg, _kl_table_from_q(P, lam_avg @ V, m))
-            if solver.closed:
-                break
-        u_before, l_before = solver.upper, solver.lower
+        gap_before = solver.gap
         best_response = np.zeros(m)
-        best_response[int(np.argmax(_clamped(rows)))] = 1.0
+        best_response[int(np.argmax(rows))] = 1.0
 
         def probe(x: float) -> float:
             return solver.solve_at((1 - x) * D + x * best_response, inner_tol)[0]
@@ -650,23 +618,12 @@ def s_c_alternating(
         D = np.clip(D, 1e-12, None)
         D = D / D.sum()
         _, rows = solver.solve_at(D, inner_tol)
-        if solver.upper >= u_before - tol / 10.0 and \
-           solver.lower <= l_before + tol / 10.0:
-            stalled += 1
-        else:
-            stalled = 0
-        if stalled >= 2:
-            # degenerate optimal face: alternate exchanges cannot select
-            # the equalizing minimizer, so polish and recover the inputs
-            stalled = 0
+        if not solver.closed and solver.gap > gap_before / 2.0:
             solver.polish()
-            if solver.closed:
-                break
-            inner_tol = max(inner_tol / 8.0, 1e-13)
 
     if not solver.closed:
         raise NoConvergence(solver.iterations, float(solver.gap))
-    return _point_mass_result(p, solver)
+    return _maximin_result(p, solver)
 
 
 # ---------------------------------------------------------------------------

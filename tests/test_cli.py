@@ -144,6 +144,20 @@ def test_eval_snl_emits_certificates(tmp_path):
     assert all(w > 0 for _, _, w in weights)
 
 
+def test_eval_sc_emits_maximin_inputs(capsys):
+    assert run_cli("eval", "sc", "--in", "pr-box") == 0
+    doc = json.loads(capsys.readouterr().out)
+    inputs = doc["optimizer_inputs"]
+    assert inputs["kind"] == "general"
+    text = jsonio.dumps(inputs)
+    d = jsonio.input_distribution_from_json(text)
+    assert d.kind == "general"
+    assert jsonio.input_distribution_to_json(d) == text
+    # s_nl reports no input distribution
+    assert run_cli("eval", "snl", "--in", "pr-box") == 0
+    assert json.loads(capsys.readouterr().out)["optimizer_inputs"] is None
+
+
 def test_eval_csv_format(tmp_path):
     out = tmp_path / "res.csv"
     assert run_cli("eval", "sb", "--in", "doubling-first", "--in2",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellwire as bw
-from bellwire.errors import VertexCapExceeded
+from bellwire.errors import NegativeEntry, NotNormalized, VertexCapExceeded
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 SC_PAIR = bw.Scenario(2, 2, 1, 2)
@@ -120,6 +120,15 @@ def test_local_model_reconstruction_accuracy():
     res = bw.is_local(p)
     assert res.is_local
     assert res.model.matches(p, tol=1e-8)
+
+
+def test_local_model_rejects_bad_weights():
+    w = np.full(16, 1.0 / 16)
+    with pytest.raises(NotNormalized):
+        bw.LocalModel(SC2222, 0.5 * w)
+    w[0], w[1] = -w[0], 3.0 * w[1]
+    with pytest.raises(NegativeEntry):
+        bw.LocalModel(SC2222, w)
 
 
 def test_random_ns_behavior_contract():
