@@ -61,15 +61,24 @@ def bob_strategy(scenario: Scenario, index: int) -> DeterministicStrategy:
 
 
 @lru_cache(maxsize=32)
-def _vertex_matrix_cached(key: tuple[int, int, int, int], cap: int) -> np.ndarray:
+def _response_tables(key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-party 0/1 response tables: VA[s, x, a] = [strategy s answers a
+    at setting x], shape (nA, sA, rA), and likewise VB (nB, sB, rB)."""
     sA, rA, sB, rB = key
-    scenario = Scenario(sA, rA, sB, rB, vertex_cap=cap)
+    ax = np.array([_strategy_outcomes(s, sA, rA) for s in range(rA**sA)])
+    by = np.array([_strategy_outcomes(t, sB, rB) for t in range(rB**sB)])
+    VA = (ax[:, :, None] == np.arange(rA)[None, None, :]).astype(float)
+    VB = (by[:, :, None] == np.arange(rB)[None, None, :]).astype(float)
+    VA.flags.writeable = False
+    VB.flags.writeable = False
+    return VA, VB
+
+
+@lru_cache(maxsize=32)
+def _vertex_matrix_cached(key: tuple[int, int, int, int], cap: int) -> np.ndarray:
+    scenario = Scenario(*key, vertex_cap=cap)
     nA, nB = scenario.n_alice_strategies, scenario.n_bob_strategies
-    # response tables: outcome of strategy s at setting x
-    ax = np.array([_strategy_outcomes(s, sA, rA) for s in range(nA)])
-    by = np.array([_strategy_outcomes(t, sB, rB) for t in range(nB)])
-    VA = (ax[:, :, None] == np.arange(rA)[None, None, :]).astype(float)  # (nA,sA,rA)
-    VB = (by[:, :, None] == np.arange(rB)[None, None, :]).astype(float)  # (nB,sB,rB)
+    VA, VB = _response_tables(key)
     V = np.einsum("sxa,tyb->stxyab", VA, VB).reshape(nA * nB, scenario.table_size)
     V.flags.writeable = False
     return V
@@ -83,6 +92,60 @@ def local_vertex_matrix(scenario: Scenario) -> np.ndarray:
             f"{scenario.vertex_count} vertices exceed cap {scenario.vertex_cap}"
         )
     return _vertex_matrix_cached(scenario.key(), scenario.vertex_cap)
+
+
+class VertexColumns:
+    """The membership constraints [V^T; 1] as an `lp` column source.
+
+    Column (alpha, beta), at index alpha * nB + beta, is the vertex of
+    that strategy pair with a trailing 1 for the normalization row. A
+    dual y prices every vertex at once by the factorized best-response
+    product  y.a = sum_{x,y} Y[x, y, alpha(x), beta(y)] + y_last,  i.e.
+    the two small products (VA @ Y) @ VB^T on the response tables, so
+    the dense vertex matrix is never multiplied.
+    """
+
+    def __init__(self, scenario: Scenario):
+        sc = scenario
+        VA, VB = _response_tables(sc.key())
+        nA, nB = VA.shape[0], VB.shape[0]
+        self.nB = nB
+        self.shape = (sc.table_size + 1, nA * nB)
+        self.VA = VA.reshape(nA, sc.sA * sc.rA)  # columns (x, a)
+        self.VBt = np.ascontiguousarray(VB.reshape(nB, sc.sB * sc.rB).T)  # rows (y, b)
+        # y[perm] reorders a flat (x, y, a, b) dual to (x, a, y, b)
+        self.perm = np.arange(sc.table_size).reshape(sc.shape).transpose(0, 2, 1, 3).ravel()
+        self.ydim = (sc.sA * sc.rA, sc.sB * sc.rB)
+        # vertex (alpha, beta) has its unit entries at the flat rows
+        # rowA[alpha] + rowB[beta], one per setting pair (x, y)
+        xy = np.arange(sc.sA * sc.sB)
+        alice = VA.argmax(axis=2)[:, xy // sc.sB]  # alpha(x), (nA, sA*sB)
+        self.rowA = (xy * sc.rA + alice) * sc.rB
+        self.rowB = VB.argmax(axis=2)[:, xy % sc.sB]  # beta(y), (nB, sA*sB)
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        Y = y[self.perm].reshape(self.ydim)
+        return ((self.VA @ Y) @ self.VBt).reshape(-1) + y[-1]
+
+    def column(self, j: int) -> np.ndarray:
+        alpha, beta = divmod(j, self.nB)
+        out = np.zeros(self.shape[0])
+        out[self.rowA[alpha] + self.rowB[beta]] = 1.0
+        out[-1] = 1.0
+        return out
+
+    def columns(self, idx) -> np.ndarray:
+        idx = np.asarray(idx)
+        out = np.zeros((self.shape[0], idx.size))
+        rows = self.rowA[idx // self.nB] + self.rowB[idx % self.nB]
+        out[rows, np.arange(idx.size)[:, None]] = 1.0
+        out[-1] = 1.0
+        return out
+
+
+@lru_cache(maxsize=32)
+def _vertex_columns(scenario: Scenario) -> VertexColumns:
+    return VertexColumns(scenario)
 
 
 def enumerate_local_vertices(scenario: Scenario) -> list[Behavior]:
@@ -234,14 +297,15 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     """Decide membership of `p` in the local polytope.
 
     Feasibility of {weights >= 0, sum = 1, V.weights = p} is decided by
-    the in-repo simplex. Either certificate is re-verified independently
-    of the solver before being returned.
+    the in-repo revised simplex, which reads the constraints through
+    `VertexColumns`: vertices are priced by the factorized best-response
+    product and built one column at a time, so the LP never forms
+    [V^T; 1]. Either certificate is re-verified independently of the
+    solver, on the dense vertex matrix, before being returned.
     """
     V = local_vertex_matrix(p.scenario)
-    n = V.shape[0]
-    A = np.vstack([V.T, np.ones((1, n))])
     b = np.concatenate([p.flat(), [1.0]])
-    res = lp_feasible(A, b, pivot=pivot, feas_tol=tol)
+    res = lp_feasible(_vertex_columns(p.scenario), b, pivot=pivot, feas_tol=tol)
     if res.feasible:
         w = np.clip(res.x, 0.0, None)
         w = w / w.sum()

@@ -182,3 +182,87 @@ def test_strategy_enumeration():
     assert s.outcomes == (0, 1, 0, 1)
     t = bob_strategy(SC2222, 2)
     assert t.outcomes == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "key", [(2, 2, 2, 2), (4, 3, 4, 3), (3, 2, 2, 3), (2, 1, 2, 2), (1, 1, 1, 1)]
+)
+def test_vertex_columns_match_dense_vertex_matrix(key):
+    from bellwire.geometry import VertexColumns
+
+    sc = bw.Scenario(*key)
+    V = bw.local_vertex_matrix(sc)
+    A = np.vstack([V.T, np.ones(V.shape[0])])
+    cols = VertexColumns(sc)
+    assert cols.shape == A.shape
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        y = rng.normal(size=A.shape[0])
+        assert np.max(np.abs(cols.price(y) - (V @ y[:-1] + y[-1]))) <= 1e-12
+    assert np.array_equal(cols.columns(np.arange(A.shape[1])), A)
+    for j in rng.choice(A.shape[1], size=min(A.shape[1], 40), replace=False):
+        assert np.array_equal(cols.column(int(j)), A[:, j])
+        assert np.array_equal(cols.columns([int(j)])[:, 0], A[:, j])
+
+
+def _highs_is_local(p):
+    from scipy.optimize import linprog
+
+    V = bw.local_vertex_matrix(p.scenario)
+    A = np.vstack([V.T, np.ones(V.shape[0])])
+    b = np.append(p.flat(), 1.0)
+    res = linprog(np.zeros(V.shape[0]), A_eq=A, b_eq=b, bounds=(0, None),
+                  method="highs")
+    assert res.status in (0, 2)  # feasible or infeasible, nothing else
+    return res.status == 0
+
+
+def _assert_certified(p, res):
+    """Re-check the verdict's certificate without trusting the solver."""
+    if res.is_local:
+        assert res.model.matches(p)
+    else:
+        cert = res.certificate
+        bound = float(np.max(bw.local_vertex_matrix(p.scenario)
+                             @ cert.coefficients.reshape(-1)))
+        # construction recomputes the exhaustive bound and the separation
+        bw.BellCertificate(p.scenario, cert.coefficients, bound, cert.value_on(p))
+
+
+def _embedded_pr(sc, visibility, seed):
+    """A no-signaling box: the PR correlations a xor b = [x > 0][y > 0] on
+    outcomes {0, 1}, mixed with a random no-signaling box."""
+    t = np.zeros(sc.shape)
+    for x in range(sc.sA):
+        for y in range(sc.sB):
+            for a in range(2):
+                t[x, y, a, a ^ (min(x, 1) * min(y, 1))] = 0.5
+    noise = bw.random_ns_behavior(sc, seed).p
+    return bw.Behavior(sc, visibility * t + (1 - visibility) * noise)
+
+
+@pytest.mark.parametrize("key", [(3, 3, 2, 2), (5, 2, 5, 2)])
+def test_membership_matches_highs(key):
+    sc = bw.Scenario(*key)
+    boxes = [bw.random_ns_behavior(sc, seed) for seed in range(3)]
+    boxes += [_embedded_pr(sc, v, seed) for v in (0.3, 0.6) for seed in range(2)]
+    boxes += [bw.random_behavior(sc, seed) for seed in range(3)]
+    verdicts = set()
+    for p in boxes:
+        expected = _highs_is_local(p)
+        verdicts.add(expected)
+        for pivot in ("bland", "dantzig"):
+            res = bw.is_local(p, pivot=pivot)
+            assert res.is_local == expected
+            _assert_certified(p, res)
+    assert verdicts == {True, False}
+
+
+def test_membership_matches_highs_on_random_4343_box():
+    # Bland's rule took 200,000 tableau pivots on this box and gave up
+    p = bw.random_ns_behavior(bw.Scenario(4, 3, 4, 3), 5)
+    expected = _highs_is_local(p)
+    for pivot in ("dantzig", "bland"):
+        res = bw.is_local(p, pivot=pivot)
+        assert res.is_local == expected
+        _assert_certified(p, res)
