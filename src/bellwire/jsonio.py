@@ -5,6 +5,20 @@ Numbers are written as decimal doubles with 17 significant digits, which
 round-trips float64 exactly: serialize -> parse -> serialize is
 byte-identical. Arrays are flat row-major; shapes are implied by the
 scenario fields carried alongside.
+
+A wiring document carries its `"class"` tag and its `"initial"` and
+`"final"` scenarios, then the fields of its class's `LAYOUT` (see
+`wirings.Layout`), which fixes every shape. Fields without a component
+axis appear by name. Fields with one are nested in a `"components"`
+list: one object per shared-randomness component, holding its
+`"weight"` and its slice of each such field. A WPICC wiring stores its
+branch `"probabilities"`, its four measuring branches in the same way,
+each led by its `"first"` or `"measurer"` party, and its none branch as
+a full LOSR wiring document.
+
+Malformed input raises `LengthMismatch` (an array of the wrong size) or
+`ParameterOutOfRange` (text that is not JSON, a missing key, an entry
+that is not a number).
 """
 
 from __future__ import annotations
@@ -28,14 +42,7 @@ from .divergence import DivergenceValue
 from .errors import LengthMismatch, ParameterOutOfRange
 from .geometry import BellCertificate, LocalModel
 from .monotones import MonotoneResult
-from .wirings import (
-    BothMeasureBranch,
-    GlobalWiring,
-    LosrWiring,
-    OneMeasuresBranch,
-    UclosrWiring,
-    WpiccWiring,
-)
+from .wirings import GlobalWiring, LosrWiring, UclosrWiring, WpiccWiring
 
 
 def _fmt(value: Any) -> str:
@@ -70,6 +77,35 @@ def dumps(obj: dict) -> str:
     return _fmt(obj)
 
 
+class _Doc(dict):
+    """A parsed JSON object whose missing keys raise a typed error."""
+
+    def __missing__(self, key):
+        raise ParameterOutOfRange(f"missing key {key!r}")
+
+
+def _load(text: str) -> _Doc:
+    try:
+        data = json.loads(text, object_hook=_Doc)
+    except json.JSONDecodeError as err:
+        raise ParameterOutOfRange(f"not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise ParameterOutOfRange("expected a JSON object")
+    return data
+
+
+def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """`data` (flat or nested, row-major) as a float array of `shape`."""
+    try:
+        out = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ParameterOutOfRange(f"{name} is not an array of numbers: {err}") from None
+    if out.size != math.prod(shape):
+        raise LengthMismatch(
+            f"{name} has {out.size} entries, expected {math.prod(shape)}")
+    return out.reshape(shape)
+
+
 def _scenario_fields(sc: Scenario) -> dict:
     return {"sA": sc.sA, "sB": sc.sB, "rA": sc.rA, "rB": sc.rB}
 
@@ -90,7 +126,7 @@ def behavior_to_json(p: Behavior) -> str:
 
 
 def behavior_from_json(text: str, vertex_cap: int | None = None) -> Behavior:
-    data = json.loads(text)
+    data = _load(text)
     sc = _scenario_from(data, vertex_cap)
     return behavior_from_array(sc, np.asarray(data["p"], dtype=float))
 
@@ -110,7 +146,7 @@ def input_distribution_to_json(d: InputDistribution) -> str:
 
 
 def input_distribution_from_json(text: str) -> InputDistribution:
-    data = json.loads(text)
+    data = _load(text)
     sc = _scenario_from(data)
     kind = data["kind"]
     if kind == KIND_UNIFORM:
@@ -141,7 +177,7 @@ def local_model_to_json(model: LocalModel) -> str:
 
 
 def local_model_from_json(text: str) -> LocalModel:
-    data = json.loads(text)
+    data = _load(text)
     sc = _scenario_from(data)
     weights = np.zeros(sc.vertex_count)
     nB = sc.n_bob_strategies
@@ -159,11 +195,11 @@ def certificate_to_json(cert: BellCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> BellCertificate:
-    data = json.loads(text)
+    data = _load(text)
     sc = _scenario_from(data)
     return BellCertificate(
         sc,
-        np.asarray(data["coefficients"], dtype=float).reshape(sc.shape),
+        _arr(data["coefficients"], sc.shape, "coefficients"),
         float(data["local_bound"]),
         float(data["value_on_behavior"]),
     )
@@ -188,196 +224,86 @@ def monotone_result_to_json(r: MonotoneResult) -> str:
 
 # -- wirings ------------------------------------------------------------------
 
+_WIRING_CLASSES = {
+    "gw": GlobalWiring,
+    "uclosr": UclosrWiring,
+    "losr": LosrWiring,
+    "wpicc": WpiccWiring,
+}
 
-def _wiring_header(w, cls: str) -> dict:
-    return {
-        "class": cls,
+
+def _fields_doc(obj) -> dict:
+    """The fields of a wiring or WPICC branch, as its layout nests them."""
+    layout = obj.LAYOUT
+    doc = {} if layout.party is None else {layout.party: getattr(obj, layout.party)}
+    nested = [f for f in layout.fields if f.per_component]
+    doc.update((f.name, getattr(obj, f.name)) for f in layout.fields
+               if not f.per_component)
+    if nested:
+        doc["components"] = [
+            {f.key or f.name: getattr(obj, f.name)[l] for f in nested}
+            for l in range(obj.weights.size)
+        ]
+    return doc
+
+
+def _fields_from(cls, doc: dict, si: Scenario, sf: Scenario):
+    """Inverse of `_fields_doc`: the `cls` instance stored in `doc`."""
+    layout = cls.LAYOUT
+    party = doc[layout.party] if layout.party else None
+    nested = [f for f in layout.fields if f.per_component]
+    comps = doc["components"] if nested else []
+    if nested and not comps:
+        raise LengthMismatch(f"{cls.__name__} needs at least one component")
+    shapes = layout.shapes(si, sf, len(comps), party)
+    arrays = {
+        f.name: np.stack([_arr(c[f.key or f.name], shapes[f.name][1:], f.name)
+                          for c in comps])
+        if f.per_component else _arr(doc[f.name], shapes[f.name], f.name)
+        for f in layout.fields
+    }
+    return cls(party, **arrays) if layout.party else cls(si, sf, **arrays)
+
+
+def _wiring_doc(w) -> dict:
+    tag = next((t for t, cls in _WIRING_CLASSES.items() if isinstance(w, cls)), None)
+    if tag is None:
+        raise ParameterOutOfRange(f"not a wiring: {type(w).__name__}")
+    doc = {
+        "class": tag,
         "initial": _scenario_fields(w.initial),
         "final": _scenario_fields(w.final),
     }
+    if tag != "wpicc":
+        doc.update(_fields_doc(w))
+        return doc
+    doc["probabilities"] = w.branch_probabilities
+    for name, _, party in w.BRANCHES:
+        branch = getattr(w, name)
+        doc[name] = (None if branch is None
+                     else _wiring_doc(branch) if party is None
+                     else _fields_doc(branch))
+    return doc
 
 
 def wiring_to_json(w) -> str:
-    if isinstance(w, GlobalWiring):
-        doc = _wiring_header(w, "gw")
-        doc["i_box"] = w.i_box
-        doc["o_box"] = w.o_box
-        return dumps(doc)
-    if isinstance(w, UclosrWiring):
-        doc = _wiring_header(w, "uclosr")
-        doc["in_a"] = w.in_a
-        doc["in_b"] = w.in_b
-        doc["out_a"] = w.out_a
-        doc["out_b"] = w.out_b
-        return dumps(doc)
-    if isinstance(w, LosrWiring):
-        doc = _wiring_header(w, "losr")
-        doc["components"] = [
-            {
-                "weight": float(w.weights[l]),
-                "in_a": w.in_a[l],
-                "in_b": w.in_b[l],
-                "out_a": w.out_a[l],
-                "out_b": w.out_b[l],
-            }
-            for l in range(w.n_lambda)
-        ]
-        return dumps(doc)
-    if isinstance(w, WpiccWiring):
-        doc = _wiring_header(w, "wpicc")
-        doc["probabilities"] = w.branch_probabilities
-
-        def both_doc(branch: BothMeasureBranch | None):
-            if branch is None:
-                return None
-            return {
-                "first": branch.first,
-                "d_first": branch.d_first,
-                "d_second": branch.d_second,
-                "components": [
-                    {
-                        "weight": float(branch.weights[i]),
-                        "out_a": branch.out_a[i],
-                        "out_b": branch.out_b[i],
-                    }
-                    for i in range(branch.weights.size)
-                ],
-            }
-
-        def one_doc(branch: OneMeasuresBranch | None):
-            if branch is None:
-                return None
-            return {
-                "measurer": branch.measurer,
-                "d_meas": branch.d_meas,
-                "in_other": branch.in_other,
-                "components": [
-                    {
-                        "weight": float(branch.weights[i]),
-                        "out_other": branch.out_other[i],
-                        "out_meas": branch.out_meas[i],
-                    }
-                    for i in range(branch.weights.size)
-                ],
-            }
-
-        doc["both_alice_first"] = both_doc(w.both_alice_first)
-        doc["both_bob_first"] = both_doc(w.both_bob_first)
-        doc["alice_only"] = one_doc(w.alice_only)
-        doc["bob_only"] = one_doc(w.bob_only)
-        doc["none_branch"] = (
-            json.loads(wiring_to_json(w.none_branch))
-            if w.none_branch is not None
-            else None
-        )
-        return dumps(doc)
-    raise ParameterOutOfRange(f"not a wiring: {type(w).__name__}")
-
-
-def _arr(data, shape) -> np.ndarray:
-    out = np.asarray(data, dtype=float).reshape(shape)
-    return out
+    return dumps(_wiring_doc(w))
 
 
 def wiring_from_json(text: str, vertex_cap: int | None = None):
-    data = json.loads(text) if isinstance(text, str) else text
-    cls = data.get("class")
+    data = _load(text) if isinstance(text, str) else text
+    cls = _WIRING_CLASSES.get(data.get("class"))
+    if cls is None:
+        raise ParameterOutOfRange(f"unknown wiring class {data.get('class')!r}")
     si = _scenario_from(data["initial"], vertex_cap)
     sf = _scenario_from(data["final"], vertex_cap)
-    if cls == "gw":
-        return GlobalWiring(
-            si, sf,
-            _arr(data["i_box"], (sf.sA, sf.sB, si.sA, si.sB)),
-            _arr(data["o_box"],
-                 (si.rA, si.rB, si.sA, si.sB, sf.sA, sf.sB, sf.rA, sf.rB)),
-        )
-    if cls == "uclosr":
-        return UclosrWiring(
-            si, sf,
-            _arr(data["in_a"], (sf.sA, si.sA)),
-            _arr(data["in_b"], (sf.sB, si.sB)),
-            _arr(data["out_a"], (si.rA, si.sA, sf.sA, sf.rA)),
-            _arr(data["out_b"], (si.rB, si.sB, sf.sB, sf.rB)),
-        )
-    if cls == "losr":
-        comps = data["components"]
-        if not comps:
-            raise LengthMismatch("losr wiring needs at least one component")
-        nl = len(comps)
-        return LosrWiring(
-            si, sf,
-            np.array([float(c["weight"]) for c in comps]),
-            np.stack([_arr(c["in_a"], (sf.sA, si.sA)) for c in comps]),
-            np.stack([_arr(c["in_b"], (sf.sB, si.sB)) for c in comps]),
-            np.stack([_arr(c["out_a"], (si.rA, si.sA, sf.sA, sf.rA)) for c in comps]),
-            np.stack([_arr(c["out_b"], (si.rB, si.sB, sf.sB, sf.rB)) for c in comps]),
-        )
-    if cls == "wpicc":
-        def both_from(doc):
-            if doc is None:
-                return None
-            first = doc["first"]
-            if first == "bob":
-                d_first = _arr(doc["d_first"], (si.sB,))
-                d_second = _arr(doc["d_second"], (si.rB, si.sB, si.sA))
-            else:
-                d_first = _arr(doc["d_first"], (si.sA,))
-                d_second = _arr(doc["d_second"], (si.rA, si.sA, si.sB))
-            comps = doc["components"]
-            return BothMeasureBranch(
-                first,
-                d_first,
-                d_second,
-                np.array([float(c["weight"]) for c in comps]),
-                np.stack([_arr(c["out_a"],
-                               (si.rA, si.rB, si.sA, si.sB, sf.sA, sf.rA))
-                          for c in comps]),
-                np.stack([_arr(c["out_b"],
-                               (si.rA, si.rB, si.sA, si.sB, sf.sB, sf.rB))
-                          for c in comps]),
-            )
-
-        def one_from(doc):
-            if doc is None:
-                return None
-            measurer = doc["measurer"]
-            comps = doc["components"]
-            if measurer == "bob":
-                return OneMeasuresBranch(
-                    measurer,
-                    _arr(doc["d_meas"], (si.sB,)),
-                    _arr(doc["in_other"], (si.rB, si.sB, sf.sA, si.sA)),
-                    np.array([float(c["weight"]) for c in comps]),
-                    np.stack([_arr(c["out_other"],
-                                   (si.rB, si.sB, si.rA, si.sA, sf.sA, sf.rA))
-                              for c in comps]),
-                    np.stack([_arr(c["out_meas"], (si.rB, si.sB, sf.sB, sf.rB))
-                              for c in comps]),
-                )
-            return OneMeasuresBranch(
-                measurer,
-                _arr(doc["d_meas"], (si.sA,)),
-                _arr(doc["in_other"], (si.rA, si.sA, sf.sB, si.sB)),
-                np.array([float(c["weight"]) for c in comps]),
-                np.stack([_arr(c["out_other"],
-                               (si.rA, si.sA, si.rB, si.sB, sf.sB, sf.rB))
-                          for c in comps]),
-                np.stack([_arr(c["out_meas"], (si.rA, si.sA, sf.sA, sf.rA))
-                          for c in comps]),
-            )
-
-        none_branch = (
-            wiring_from_json(data["none_branch"], vertex_cap)
-            if data.get("none_branch") is not None
-            else None
-        )
-        return WpiccWiring(
-            si, sf,
-            _arr(data["probabilities"], (5,)),
-            both_from(data.get("both_alice_first")),
-            both_from(data.get("both_bob_first")),
-            one_from(data.get("alice_only")),
-            one_from(data.get("bob_only")),
-            none_branch,
-        )
-    raise ParameterOutOfRange(f"unknown wiring class {cls!r}")
+    if cls is not WpiccWiring:
+        return _fields_from(cls, data, si, sf)
+    branches = [
+        None if data.get(name) is None
+        else wiring_from_json(data[name], vertex_cap) if party is None
+        else _fields_from(branch_cls, data[name], si, sf)
+        for name, branch_cls, party in WpiccWiring.BRANCHES
+    ]
+    probs = _arr(data["probabilities"], (len(branches),), "probabilities")
+    return WpiccWiring(si, sf, probs, *branches)

@@ -19,12 +19,17 @@ Four families are modeled:
 
 Input/output maps are stored with conditioning axes first and the
 sampled variable last, normalized along the trailing axis (or the
-trailing pair for bipartite boxes).
+trailing pair for bipartite boxes). Each class declares its array fields
+once, in its `LAYOUT`: every field's shape in terms of the initial and
+final scenarios, its normalized trailing axes, and whether it carries a
+leading axis over shared-randomness components. Validation, the seeded
+random generators and `jsonio` all read that declaration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,12 +42,67 @@ from .errors import (
     ParameterOutOfRange,
     ScenarioMismatch,
 )
-from .geometry import marginal_residual
+from .geometry import is_no_signaling, marginal_residual
 
 NORM_ATOL = 1e-12
 
 ALICE_FIRST = "alice"
 BOB_FIRST = "bob"
+
+
+# ---------------------------------------------------------------------------
+# Field layouts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Field:
+    """One array field of a wiring class.
+
+    `axes` spells the shape with scenario attributes, such as
+    "sf.sA si.sA" for a map from Alice's final settings to her initial
+    ones. In a WPICC branch, M stands for the branch's own party (the one
+    measuring first, or the only one measuring) and O for the other one.
+    A per-component field has a leading axis over the shared-randomness
+    components; the component weights are the per-component field with
+    no further axes. Entries are normalized over the `trailing` last axes.
+    """
+
+    name: str
+    axes: str
+    trailing: int = 1
+    per_component: bool = False
+    key: str | None = None  # JSON key inside a component, if not `name`
+
+
+_WEIGHTS = Field("weights", "", per_component=True, key="weight")
+
+
+@dataclass(frozen=True)
+class Layout:
+    """The array fields of a wiring class, in the order the random
+    generators draw them. `party` names the attribute holding a WPICC
+    branch's party, which resolves M and O in the axes."""
+
+    fields: tuple[Field, ...]
+    party: str | None = None
+
+    def shapes(
+        self, si: Scenario, sf: Scenario, n: int = 1, party: str | None = None
+    ) -> dict[str, tuple[int, ...]]:
+        """Every field's shape, for `n` components and the given party."""
+        if self.party is not None and party not in (ALICE_FIRST, BOB_FIRST):
+            raise ParameterOutOfRange(f"unknown {self.party} party {party!r}")
+        sides = {"M": "B", "O": "A"} if party == BOB_FIRST else {"M": "A", "O": "B"}
+        scenarios = {"si": si, "sf": sf}
+        out = {}
+        for f in self.fields:
+            dims = []
+            for axis in f.axes.split():
+                phase, (alphabet, side) = axis.split(".")
+                dims.append(getattr(scenarios[phase], alphabet + sides.get(side, side)))
+            out[f.name] = (n, *dims) if f.per_component else tuple(dims)
+        return out
 
 
 def _as_array(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -58,19 +118,30 @@ def _as_array(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 def _check_stochastic(arr: np.ndarray, trailing: int, name: str) -> None:
     """Require normalization along the trailing `trailing` axes."""
-    lead = arr.shape[: arr.ndim - trailing]
-    sums = arr.reshape(int(np.prod(lead, dtype=int)) if lead else 1, -1).sum(axis=1)
+    sums = arr.reshape(math.prod(arr.shape[: arr.ndim - trailing]), -1).sum(axis=1)
     dev = np.abs(sums - 1.0)
     if np.any(dev > NORM_ATOL):
         k = int(np.argmax(dev))
-        raise NormalizationViolation(k, -1, float(sums[k] - 1.0))
+        err = NormalizationViolation(k, -1, float(sums[k] - 1.0))
+        err.args = (f"{name}: {err}",)
+        raise err
 
 
-def _check_weights(w: np.ndarray, name: str) -> None:
-    if np.any(w < 0):
-        raise NegativeEntry(f"{name} must be nonnegative")
-    if abs(float(w.sum()) - 1.0) > NORM_ATOL:
-        raise NormalizationViolation(-1, -1, float(w.sum() - 1.0))
+def _validate_fields(obj, si: Scenario, sf: Scenario) -> None:
+    """Check every field of `obj` against its class layout, all shapes
+    and signs before any normalization, and store read-only copies."""
+    layout = obj.LAYOUT
+    n = np.size(obj.weights) if _WEIGHTS in layout.fields else 1
+    party = getattr(obj, layout.party) if layout.party else None
+    shapes = layout.shapes(si, sf, n, party)
+    arrays = {
+        f.name: _as_array(getattr(obj, f.name), shapes[f.name], f.name)
+        for f in layout.fields
+    }
+    for f in layout.fields:
+        _check_stochastic(arrays[f.name], f.trailing, f.name)
+    for name, arr in arrays.items():
+        object.__setattr__(obj, name, arr)
 
 
 def _require_scenario(p: Behavior, scenario: Scenario) -> None:
@@ -91,9 +162,7 @@ class GlobalWiring:
     """Arbitrary input box I(x,y|chi,psi) and output box
     O(alpha,beta|a,b,x,y,chi,psi) wired around the initial behavior.
 
-    I has shape (sfA, sfB, sA, sB) and O has shape
-    (rA, rB, sA, sB, sfA, sfB, rfA, rfB); both are normalized over their
-    trailing output pair for every conditioning.
+    Both are normalized over their trailing pair for every conditioning.
     """
 
     initial: Scenario
@@ -101,27 +170,20 @@ class GlobalWiring:
     i_box: np.ndarray
     o_box: np.ndarray
 
+    LAYOUT = Layout((
+        Field("i_box", "sf.sA sf.sB si.sA si.sB", trailing=2),
+        Field("o_box", "si.rA si.rB si.sA si.sB sf.sA sf.sB sf.rA sf.rB", trailing=2),
+    ))
+
     def __post_init__(self):
-        si, sf = self.initial, self.final
-        i_box = _as_array(self.i_box, (sf.sA, sf.sB, si.sA, si.sB), "i_box")
-        o_box = _as_array(
-            self.o_box,
-            (si.rA, si.rB, si.sA, si.sB, sf.sA, sf.sB, sf.rA, sf.rB),
-            "o_box",
-        )
-        _check_stochastic(i_box, 2, "i_box")
-        _check_stochastic(o_box, 2, "o_box")
-        object.__setattr__(self, "i_box", i_box)
-        object.__setattr__(self, "o_box", o_box)
+        _validate_fields(self, self.initial, self.final)
 
     def is_no_signaling(self, tol: float = 1e-9) -> bool:
         """Validation flag for the no-signaling subclass: both auxiliary
         boxes, viewed as behaviors with composite per-party alphabets,
         must satisfy the marginal constraints."""
         sf, si = self.final, self.initial
-        i_res, _ = marginal_residual(
-            self.i_box.transpose(0, 1, 2, 3).reshape(sf.sA, sf.sB, si.sA, si.sB)
-        )
+        i_res, _ = marginal_residual(self.i_box)
         # O as a behavior: Alice side (a, x, chi) -> alpha, Bob side
         # (b, y, psi) -> beta
         o_beh = self.o_box.transpose(0, 2, 4, 1, 3, 5, 6, 7).reshape(
@@ -147,23 +209,20 @@ def apply_gw(w: GlobalWiring, p: Behavior) -> Behavior:
 def bypass_global_wiring(initial: Scenario, target: Behavior) -> GlobalWiring:
     """The wiring that ignores the initial box and emits `target`."""
     sf = target.scenario
-    i_box = np.full(
-        (sf.sA, sf.sB, initial.sA, initial.sB), 1.0 / (initial.sA * initial.sB)
-    )
-    o_box = np.broadcast_to(
-        target.p[None, None, None, None, :, :, :, :],
-        (initial.rA, initial.rB, initial.sA, initial.sB, sf.sA, sf.sB, sf.rA, sf.rB),
-    )
+    shapes = GlobalWiring.LAYOUT.shapes(initial, sf)
+    i_box = np.full(shapes["i_box"], 1.0 / (initial.sA * initial.sB))
+    o_box = np.broadcast_to(target.p[None, None, None, None], shapes["o_box"])
     return GlobalWiring(initial, sf, i_box, np.array(o_box))
 
 
 def identity_global_wiring(scenario: Scenario) -> GlobalWiring:
     si = scenario
-    i_box = np.zeros((si.sA, si.sB, si.sA, si.sB))
+    shapes = GlobalWiring.LAYOUT.shapes(si, si)
+    i_box = np.zeros(shapes["i_box"])
     for c in range(si.sA):
         for s in range(si.sB):
             i_box[c, s, c, s] = 1.0
-    o_box = np.zeros((si.rA, si.rB, si.sA, si.sB, si.sA, si.sB, si.rA, si.rB))
+    o_box = np.zeros(shapes["o_box"])
     for a in range(si.rA):
         for b in range(si.rB):
             o_box[a, b, :, :, :, :, a, b] = 1.0
@@ -192,24 +251,16 @@ class LosrWiring:
     out_a: np.ndarray
     out_b: np.ndarray
 
+    LAYOUT = Layout((
+        _WEIGHTS,
+        Field("in_a", "sf.sA si.sA", per_component=True),
+        Field("in_b", "sf.sB si.sB", per_component=True),
+        Field("out_a", "si.rA si.sA sf.sA sf.rA", per_component=True),
+        Field("out_b", "si.rB si.sB sf.sB sf.rB", per_component=True),
+    ))
+
     def __post_init__(self):
-        si, sf = self.initial, self.final
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        n = w.size
-        _check_weights(w, "weights")
-        in_a = _as_array(self.in_a, (n, sf.sA, si.sA), "in_a")
-        in_b = _as_array(self.in_b, (n, sf.sB, si.sB), "in_b")
-        out_a = _as_array(self.out_a, (n, si.rA, si.sA, sf.sA, sf.rA), "out_a")
-        out_b = _as_array(self.out_b, (n, si.rB, si.sB, sf.sB, sf.rB), "out_b")
-        for name, arr in (("in_a", in_a), ("in_b", in_b), ("out_a", out_a), ("out_b", out_b)):
-            _check_stochastic(arr, 1, name)
-        w = np.array(w, copy=True)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "in_a", in_a)
-        object.__setattr__(self, "in_b", in_b)
-        object.__setattr__(self, "out_a", out_a)
-        object.__setattr__(self, "out_b", out_b)
+        _validate_fields(self, self.initial, self.final)
 
     @property
     def n_lambda(self) -> int:
@@ -238,18 +289,13 @@ class UclosrWiring:
     out_a: np.ndarray
     out_b: np.ndarray
 
+    # the maps of one LOSR component, without the component axis
+    LAYOUT = Layout(tuple(
+        replace(f, per_component=False) for f in LosrWiring.LAYOUT.fields[1:]
+    ))
+
     def __post_init__(self):
-        si, sf = self.initial, self.final
-        in_a = _as_array(self.in_a, (sf.sA, si.sA), "in_a")
-        in_b = _as_array(self.in_b, (sf.sB, si.sB), "in_b")
-        out_a = _as_array(self.out_a, (si.rA, si.sA, sf.sA, sf.rA), "out_a")
-        out_b = _as_array(self.out_b, (si.rB, si.sB, sf.sB, sf.rB), "out_b")
-        for name, arr in (("in_a", in_a), ("in_b", in_b), ("out_a", out_a), ("out_b", out_b)):
-            _check_stochastic(arr, 1, name)
-        object.__setattr__(self, "in_a", in_a)
-        object.__setattr__(self, "in_b", in_b)
-        object.__setattr__(self, "out_a", out_a)
-        object.__setattr__(self, "out_b", out_b)
+        _validate_fields(self, self.initial, self.final)
 
     def as_losr(self) -> LosrWiring:
         return LosrWiring(
@@ -311,8 +357,17 @@ def losr_to_gw(w: LosrWiring) -> GlobalWiring:
 # ---------------------------------------------------------------------------
 
 
+class _Branch:
+    """Validation shared by the measuring branches, which learn their
+    scenarios only from the enclosing `WpiccWiring`."""
+
+    def validate(self, si: Scenario, sf: Scenario):
+        _validate_fields(self, si, sf)
+        return self
+
+
 @dataclass(frozen=True)
-class BothMeasureBranch:
+class BothMeasureBranch(_Branch):
     """Preparation branch in which both parties measure their boxes.
 
     `first` names the party that measures first and communicates; the
@@ -322,40 +377,19 @@ class BothMeasureBranch:
     """
 
     first: str
-    d_first: np.ndarray  # (s_first,)
-    d_second: np.ndarray  # bob first: (rB, sB, sA); alice first: (rA, sA, sB)
-    weights: np.ndarray  # (n_mu,)
-    out_a: np.ndarray  # (n_mu, rA, rB, sA, sB, sfA, rfA)
-    out_b: np.ndarray  # (n_mu, rA, rB, sA, sB, sfB, rfB)
+    d_first: np.ndarray
+    d_second: np.ndarray
+    weights: np.ndarray
+    out_a: np.ndarray
+    out_b: np.ndarray
 
-    def validate(self, si: Scenario, sf: Scenario) -> "BothMeasureBranch":
-        if self.first not in (ALICE_FIRST, BOB_FIRST):
-            raise ParameterOutOfRange(f"unknown first party {self.first!r}")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        _check_weights(w, "branch weights")
-        n = w.size
-        if self.first == BOB_FIRST:
-            d_first = _as_array(self.d_first, (si.sB,), "d_first")
-            d_second = _as_array(self.d_second, (si.rB, si.sB, si.sA), "d_second")
-        else:
-            d_first = _as_array(self.d_first, (si.sA,), "d_first")
-            d_second = _as_array(self.d_second, (si.rA, si.sA, si.sB), "d_second")
-        out_a = _as_array(
-            self.out_a, (n, si.rA, si.rB, si.sA, si.sB, sf.sA, sf.rA), "out_a"
-        )
-        out_b = _as_array(
-            self.out_b, (n, si.rA, si.rB, si.sA, si.sB, sf.sB, sf.rB), "out_b"
-        )
-        _check_stochastic(d_first, 1, "d_first")
-        _check_stochastic(d_second, 1, "d_second")
-        _check_stochastic(out_a, 1, "out_a")
-        _check_stochastic(out_b, 1, "out_b")
-        object.__setattr__(self, "d_first", d_first)
-        object.__setattr__(self, "d_second", d_second)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "out_a", out_a)
-        object.__setattr__(self, "out_b", out_b)
-        return self
+    LAYOUT = Layout((
+        Field("d_first", "si.sM"),
+        Field("d_second", "si.rM si.sM si.sO"),
+        _WEIGHTS,
+        Field("out_a", "si.rA si.rB si.sA si.sB sf.sA sf.rA", per_component=True),
+        Field("out_b", "si.rA si.rB si.sA si.sB sf.sB sf.rB", per_component=True),
+    ), party="first")
 
     def apply(self, p: Behavior, final: Scenario) -> Behavior:
         if self.first == BOB_FIRST:
@@ -371,49 +405,27 @@ class BothMeasureBranch:
 
 
 @dataclass(frozen=True)
-class OneMeasuresBranch:
+class OneMeasuresBranch(_Branch):
     """Preparation branch in which only one party measures and sends its
     dits; the other party wires its still-unused box during the
     measurement phase, informed by the communicated dits.
     """
 
     measurer: str
-    d_meas: np.ndarray  # (s_meas,)
-    in_other: np.ndarray  # bob measures: (rB, sB, sfA, sA); alice: (rA, sA, sfB, sB)
+    d_meas: np.ndarray
+    in_other: np.ndarray
     weights: np.ndarray
-    out_other: np.ndarray  # bob measures: (n_mu, rB, sB, rA, sA, sfA, rfA)
-    out_meas: np.ndarray  # bob measures: (n_mu, rB, sB, sfB, rfB)
+    out_other: np.ndarray
+    out_meas: np.ndarray
 
-    def validate(self, si: Scenario, sf: Scenario) -> "OneMeasuresBranch":
-        if self.measurer not in (ALICE_FIRST, BOB_FIRST):
-            raise ParameterOutOfRange(f"unknown measuring party {self.measurer!r}")
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        _check_weights(w, "branch weights")
-        n = w.size
-        if self.measurer == BOB_FIRST:
-            d_meas = _as_array(self.d_meas, (si.sB,), "d_meas")
-            in_other = _as_array(self.in_other, (si.rB, si.sB, sf.sA, si.sA), "in_other")
-            out_other = _as_array(
-                self.out_other, (n, si.rB, si.sB, si.rA, si.sA, sf.sA, sf.rA), "out_other"
-            )
-            out_meas = _as_array(self.out_meas, (n, si.rB, si.sB, sf.sB, sf.rB), "out_meas")
-        else:
-            d_meas = _as_array(self.d_meas, (si.sA,), "d_meas")
-            in_other = _as_array(self.in_other, (si.rA, si.sA, sf.sB, si.sB), "in_other")
-            out_other = _as_array(
-                self.out_other, (n, si.rA, si.sA, si.rB, si.sB, sf.sB, sf.rB), "out_other"
-            )
-            out_meas = _as_array(self.out_meas, (n, si.rA, si.sA, sf.sA, sf.rA), "out_meas")
-        _check_stochastic(d_meas, 1, "d_meas")
-        _check_stochastic(in_other, 1, "in_other")
-        _check_stochastic(out_other, 1, "out_other")
-        _check_stochastic(out_meas, 1, "out_meas")
-        object.__setattr__(self, "d_meas", d_meas)
-        object.__setattr__(self, "in_other", in_other)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "out_other", out_other)
-        object.__setattr__(self, "out_meas", out_meas)
-        return self
+    # the weights come first in the random generators' draw order
+    LAYOUT = Layout((
+        _WEIGHTS,
+        Field("d_meas", "si.sM"),
+        Field("in_other", "si.rM si.sM sf.sO si.sO"),
+        Field("out_other", "si.rM si.sM si.rO si.sO sf.sO sf.rO", per_component=True),
+        Field("out_meas", "si.rM si.sM sf.sM sf.rM", per_component=True),
+    ), party="measurer")
 
     def apply(self, p: Behavior, final: Scenario) -> Behavior:
         if self.measurer == BOB_FIRST:
@@ -441,46 +453,38 @@ class WpiccWiring:
 
     initial: Scenario
     final: Scenario
-    branch_probabilities: np.ndarray  # (alice->bob, bob->alice, alice, bob, none)
+    branch_probabilities: np.ndarray
     both_alice_first: BothMeasureBranch | None
     both_bob_first: BothMeasureBranch | None
     alice_only: OneMeasuresBranch | None
     bob_only: OneMeasuresBranch | None
     none_branch: LosrWiring | None
 
+    # the branches in the order of branch_probabilities, each with its
+    # class and the party it must have; the last one never measures
+    BRANCHES = (
+        ("both_alice_first", BothMeasureBranch, ALICE_FIRST),
+        ("both_bob_first", BothMeasureBranch, BOB_FIRST),
+        ("alice_only", OneMeasuresBranch, ALICE_FIRST),
+        ("bob_only", OneMeasuresBranch, BOB_FIRST),
+        ("none_branch", LosrWiring, None),
+    )
+
     def __post_init__(self):
-        probs = np.asarray(self.branch_probabilities, dtype=float).reshape(-1)
-        if probs.size != 5:
-            raise LengthMismatch("branch_probabilities must have five entries")
-        _check_weights(probs, "branch_probabilities")
-        probs = np.array(probs, copy=True)
-        probs.flags.writeable = False
+        probs = _as_array(np.reshape(self.branch_probabilities, -1),
+                          (len(self.BRANCHES),), "branch_probabilities")
+        _check_stochastic(probs, 1, "branch_probabilities")
         object.__setattr__(self, "branch_probabilities", probs)
-        branches = [
-            (self.both_alice_first, ALICE_FIRST, "both_alice_first"),
-            (self.both_bob_first, BOB_FIRST, "both_bob_first"),
-        ]
-        for branch, first, name in branches:
-            if probs[0 if first == ALICE_FIRST else 1] > 0 and branch is None:
-                raise ParameterOutOfRange(f"{name} carries weight but is missing")
-            if branch is not None:
-                if branch.first != first:
-                    raise ParameterOutOfRange(f"{name} has wrong first party")
+        for weight, (name, cls, party) in zip(probs, self.BRANCHES):
+            branch = getattr(self, name)
+            if branch is None:
+                if weight > 0:
+                    raise ParameterOutOfRange(f"{name} carries weight but is missing")
+            elif party is not None:
+                if getattr(branch, cls.LAYOUT.party) != party:
+                    raise ParameterOutOfRange(
+                        f"{name} needs {cls.LAYOUT.party} {party!r}")
                 branch.validate(self.initial, self.final)
-        if probs[2] > 0 and self.alice_only is None:
-            raise ParameterOutOfRange("alice_only carries weight but is missing")
-        if probs[3] > 0 and self.bob_only is None:
-            raise ParameterOutOfRange("bob_only carries weight but is missing")
-        if probs[4] > 0 and self.none_branch is None:
-            raise ParameterOutOfRange("none_branch carries weight but is missing")
-        if self.alice_only is not None:
-            if self.alice_only.measurer != ALICE_FIRST:
-                raise ParameterOutOfRange("alice_only must have alice as measurer")
-            self.alice_only.validate(self.initial, self.final)
-        if self.bob_only is not None:
-            if self.bob_only.measurer != BOB_FIRST:
-                raise ParameterOutOfRange("bob_only must have bob as measurer")
-            self.bob_only.validate(self.initial, self.final)
 
     @property
     def measuring_probability(self) -> float:
@@ -490,17 +494,11 @@ class WpiccWiring:
 
 
 def _measuring_terms(w: WpiccWiring, p: Behavior) -> list[tuple[float, Behavior]]:
-    probs = w.branch_probabilities
-    terms: list[tuple[float, Behavior]] = []
-    if probs[0] > 0:
-        terms.append((float(probs[0]), w.both_alice_first.apply(p, w.final)))
-    if probs[1] > 0:
-        terms.append((float(probs[1]), w.both_bob_first.apply(p, w.final)))
-    if probs[2] > 0:
-        terms.append((float(probs[2]), w.alice_only.apply(p, w.final)))
-    if probs[3] > 0:
-        terms.append((float(probs[3]), w.bob_only.apply(p, w.final)))
-    return terms
+    return [
+        (float(weight), getattr(w, name).apply(p, w.final))
+        for weight, (name, _, party) in zip(w.branch_probabilities, w.BRANCHES)
+        if weight > 0 and party is not None
+    ]
 
 
 def apply_wpicc(w: WpiccWiring, p: Behavior, ns_tol: float = 1e-9) -> Behavior:
@@ -511,8 +509,6 @@ def apply_wpicc(w: WpiccWiring, p: Behavior, ns_tol: float = 1e-9) -> Behavior:
     unless the behavior is no-signaling.
     """
     _require_scenario(p, w.initial)
-    from .geometry import is_no_signaling
-
     report = is_no_signaling(p, ns_tol)
     if not report.ok:
         raise DomainViolation(
@@ -545,51 +541,50 @@ def wpicc_local_part(w: WpiccWiring, p: Behavior) -> Behavior:
 # ---------------------------------------------------------------------------
 
 
-def _random_stochastic(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Dirichlet-uniform conditional distribution over the trailing axis."""
-    lead = int(np.prod(shape[:-1], dtype=int))
-    return rng.dirichlet(np.ones(shape[-1]), size=lead).reshape(shape)
+def _random_stochastic(
+    rng: np.random.Generator, shape: tuple[int, ...], trailing: int = 1
+) -> np.ndarray:
+    """Dirichlet-uniform conditional distribution over the trailing
+    `trailing` axes."""
+    cut = len(shape) - trailing
+    return rng.dirichlet(
+        np.ones(math.prod(shape[cut:])), size=math.prod(shape[:cut])
+    ).reshape(shape)
+
+
+def _random_fields(
+    layout: Layout, rng: np.random.Generator, si: Scenario, sf: Scenario,
+    n: int = 1, party: str | None = None,
+) -> dict[str, np.ndarray]:
+    """Draw every field of `layout`, in its declaration order."""
+    shapes = layout.shapes(si, sf, n, party)
+    return {f.name: _random_stochastic(rng, shapes[f.name], f.trailing)
+            for f in layout.fields}
 
 
 def random_global_wiring(
     initial: Scenario, final: Scenario, seed: int
 ) -> GlobalWiring:
     rng = np.random.default_rng(seed)
-    i_box = _random_stochastic(
-        rng, (final.sA, final.sB, initial.sA * initial.sB)
-    ).reshape(final.sA, final.sB, initial.sA, initial.sB)
-    o_shape = (
-        initial.rA, initial.rB, initial.sA, initial.sB,
-        final.sA, final.sB, final.rA * final.rB,
+    return GlobalWiring(
+        initial, final, **_random_fields(GlobalWiring.LAYOUT, rng, initial, final)
     )
-    o_box = _random_stochastic(rng, o_shape).reshape(
-        initial.rA, initial.rB, initial.sA, initial.sB,
-        final.sA, final.sB, final.rA, final.rB,
-    )
-    return GlobalWiring(initial, final, i_box, o_box)
 
 
 def random_losr_wiring(
     initial: Scenario, final: Scenario, seed: int, n_lambda: int = 2
 ) -> LosrWiring:
     rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(n_lambda))
-    in_a = _random_stochastic(rng, (n_lambda, final.sA, initial.sA))
-    in_b = _random_stochastic(rng, (n_lambda, final.sB, initial.sB))
-    out_a = _random_stochastic(rng, (n_lambda, initial.rA, initial.sA, final.sA, final.rA))
-    out_b = _random_stochastic(rng, (n_lambda, initial.rB, initial.sB, final.sB, final.rB))
-    return LosrWiring(initial, final, w, in_a, in_b, out_a, out_b)
+    return LosrWiring(
+        initial, final,
+        **_random_fields(LosrWiring.LAYOUT, rng, initial, final, n_lambda),
+    )
 
 
 def random_uclosr_wiring(initial: Scenario, final: Scenario, seed: int) -> UclosrWiring:
     rng = np.random.default_rng(seed)
     return UclosrWiring(
-        initial,
-        final,
-        _random_stochastic(rng, (final.sA, initial.sA)),
-        _random_stochastic(rng, (final.sB, initial.sB)),
-        _random_stochastic(rng, (initial.rA, initial.sA, final.sA, final.rA)),
-        _random_stochastic(rng, (initial.rB, initial.sB, final.sB, final.rB)),
+        initial, final, **_random_fields(UclosrWiring.LAYOUT, rng, initial, final)
     )
 
 
@@ -597,52 +592,14 @@ def random_wpicc_wiring(
     initial: Scenario, final: Scenario, seed: int, n_lambda: int = 2
 ) -> WpiccWiring:
     rng = np.random.default_rng(seed)
-    si, sf = initial, final
-    probs = rng.dirichlet(np.ones(5))
-
-    def both(first: str) -> BothMeasureBranch:
-        if first == BOB_FIRST:
-            d_first = rng.dirichlet(np.ones(si.sB))
-            d_second = _random_stochastic(rng, (si.rB, si.sB, si.sA))
-        else:
-            d_first = rng.dirichlet(np.ones(si.sA))
-            d_second = _random_stochastic(rng, (si.rA, si.sA, si.sB))
-        w = rng.dirichlet(np.ones(n_lambda))
-        out_a = _random_stochastic(rng, (n_lambda, si.rA, si.rB, si.sA, si.sB, sf.sA, sf.rA))
-        out_b = _random_stochastic(rng, (n_lambda, si.rA, si.rB, si.sA, si.sB, sf.sB, sf.rB))
-        return BothMeasureBranch(first, d_first, d_second, w, out_a, out_b)
-
-    def one(measurer: str) -> OneMeasuresBranch:
-        w = rng.dirichlet(np.ones(n_lambda))
-        if measurer == BOB_FIRST:
-            return OneMeasuresBranch(
-                measurer,
-                rng.dirichlet(np.ones(si.sB)),
-                _random_stochastic(rng, (si.rB, si.sB, sf.sA, si.sA)),
-                w,
-                _random_stochastic(rng, (n_lambda, si.rB, si.sB, si.rA, si.sA, sf.sA, sf.rA)),
-                _random_stochastic(rng, (n_lambda, si.rB, si.sB, sf.sB, sf.rB)),
-            )
-        return OneMeasuresBranch(
-            measurer,
-            rng.dirichlet(np.ones(si.sA)),
-            _random_stochastic(rng, (si.rA, si.sA, sf.sB, si.sB)),
-            w,
-            _random_stochastic(rng, (n_lambda, si.rA, si.sA, si.rB, si.sB, sf.sB, sf.rB)),
-            _random_stochastic(rng, (n_lambda, si.rA, si.sA, sf.sA, sf.rA)),
-        )
-
+    # this draw order fixes every seeded wiring: keep it
+    probs = _random_stochastic(rng, (len(WpiccWiring.BRANCHES),))
     none_branch = random_losr_wiring(initial, final, int(rng.integers(2**31)), n_lambda)
-    return WpiccWiring(
-        initial,
-        final,
-        probs,
-        both(ALICE_FIRST),
-        both(BOB_FIRST),
-        one(ALICE_FIRST),
-        one(BOB_FIRST),
-        none_branch,
-    )
+    measuring = [
+        cls(party, **_random_fields(cls.LAYOUT, rng, initial, final, n_lambda, party))
+        for _, cls, party in WpiccWiring.BRANCHES[:4]
+    ]
+    return WpiccWiring(initial, final, probs, *measuring, none_branch)
 
 
 # ---------------------------------------------------------------------------
@@ -659,20 +616,19 @@ def feedback_copy_wiring() -> WpiccWiring:
     the wiring that doubles the output distinguishability of the
     epsilon-family pair.
     """
-    si = Scenario(2, 2, 1, 2)
-    sf = Scenario(2, 2, 1, 2)
-    d_meas = np.ones(1)
-    in_other = np.zeros((si.rB, si.sB, sf.sA, si.sA))
+    si = sf = Scenario(2, 2, 1, 2)
+    shapes = OneMeasuresBranch.LAYOUT.shapes(si, sf, 1, BOB_FIRST)
+    in_other = np.zeros(shapes["in_other"])
     for b in range(si.rB):
         in_other[b, 0, :, b] = 1.0  # x = b, whatever chi says
-    out_other = np.zeros((1, si.rB, si.sB, si.rA, si.sA, sf.sA, sf.rA))
+    out_other = np.zeros(shapes["out_other"])
     for a in range(si.rA):
         out_other[0, :, :, a, :, :, a] = 1.0  # alpha = a
-    out_meas = np.zeros((1, si.rB, si.sB, sf.sB, sf.rB))
+    out_meas = np.zeros(shapes["out_meas"])
     for b in range(si.rB):
         out_meas[0, b, :, :, b] = 1.0  # beta = b
     branch = OneMeasuresBranch(
-        BOB_FIRST, d_meas, in_other, np.ones(1), out_other, out_meas
+        BOB_FIRST, np.ones(1), in_other, np.ones(1), out_other, out_meas
     )
     return WpiccWiring(
         si, sf, np.array([0.0, 0.0, 0.0, 1.0, 0.0]), None, None, None, branch, None
@@ -683,16 +639,16 @@ def setting_fold_wiring() -> LosrWiring:
     """Deterministic single-lambda preset on the four-setting scenario:
     each party folds its final setting mod 2 onto the initial box and
     copies the outcome through."""
-    si = Scenario(4, 2, 4, 2)
-    sf = Scenario(4, 2, 4, 2)
-    in_a = np.zeros((1, sf.sA, si.sA))
-    in_b = np.zeros((1, sf.sB, si.sB))
+    si = sf = Scenario(4, 2, 4, 2)
+    shapes = LosrWiring.LAYOUT.shapes(si, sf)
+    in_a = np.zeros(shapes["in_a"])
+    in_b = np.zeros(shapes["in_b"])
     for c in range(sf.sA):
         in_a[0, c, c % 2] = 1.0
     for s in range(sf.sB):
         in_b[0, s, s % 2] = 1.0
-    out_a = np.zeros((1, si.rA, si.sA, sf.sA, sf.rA))
-    out_b = np.zeros((1, si.rB, si.sB, sf.sB, sf.rB))
+    out_a = np.zeros(shapes["out_a"])
+    out_b = np.zeros(shapes["out_b"])
     for a in range(si.rA):
         out_a[0, a, :, :, a] = 1.0
     for b in range(si.rB):

@@ -171,6 +171,32 @@ def test_missing_file_is_reported(capsys):
     assert run_cli("eval", "ns_check", "--in", "/nonexistent/file.json") == 2
 
 
+def _malformed_input(case: str) -> tuple[str, str]:
+    """An eval target and a damaged input file's text."""
+    doc = json.loads(jsonio.wiring_to_json(bw.random_global_wiring(SC2222, SC2222, 3)))
+    if case == "array_one_short":
+        return "apply", json.dumps(dict(doc, i_box=doc["i_box"][:-1]))
+    if case == "missing_o_box":
+        return "apply", json.dumps({k: v for k, v in doc.items() if k != "o_box"})
+    if case == "not_json":
+        text = jsonio.wiring_to_json(bw.random_wpicc_wiring(SC2222, SC2222, 3))
+        return "apply", text[: len(text) // 2]
+    return "snl", json.dumps({"sA": 2, "sB": 2, "rA": 2, "rB": 2})  # no "p"
+
+
+@pytest.mark.parametrize(
+    "case", ["array_one_short", "missing_o_box", "not_json", "behavior_without_p"])
+def test_malformed_json_exits_2(case, tmp_path, capsys):
+    what, text = _malformed_input(case)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = ["eval", what, "--in", str(path)]
+    if what == "apply":
+        argv += ["--in2", "pr-box"]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "bellwire.cli", "reproduce-thm2",

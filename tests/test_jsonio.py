@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,3 +118,47 @@ def test_seventeen_digit_floats():
     )
     text = jsonio.behavior_to_json(p)
     assert jsonio.behavior_from_json(text).p[0, 0, 0, 0] == x
+
+
+SEEDED_WIRINGS = Path(__file__).parent / "data" / "seeded_wirings.txt"
+
+
+def seeded_wirings():
+    """Named seeded wirings whose JSON text is pinned in SEEDED_WIRINGS.
+
+    The asymmetric pair makes every scenario field distinct, so a shape
+    with a swapped party or phase cannot go unnoticed.
+    """
+    pairs = {
+        "2222": (SC2222, SC2222, (0, 1, 2)),
+        "2222-2322": (SC2222, bw.Scenario(2, 3, 2, 2), (4,)),
+        "2332-3223": (bw.Scenario(2, 3, 3, 2), bw.Scenario(3, 2, 2, 3), (5,)),
+    }
+    generators = {
+        "gw": bw.random_global_wiring,
+        "losr1": lambda si, sf, seed: bw.random_losr_wiring(si, sf, seed, n_lambda=1),
+        "losr3": lambda si, sf, seed: bw.random_losr_wiring(si, sf, seed, n_lambda=3),
+        "uclosr": bw.random_uclosr_wiring,
+        "wpicc": bw.random_wpicc_wiring,
+    }
+    out = [("feedback-wpicc", bw.feedback_copy_wiring()),
+           ("setting-fold-losr", bw.setting_fold_wiring())]
+    for pair, (si, sf, seeds) in pairs.items():
+        for gen_name, gen in generators.items():
+            for seed in seeds:
+                out.append((f"{gen_name}-{pair}-{seed}", gen(si, sf, seed)))
+    return out
+
+
+def test_seeded_wirings_match_golden_json():
+    # recorded before the per-class field layouts replaced the hand-written
+    # shapes: seeds keep their wirings and the JSON keeps its bytes
+    golden = dict(
+        line.split(" ", 1) for line in SEEDED_WIRINGS.read_text().splitlines()
+    )
+    cases = seeded_wirings()
+    assert [name for name, _ in cases] == list(golden)
+    for name, w in cases:
+        text = jsonio.wiring_to_json(w)
+        assert text == golden[name], name
+        assert jsonio.wiring_to_json(jsonio.wiring_from_json(text)) == text, name

@@ -1,10 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import bellwire as bw
-from bellwire.errors import DomainViolation, ScenarioMismatch
+from bellwire.errors import (
+    DomainViolation,
+    LengthMismatch,
+    NegativeEntry,
+    NormalizationViolation,
+    ParameterOutOfRange,
+    ScenarioMismatch,
+)
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 SC_PAIR = bw.Scenario(2, 2, 1, 2)
@@ -325,3 +333,90 @@ def test_gw_can_create_nonlocality_but_losr_cannot():
     w = bw.bypass_global_wiring(SC2222, bw.pr_box())
     out = bw.apply_gw(w, bw.white_noise(SC2222))
     assert not bw.is_local(out).is_local
+
+
+# every field scenario attribute differs, so a shape with a swapped party
+# or phase cannot pass
+SI_ODD = bw.Scenario(2, 3, 3, 2)
+SF_ODD = bw.Scenario(3, 2, 2, 3)
+WPICC_SLOTS = ("both_alice_first", "both_bob_first", "alice_only", "bob_only")
+NOT_ARRAYS = {"initial", "final", "first", "measurer", *WPICC_SLOTS, "none_branch"}
+
+
+SEEDED = {"gw": bw.random_global_wiring, "losr": bw.random_losr_wiring,
+          "uclosr": bw.random_uclosr_wiring, "wpicc": bw.random_wpicc_wiring}
+
+
+def _holder(kind):
+    """The seeded wiring of class tag `kind`, or the seeded WPICC
+    wiring's branch in slot `kind`."""
+    if kind in SEEDED:
+        return SEEDED[kind](SI_ODD, SF_ODD, 0)
+    return getattr(bw.random_wpicc_wiring(SI_ODD, SF_ODD, 0), kind)
+
+
+def _rebuild(kind, name, value):
+    """`_holder(kind)` with one field replaced, validated again."""
+    if kind in SEEDED:
+        return dataclasses.replace(_holder(kind), **{name: value})
+    w = bw.random_wpicc_wiring(SI_ODD, SF_ODD, 0)
+    branch = dataclasses.replace(getattr(w, kind), **{name: value})
+    return dataclasses.replace(w, **{kind: branch})
+
+
+def _field_cases():
+    return [(kind, f.name) for kind in (*SEEDED, *WPICC_SLOTS)
+            for f in dataclasses.fields(_holder(kind)) if f.name not in NOT_ARRAYS]
+
+
+def test_field_cases_cover_every_class():
+    # gw 2, losr 5, uclosr 4, wpicc 1 (branch_probabilities), branches 5 each
+    assert len(_field_cases()) == 2 + 5 + 4 + 1 + 4 * 5
+
+
+@pytest.mark.parametrize("kind,name", _field_cases())
+def test_field_validation_rejects(kind, name):
+    arr = np.array(getattr(_holder(kind), name))
+    _rebuild(kind, name, arr)  # the unchanged field is accepted
+    with pytest.raises(LengthMismatch):
+        _rebuild(kind, name, arr[..., :-1])
+    negative = arr.copy()
+    negative.flat[0] = -0.25
+    with pytest.raises(NegativeEntry):
+        _rebuild(kind, name, negative)
+    unnormalized = arr.copy()
+    unnormalized.flat[0] += 0.01
+    with pytest.raises(NormalizationViolation, match=name):
+        _rebuild(kind, name, unnormalized)
+
+
+@pytest.mark.parametrize("index,slot", enumerate(WPICC_SLOTS + ("none_branch",)))
+def test_wpicc_branch_with_weight_must_be_present(index, slot):
+    w = bw.random_wpicc_wiring(SI_ODD, SF_ODD, 1)
+    assert w.branch_probabilities[index] > 0
+    with pytest.raises(ParameterOutOfRange, match=slot):
+        dataclasses.replace(w, **{slot: None})
+    probs = np.array(w.branch_probabilities)
+    probs[index] = 0.0
+    probs /= probs.sum()
+    dataclasses.replace(w, branch_probabilities=probs, **{slot: None})
+
+
+@pytest.mark.parametrize("slot,other", [
+    ("both_alice_first", "both_bob_first"), ("both_bob_first", "both_alice_first"),
+    ("alice_only", "bob_only"), ("bob_only", "alice_only"),
+])
+def test_wpicc_branch_party_is_checked(slot, other):
+    w = bw.random_wpicc_wiring(SI_ODD, SF_ODD, 2)
+    with pytest.raises(ParameterOutOfRange):
+        dataclasses.replace(w, **{slot: getattr(w, other)})
+    party = "first" if slot.startswith("both") else "measurer"
+    with pytest.raises(ParameterOutOfRange):
+        dataclasses.replace(w, **{slot: dataclasses.replace(getattr(w, slot),
+                                                             **{party: "carol"})})
+    # the other party's arrays under this slot's party: the mirrored
+    # shapes do not fit
+    relabeled = dataclasses.replace(getattr(w, other),
+                                    **{party: getattr(getattr(w, slot), party)})
+    with pytest.raises(LengthMismatch):
+        dataclasses.replace(w, **{slot: relabeled})
