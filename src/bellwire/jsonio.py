@@ -18,7 +18,9 @@ a full LOSR wiring document.
 
 Malformed input raises `LengthMismatch` (an array of the wrong size) or
 `ParameterOutOfRange` (text that is not JSON, a missing key, an entry
-that is not a number).
+that is not a number, a scenario size that is not an integer, another
+JSON type where an object or a list belongs). `wiring_from_json` also takes an already
+parsed document as a dict, held to the same checks.
 """
 
 from __future__ import annotations
@@ -84,14 +86,19 @@ class _Doc(dict):
         raise ParameterOutOfRange(f"missing key {key!r}")
 
 
+def _object(data, name: str) -> _Doc:
+    """`data`, required to be a parsed JSON object."""
+    if not isinstance(data, dict):
+        raise ParameterOutOfRange(f"{name}: expected a JSON object")
+    return data
+
+
 def _load(text: str) -> _Doc:
     try:
         data = json.loads(text, object_hook=_Doc)
     except json.JSONDecodeError as err:
         raise ParameterOutOfRange(f"not valid JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise ParameterOutOfRange("expected a JSON object")
-    return data
+    return _object(data, "document")
 
 
 def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -111,9 +118,11 @@ def _scenario_fields(sc: Scenario) -> dict:
 
 
 def _scenario_from(data: dict, vertex_cap: int | None = None) -> Scenario:
+    """The scenario of `data`; `Scenario` itself refuses sizes that are not
+    JSON integers."""
+    data = _object(data, "scenario")
     kwargs = {} if vertex_cap is None else {"vertex_cap": vertex_cap}
-    return Scenario(int(data["sA"]), int(data["rA"]), int(data["sB"]),
-                    int(data["rB"]), **kwargs)
+    return Scenario(data["sA"], data["rA"], data["sB"], data["rB"], **kwargs)
 
 
 # -- behaviors --------------------------------------------------------------
@@ -250,9 +259,13 @@ def _fields_doc(obj) -> dict:
 def _fields_from(cls, doc: dict, si: Scenario, sf: Scenario):
     """Inverse of `_fields_doc`: the `cls` instance stored in `doc`."""
     layout = cls.LAYOUT
+    doc = _object(doc, cls.__name__)
     party = doc[layout.party] if layout.party else None
     nested = [f for f in layout.fields if f.per_component]
     comps = doc["components"] if nested else []
+    if not isinstance(comps, list):
+        raise ParameterOutOfRange(f"{cls.__name__}: components must be a JSON list")
+    comps = [_object(c, f"{cls.__name__} component") for c in comps]
     if nested and not comps:
         raise LengthMismatch(f"{cls.__name__} needs at least one component")
     shapes = layout.shapes(si, sf, len(comps), party)
@@ -290,18 +303,25 @@ def wiring_to_json(w) -> str:
     return dumps(_wiring_doc(w))
 
 
-def wiring_from_json(text: str, vertex_cap: int | None = None):
-    data = _load(text) if isinstance(text, str) else text
-    cls = _WIRING_CLASSES.get(data.get("class"))
+def wiring_from_json(text: str | dict, vertex_cap: int | None = None):
+    """The wiring in a JSON document, given as text or as a parsed dict."""
+    return _wiring_from(_load(text if isinstance(text, str) else dumps(text)),
+                        vertex_cap)
+
+
+def _wiring_from(data: _Doc, vertex_cap: int | None):
+    data = _object(data, "wiring")
+    tag = data.get("class")
+    cls = _WIRING_CLASSES.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise ParameterOutOfRange(f"unknown wiring class {data.get('class')!r}")
+        raise ParameterOutOfRange(f"unknown wiring class {tag!r}")
     si = _scenario_from(data["initial"], vertex_cap)
     sf = _scenario_from(data["final"], vertex_cap)
     if cls is not WpiccWiring:
         return _fields_from(cls, data, si, sf)
     branches = [
         None if data.get(name) is None
-        else wiring_from_json(data[name], vertex_cap) if party is None
+        else _wiring_from(data[name], vertex_cap) if party is None
         else _fields_from(branch_cls, data[name], si, sf)
         for name, branch_cls, party in WpiccWiring.BRANCHES
     ]

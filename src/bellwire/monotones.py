@@ -25,6 +25,12 @@ Four quantities are computed, all in bits:
   fixed, is again a convex min-max problem, solved by the same engine
   as `s_nl` with the settings grouped by the free party's input.
 
+`s_nl` and `s_c` read the same deterministic solve, and the module keeps
+the outcome of the most recent one: a call on the box and tol of the
+previous `s_nl` or `s_c` call returns values built from that solve,
+bit-identical to a fresh one, without solving again. Only that one
+solve is kept. `s_c_alternating` and `s_uc` never read it.
+
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
 walk into the +inf boundary, interleaved with pairwise vertex exchanges;
@@ -52,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .behaviors import Behavior, InputDistribution, Scenario
+from .behaviors import Behavior, InputDistribution, Scenario, _freeze
 from .divergence import _kl_terms
 from .errors import NoConvergence, SolverFailure
 from .geometry import LocalModel, local_vertex_matrix
@@ -528,13 +534,45 @@ class _MinimaxSolver:
             raise NoConvergence(self.iterations, float(self.gap))
 
 
-def _minimax_solve(p: Behavior, tol: float) -> _MinimaxSolver:
+@dataclass(frozen=True)
+class _MinimaxOutcome:
+    """The closed bracket of one `_MinimaxSolver.run`, arrays read-only."""
+
+    lam_best: np.ndarray
+    d_lower: np.ndarray
+    upper: float
+    gap: float
+    iterations: int
+
+
+#: ((scenario key, table bytes, tol), outcome) of the most recent
+#: successful `_minimax_solve`. It holds one solve only, so just a repeat
+#: call on the same box and tol (`s_c` then `s_nl`, say) reuses it.
+_last_solve: tuple[tuple, _MinimaxOutcome] | None = None
+
+
+def _minimax_solve(p: Behavior, tol: float) -> _MinimaxOutcome:
+    """The saddle problem of `s_nl` and `s_c` at p and tol. The solve is
+    deterministic, so a call on the box and tol of the previous one
+    returns that solve's outcome: exactly what a fresh solve returns. A
+    solve that raises leaves no outcome behind."""
+    global _last_solve
+    key = (p.scenario.key(), p.p.tobytes(), tol)
+    last = _last_solve  # one read: the pair is replaced, never edited
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_solve = None
     solver = _MinimaxSolver(p, tol)
     solver.run()
-    return solver
+    outcome = _MinimaxOutcome(_freeze(solver.lam_best), _freeze(solver.d_lower),
+                              solver.upper, solver.gap, solver.iterations)
+    _last_solve = key, outcome
+    return outcome
 
 
-def _maximin_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
+def _maximin_result(
+    p: Behavior, solver: _MinimaxSolver | _MinimaxOutcome
+) -> MonotoneResult:
     """The closed bracket's result, reporting as optimizer input the
     input weights `d_lower` whose certified inner minimum set the lower
     bound: the minimum over vertex weights at them is at least
@@ -547,10 +585,12 @@ def _maximin_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
 
 def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Input-maximized divergence from the local set (the relative
-    entropy of nonlocality), certified by the saddle-point bracket."""
-    solver = _minimax_solve(p, tol)
+    entropy of nonlocality), certified by the saddle-point bracket. A
+    call on the box and tol of the last `s_nl` or `s_c` call reuses that
+    call's solve."""
+    solved = _minimax_solve(p, tol)
     return _result_from_lam(
-        p, solver.lam_best, None, solver.upper, solver.gap, solver.iterations
+        p, solved.lam_best, None, solved.upper, solved.gap, solved.iterations
     )
 
 
@@ -558,7 +598,9 @@ def s_c(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Max-min statistical strength over unrestricted input
     distributions; equals `s_nl` by the minimax theorem. The reported
     optimizer input is a maximin input distribution: an inner
-    minimization at it certifies at least value - gap_estimate."""
+    minimization at it certifies at least value - gap_estimate. A call
+    on the box and tol of the last `s_nl` or `s_c` call reuses that
+    call's solve."""
     return _maximin_result(p, _minimax_solve(p, tol))
 
 

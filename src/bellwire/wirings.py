@@ -28,6 +28,7 @@ random generators and `jsonio` all read that declaration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -144,6 +145,21 @@ def _validate_fields(obj, si: Scenario, sf: Scenario) -> None:
         object.__setattr__(obj, name, arr)
 
 
+@functools.lru_cache(maxsize=256)
+def _contraction_path(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
+    """The path `np.einsum(..., optimize=True)` takes for operands of
+    these shapes; the search reads shapes only."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *operands, optimize=True)[0])
+
+
+def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """`np.einsum(subscripts, *operands, optimize=True)`, searching the
+    contraction path once per subscripts and operand shapes."""
+    path = _contraction_path(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def _require_scenario(p: Behavior, scenario: Scenario) -> None:
     if p.scenario.key() != scenario.key():
         raise ScenarioMismatch(
@@ -200,9 +216,7 @@ def apply_gw(w: GlobalWiring, p: Behavior) -> Behavior:
     produce signaling behaviors.
     """
     _require_scenario(p, w.initial)
-    out = np.einsum(
-        "abxycsAB,xyab,csxy->csAB", w.o_box, p.p, w.i_box, optimize=True
-    )
+    out = _contract("abxycsAB,xyab,csxy->csAB", w.o_box, p.p, w.i_box)
     return Behavior(w.final, out)
 
 
@@ -270,10 +284,9 @@ class LosrWiring:
 def apply_losr(w: LosrWiring, p: Behavior) -> Behavior:
     """Average over lambda of the product-form processing of `p`."""
     _require_scenario(p, w.initial)
-    out = np.einsum(
+    out = _contract(
         "l,laxcA,lbysB,xyab,lcx,lsy->csAB",
         w.weights, w.out_a, w.out_b, p.p, w.in_a, w.in_b,
-        optimize=True,
     )
     return Behavior(w.final, out)
 
@@ -343,8 +356,7 @@ def losr_to_gw(w: LosrWiring) -> GlobalWiring:
     i_lambda = np.einsum("lcx,lsy->lcsxy", w.in_a, w.in_b)
     i_box = np.einsum("l,lcsxy->csxy", w.weights, i_lambda)
     o_lambda = np.einsum("laxcA,lbysB->labxycsAB", w.out_a, w.out_b)
-    numer = np.einsum("l,lcsxy,labxycsAB->abxycsAB", w.weights, i_lambda, o_lambda,
-                      optimize=True)
+    numer = _contract("l,lcsxy,labxycsAB->abxycsAB", w.weights, i_lambda, o_lambda)
     denom = i_box.transpose(2, 3, 0, 1)[None, None, :, :, :, :, None, None]
     flat = 1.0 / (sf.rA * sf.rB)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -396,10 +408,9 @@ class BothMeasureBranch(_Branch):
             joint = np.einsum("xyab,y,byx->abxy", p.p, self.d_first, self.d_second)
         else:
             joint = np.einsum("xyab,x,axy->abxy", p.p, self.d_first, self.d_second)
-        out = np.einsum(
+        out = _contract(
             "m,mabxycA,mabxysB,abxy->csAB",
             self.weights, self.out_a, self.out_b, joint,
-            optimize=True,
         )
         return Behavior(final, out)
 
@@ -429,18 +440,16 @@ class OneMeasuresBranch(_Branch):
 
     def apply(self, p: Behavior, final: Scenario) -> Behavior:
         if self.measurer == BOB_FIRST:
-            out = np.einsum(
+            out = _contract(
                 "m,mbyaxcA,mbysB,y,xyab,bycx->csAB",
                 self.weights, self.out_other, self.out_meas,
                 self.d_meas, p.p, self.in_other,
-                optimize=True,
             )
         else:
-            out = np.einsum(
+            out = _contract(
                 "m,maxbysB,maxcA,x,xyab,axsy->csAB",
                 self.weights, self.out_other, self.out_meas,
                 self.d_meas, p.p, self.in_other,
-                optimize=True,
             )
         return Behavior(final, out)
 
@@ -480,7 +489,13 @@ class WpiccWiring:
             if branch is None:
                 if weight > 0:
                     raise ParameterOutOfRange(f"{name} carries weight but is missing")
-            elif party is not None:
+            elif party is None:
+                ends = (branch.initial.key(), branch.final.key())
+                if ends != (self.initial.key(), self.final.key()):
+                    raise ScenarioMismatch(
+                        f"{name} maps {ends[0]} to {ends[1]}, the wiring "
+                        f"{self.initial.key()} to {self.final.key()}")
+            else:
                 if getattr(branch, cls.LAYOUT.party) != party:
                     raise ParameterOutOfRange(
                         f"{name} needs {cls.LAYOUT.party} {party!r}")

@@ -178,6 +178,8 @@ def _malformed_input(case: str) -> tuple[str, str]:
         return "apply", json.dumps(dict(doc, i_box=doc["i_box"][:-1]))
     if case == "missing_o_box":
         return "apply", json.dumps({k: v for k, v in doc.items() if k != "o_box"})
+    if case == "scenario_size_not_a_number":
+        return "apply", json.dumps(dict(doc, initial=dict(doc["initial"], sA="x")))
     if case == "not_json":
         text = jsonio.wiring_to_json(bw.random_wpicc_wiring(SC2222, SC2222, 3))
         return "apply", text[: len(text) // 2]
@@ -185,7 +187,8 @@ def _malformed_input(case: str) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize(
-    "case", ["array_one_short", "missing_o_box", "not_json", "behavior_without_p"])
+    "case", ["array_one_short", "missing_o_box", "scenario_size_not_a_number",
+             "not_json", "behavior_without_p"])
 def test_malformed_json_exits_2(case, tmp_path, capsys):
     what, text = _malformed_input(case)
     path = tmp_path / "in.json"

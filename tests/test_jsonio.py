@@ -7,6 +7,7 @@ import pytest
 
 import bellwire as bw
 from bellwire import jsonio
+from bellwire.errors import ParameterOutOfRange
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 
@@ -162,3 +163,46 @@ def test_seeded_wirings_match_golden_json():
         text = jsonio.wiring_to_json(w)
         assert text == golden[name], name
         assert jsonio.wiring_to_json(jsonio.wiring_from_json(text)) == text, name
+
+
+def test_wiring_from_parsed_dict():
+    w = bw.random_wpicc_wiring(SC2222, SC2222, 3)
+    text = jsonio.wiring_to_json(w)
+    doc = json.loads(text)
+    assert jsonio.wiring_to_json(jsonio.wiring_from_json(doc)) == text
+    # a plain dict is held to the same typed errors as text
+    with pytest.raises(ParameterOutOfRange, match="missing key"):
+        jsonio.wiring_from_json({k: v for k, v in doc.items() if k != "final"})
+    with pytest.raises(ParameterOutOfRange, match="missing key"):
+        jsonio.wiring_from_json(dict(doc, none_branch={"class": "losr"}))
+    with pytest.raises(ParameterOutOfRange, match="wiring class"):
+        jsonio.wiring_from_json(dict(doc, **{"class": ["wpicc"]}))
+
+
+@pytest.mark.parametrize("size", ["x", "2", 2.5, True, [2], {"n": 2}, None])
+def test_scenario_sizes_must_be_integers(size):
+    doc = json.loads(jsonio.behavior_to_json(bw.pr_box()))
+    with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+        jsonio.behavior_from_json(json.dumps(dict(doc, sA=size)))
+    w = json.loads(jsonio.wiring_to_json(bw.random_losr_wiring(SC2222, SC2222, 0)))
+    with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+        jsonio.wiring_from_json(json.dumps(dict(w, final=dict(w["final"], rB=size))))
+
+
+def test_scenario_must_be_an_object():
+    w = json.loads(jsonio.wiring_to_json(bw.random_losr_wiring(SC2222, SC2222, 0)))
+    with pytest.raises(ParameterOutOfRange, match="expected a JSON object"):
+        jsonio.wiring_from_json(dict(w, initial=[2, 2, 2, 2]))
+
+
+@pytest.mark.parametrize("slot,value", [
+    ("none_branch", 3),
+    ("alice_only", [1, 2]),
+    ("alice_only", {"measurer": "alice", "components": 3}),
+    ("alice_only", {"measurer": "alice", "components": [[1]]}),
+    ("alice_only", {"measurer": "alice", "components": {"weight": 1}}),
+])
+def test_wiring_parts_must_be_objects(slot, value):
+    doc = json.loads(jsonio.wiring_to_json(bw.random_wpicc_wiring(SC2222, SC2222, 3)))
+    with pytest.raises(ParameterOutOfRange, match="expected a JSON object|JSON list"):
+        jsonio.wiring_from_json(json.dumps(dict(doc, **{slot: value})))

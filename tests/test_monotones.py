@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bellwire as bw
+from bellwire import monotones
 from bellwire.errors import NoConvergence
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
@@ -82,11 +83,18 @@ def assert_maximin_certificate(p: bw.Behavior, r) -> None:
     assert inner.value - inner.gap >= r.value - r.gap_estimate - TOL
 
 
+def fresh(quantifier, p: bw.Behavior, tol: float = TOL):
+    """quantifier(p, tol) from a minimax solve of its own: the record of
+    the last shared `s_nl`/`s_c` solve is cleared first."""
+    monotones._last_solve = None
+    return quantifier(p, tol)
+
+
 def test_s_c_equals_s_nl():
     for p in (bw.pr_box(), noisy_pr(0.7), pr_relabeling_mixture(7, 0.8, 1),
               tsirelson_4222(0)):
-        a = bw.s_nl(p, TOL)
-        c = bw.s_c(p, TOL)
+        a = fresh(bw.s_nl, p)
+        c = fresh(bw.s_c, p)
         assert abs(a.value - c.value) <= 2 * TOL
         assert a.value > 1e-3
         assert_maximin_certificate(p, c)
@@ -301,8 +309,8 @@ def test_s_uc_blocks_close_on_four_settings():
 
 def test_results_deterministic():
     p = noisy_pr(0.8)
-    a = bw.s_nl(p, TOL)
-    b = bw.s_nl(p, TOL)
+    a = fresh(bw.s_nl, p)
+    b = fresh(bw.s_nl, p)
     assert a.value == b.value
     r1 = bw.s_uc(p, TOL, restarts=8, seed=5)
     r2 = bw.s_uc(p, TOL, restarts=8, seed=5)
@@ -624,3 +632,83 @@ def test_exchange_step_bounded_at_rounding_noise():
         assert 0.0 <= gamma < width
         assert abs(gamma - offset) <= 1e-9 * gamma_max
         assert evals <= LINE_SEARCH_EVALS
+
+
+def assert_same_result(a, b) -> None:
+    assert (a.value, a.gap_estimate, a.iterations) == (b.value, b.gap_estimate, b.iterations)
+    assert np.array_equal(a.optimizer_local.weights, b.optimizer_local.weights)
+    if a.optimizer_inputs is None:
+        assert b.optimizer_inputs is None
+    else:
+        assert np.array_equal(a.optimizer_inputs.d, b.optimizer_inputs.d)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts `_MinimaxSolver.run` and `solve_at` calls, starting from an
+    empty record of the last shared solve."""
+    counts = {"run": 0, "solve_at": 0}
+    for name in counts:
+        real = getattr(monotones._MinimaxSolver, name)
+
+        def counting(self, *args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(monotones._MinimaxSolver, name, counting)
+    monkeypatch.setattr(monotones, "_last_solve", None)
+    return counts
+
+
+def test_s_c_then_s_nl_share_one_solve(solves):
+    p = pr_relabeling_mixture(7, 0.8, 1)
+    c = bw.s_c(p, TOL)
+    n = bw.s_nl(p, TOL)
+    assert solves["run"] == 1
+    assert n.value == c.value and n.optimizer_inputs is None
+    # the shared solve's results are those of fresh solves
+    assert_same_result(c, fresh(bw.s_c, p))
+    assert_same_result(n, fresh(bw.s_nl, p))
+    assert solves["run"] == 3
+
+
+def test_a_new_box_or_tol_solves_again(solves):
+    p, q = pr_relabeling_mixture(7, 0.8, 1), noisy_pr(0.8)
+    bw.s_nl(p, TOL)
+    bw.s_c(p, TOL / 2)
+    assert solves["run"] == 2
+    bw.s_c(q, TOL)
+    assert solves["run"] == 3
+    # only the last solve is kept
+    bw.s_nl(p, TOL)
+    assert solves["run"] == 4
+    # an equal table in a new Behavior is the same box
+    bw.s_c(bw.Behavior(p.scenario, np.array(p.p)), TOL)
+    assert solves["run"] == 4
+
+
+def test_independent_routes_do_not_share_the_solve(solves):
+    p = pr_relabeling_mixture(7, 0.8, 1)
+    bw.s_nl(p, TOL)
+    before = solves["solve_at"]
+    bw.s_c_alternating(p, TOL)
+    assert solves["solve_at"] > before
+    runs = solves["run"]
+    bw.s_uc(p, TOL, restarts=1, seed=0)
+    assert solves["run"] > runs
+    # neither replaced the record of the last s_nl solve
+    runs = solves["run"]
+    bw.s_c(p, TOL)
+    assert solves["run"] == runs
+
+
+def test_a_failed_solve_is_not_kept(solves, monkeypatch):
+    p = pr_relabeling_mixture(7, 0.8, 1)
+    bw.s_nl(noisy_pr(0.8), TOL)
+    with monkeypatch.context() as m:
+        m.setattr(monotones, "POLISH_ROUNDS", 0)
+        with pytest.raises(NoConvergence):
+            bw.s_nl(p, TOL)
+    assert monotones._last_solve is None
+    bw.s_c(p, TOL)
+    assert solves["run"] == 3

@@ -278,6 +278,15 @@ def test_wpicc_none_branch_only_equals_losr():
     assert bw.apply_wpicc(w, p).allclose(bw.apply_losr(losr, p), atol=1e-15)
 
 
+def test_wpicc_none_branch_scenarios_are_checked():
+    w = bw.random_wpicc_wiring(SC2222, SC2222, 0)
+    narrow = bw.Scenario(1, 2, 1, 2)
+    for initial, final in ((SC2222, narrow), (narrow, SC2222)):
+        with pytest.raises(ScenarioMismatch, match="none_branch"):
+            dataclasses.replace(
+                w, none_branch=bw.random_losr_wiring(initial, final, 1))
+
+
 def test_wpicc_simplified_two_term_form():
     # five-branch output equals p_meas * local_part + p_none * losr_output,
     # both sides assembled independently
