@@ -331,6 +331,8 @@ def cmd_campaign(args) -> int:
 def cmd_eval(args) -> int:
     cap = args.vertex_cap
     what = args.what
+    if what in ("sb", "apply") and args.infile2 is None:
+        raise ParameterOutOfRange(f"eval {what} needs a second input: --in2")
     if what == "ns_check":
         p = _load_behavior(args.infile, args.epsilon, cap)
         rep = is_no_signaling(p, 1e-9)
@@ -444,10 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BellwireError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (BellwireError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .behaviors import Behavior, InputDistribution, Scenario, _freeze
-from .divergence import _kl_terms
+from .divergence import _kl_rows
 from .errors import NoConvergence, SolverFailure
 from .geometry import LocalModel, local_vertex_matrix
 from .lp import solve_lp  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -121,18 +121,10 @@ class MonotoneResult:
 @dataclass
 class _InnerSolution:
     lam: np.ndarray
-    q: np.ndarray
     value: float
     gap: float
     iterations: int
-    kl_table: np.ndarray  # per-setting divergence at the optimizer, unclamped
     converged: bool
-
-
-def _kl_table_from_q(P: np.ndarray, q: np.ndarray, n_settings: int) -> np.ndarray:
-    """Per-setting KL(P || q) from flat tables, +inf on support mismatch."""
-    return np.array([_kl_terms(Ps, qs) for Ps, qs in
-                     zip(P.reshape(n_settings, -1), q.reshape(n_settings, -1))])
 
 
 def _exchange_step(
@@ -203,8 +195,7 @@ def _fw_minimize(
     the vertices.
     """
     n, dim = V.shape
-    n_settings = setting_weights.size
-    k = dim // n_settings
+    k = dim // setting_weights.size
     c = np.repeat(setting_weights, k) * P
     active = c > 0.0
     cE = c[active]
@@ -255,10 +246,8 @@ def _fw_minimize(
         lam = lam / lam.sum()
         qE = lam @ VE
 
-    q = lam @ V
     value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
-    kl_table = _kl_table_from_q(P, q, n_settings)
-    return _InnerSolution(lam, q, value, max(gap, 0.0), it, kl_table, converged)
+    return _InnerSolution(lam, value, max(gap, 0.0), it, converged)
 
 
 def _result_from_lam(
@@ -304,15 +293,18 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
 class _DivergenceTables:
     """Per-setting divergences KL(P_s || (V.lam)_s) in bits, their
     gradients and their Hessians in the vertex weights, for fixed P and V
-    with m settings. The support of P and each setting's column block of
-    V are indexed once; `kls` then costs one mat-vec and one vectorized
-    pass over the support, `grads` one mat-vec per setting and `hessian`
-    one weighted Gram product per setting."""
+    with m settings. `kls` is one mat-vec and one pass of
+    `divergence._kl_rows`, so it is +inf for a setting where lam leaves a
+    supported outcome uncovered. The support of P and each setting's
+    column block of V are indexed once; `grads` then costs one mat-vec per
+    setting and `hessian` one weighted Gram product per setting, both
+    with q floored at 1e-300 so that they stay finite."""
 
     def __init__(self, P: np.ndarray, V: np.ndarray, m: int):
         k = V.shape[1] // m
         self.V = V
         self.shape = (m, k)
+        self.P_rows = P.reshape(m, k)
         positive = P > 0.0
         self.support = np.flatnonzero(positive)
         self.P_support = P[self.support]
@@ -325,15 +317,7 @@ class _DivergenceTables:
         return np.maximum((lam @ self.V)[self.support], 1e-300)
 
     def kls(self, lam: np.ndarray) -> np.ndarray:
-        # a row sum with zeros off the support equals the sum over each
-        # setting's support bit for bit while a setting has fewer than 8
-        # outcome pairs (numpy adds rows that short in order); at 8 or
-        # more it can differ in the last digit. np.add.reduceat over the
-        # support differs even on short rows, which moves the barrier's
-        # path
-        terms = np.zeros(self.V.shape[1])
-        terms[self.support] = self.P_support * np.log2(self.P_support / self._q(lam))
-        return terms.reshape(self.shape).sum(axis=1)
+        return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
 
     def grads(self, lam: np.ndarray) -> np.ndarray:
         ratio = self.P_support / self._q(lam)
@@ -358,11 +342,11 @@ CENTERING_STEPS = 50
 
 
 def _barrier_epigraph(
-    P: np.ndarray, V: np.ndarray, m: int, M: np.ndarray, lam0: np.ndarray,
+    tables: _DivergenceTables, M: np.ndarray, lam0: np.ndarray,
     gap0: float, tol: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Log-barrier solve of the epigraph program min t s.t. every row
-    value g_j of M @ (per-setting divergences) is <= t, lam >= 0,
+    value g_j of M @ tables.kls(lam) is <= t, lam >= 0,
     sum lam = 1: damped Newton centering of
     tau t - sum_j log(t - g_j) - sum_i log lam_i on the simplex, tau
     growing by BARRIER_GROWTH per stage from where the barrier's duality
@@ -378,8 +362,7 @@ def _barrier_epigraph(
     caller re-evaluates the rows at the weights and runs its own inner
     minimization at D.
     """
-    tables = _DivergenceTables(P, V, m)
-    n, k = V.shape[0], M.shape[0]
+    n, k = lam0.size, M.shape[0]
     gap0 = min(gap0, 1.0)
     # mixing in uniform weights at the scale of the bracket's gap puts
     # every weight near where the first stage's central path has it
@@ -456,6 +439,7 @@ class _MinimaxSolver:
         self.V = local_vertex_matrix(p.scenario)
         self.P = p.flat()
         self.m = p.scenario.sA * p.scenario.sB
+        self.tables = _DivergenceTables(self.P, self.V, self.m)
         self.M = np.eye(self.m) if M is None else M
         self.k = self.M.shape[0]
         self.tol = tol
@@ -475,9 +459,11 @@ class _MinimaxSolver:
     def closed(self) -> bool:
         return self.gap <= self.tol
 
-    def rows(self, kl_table: np.ndarray) -> np.ndarray:
-        """Row values M @ kl_table; +inf where a setting with positive
-        weight has +inf divergence."""
+    def rows(self, lam: np.ndarray) -> np.ndarray:
+        """Row values M @ (per-setting divergences at lam); +inf where a
+        setting with positive weight has a supported outcome that lam
+        leaves uncovered."""
+        kl_table = self.tables.kls(lam)
         inf = np.isinf(kl_table)
         out = self.M @ np.where(inf, 0.0, kl_table)
         if inf.any():
@@ -500,7 +486,7 @@ class _MinimaxSolver:
         if self.d_lower is None or inner.value - inner.gap > self.lower:
             self.lower = max(self.lower, inner.value - inner.gap)
             self.d_lower = d
-        rows = self.rows(inner.kl_table)
+        rows = self.rows(inner.lam)
         self.observe_lam(inner.lam, rows)
         return inner.value, rows
 
@@ -512,12 +498,11 @@ class _MinimaxSolver:
         lam0 = self.lam_best if self.lam_best is not None else np.full(
             self.n, 1.0 / self.n
         )
-        polished = _barrier_epigraph(self.P, self.V, self.m, self.M, lam0,
-                                     self.gap, self.tol)
+        polished = _barrier_epigraph(self.tables, self.M, lam0, self.gap, self.tol)
         if polished is None:
             return
         lam, D = polished
-        self.observe_lam(lam, self.rows(_kl_table_from_q(self.P, lam @ self.V, self.m)))
+        self.observe_lam(lam, self.rows(lam))
         if self.closed:
             return
         self.lam_warm = lam
@@ -773,9 +758,7 @@ QUANTIFIERS = {
 def evaluate_quantifier(name: str, p: Behavior, tol: float, **kwargs) -> MonotoneResult:
     if name not in QUANTIFIERS:
         raise SolverFailure(f"unknown quantifier {name!r}")
-    if name == "suc":
-        return s_uc(p, tol, **kwargs)
-    return QUANTIFIERS[name](p, tol)
+    return QUANTIFIERS[name](p, tol, **kwargs)
 
 
 # ---------------------------------------------------------------------------

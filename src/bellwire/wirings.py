@@ -516,7 +516,7 @@ def _measuring_terms(w: WpiccWiring, p: Behavior) -> list[tuple[float, Behavior]
     ]
 
 
-def apply_wpicc(w: WpiccWiring, p: Behavior, ns_tol: float = 1e-9) -> Behavior:
+def apply_wpicc(w: WpiccWiring, p: Behavior) -> Behavior:
     """Apply the five-branch mixture to a no-signaling behavior.
 
     Signaling inputs are refused outright: the preparation phase feeds
@@ -524,7 +524,7 @@ def apply_wpicc(w: WpiccWiring, p: Behavior, ns_tol: float = 1e-9) -> Behavior:
     unless the behavior is no-signaling.
     """
     _require_scenario(p, w.initial)
-    report = is_no_signaling(p, ns_tol)
+    report = is_no_signaling(p)
     if not report.ok:
         raise DomainViolation(
             f"communication wiring applied to a signaling behavior "

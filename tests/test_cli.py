@@ -171,6 +171,21 @@ def test_missing_file_is_reported(capsys):
     assert run_cli("eval", "ns_check", "--in", "/nonexistent/file.json") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "sb", "--in", "pr-box"],
+    ["eval", "apply", "--in", "feedback-wpicc"],
+    ["eval", "ns_check", "--in", "{dir}"],
+    ["eval", "apply", "--in", "{dir}", "--in2", "pr-box"],
+    ["eval", "sb", "--in", "pr-box", "--in2", "{dir}"],
+])
+def test_unreadable_or_missing_input_exits_2(argv, tmp_path, capsys):
+    # a missing --in2, or a directory where a file belongs, is a usage
+    # error with one line on stderr, not a traceback
+    assert run_cli(*(a.format(dir=tmp_path) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _malformed_input(case: str) -> tuple[str, str]:
     """An eval target and a damaged input file's text."""
     doc = json.loads(jsonio.wiring_to_json(bw.random_global_wiring(SC2222, SC2222, 3)))

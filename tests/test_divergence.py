@@ -158,3 +158,66 @@ def test_kl_joint_convexity(seed, mu):
     mixed = bw.kl(mu * q1 + (1 - mu) * q2, mu * r1 + (1 - mu) * r2).bits
     split = mu * bw.kl(q1, r1).bits + (1 - mu) * bw.kl(q2, r2).bits
     assert mixed <= split + 1e-10
+
+
+SC3333 = bw.Scenario(3, 3, 3, 3)
+
+
+def _per_support_kl(q: np.ndarray, q_prime: np.ndarray) -> float:
+    """Oracle: the sum over q's support alone, +inf on a support mismatch."""
+    pos = q > 0.0
+    if np.any(q_prime[pos] == 0.0):
+        return math.inf
+    return float(np.sum(q[pos] * np.log2(q[pos] / q_prime[pos])))
+
+
+def _pair_3333(inf_settings):
+    """Two 3333 behaviors, not no-signaling, with zeros in both tables:
+    settings in inf_settings put q' = 0 on q's support, (0, 1) has
+    q = q', (0, 2) has q' = 0 only off q's support, and (1, 0) and (2, 2)
+    share the same pair of columns, far apart."""
+    rng = np.random.default_rng(7)
+    p, pp = rng.dirichlet(np.ones(9), (3, 3)), rng.dirichlet(np.ones(9), (3, 3))
+    p[:, :, ::4] = 0.0  # 0 * log 0 terms against positive and zero q'
+    pp[0, 2, ::4] = 0.0
+    pp[0, 1] = p[0, 1]
+    for x, y in inf_settings:
+        pp[x, y, 1] = 0.0
+    p[1, 0] = p[2, 2] = [0.0, 0.9, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    pp[1, 0] = pp[2, 2] = np.full(9, 1.0 / 9.0)
+    p /= p.sum(axis=2, keepdims=True)
+    pp /= pp.sum(axis=2, keepdims=True)
+    shape = SC3333.shape
+    return bw.Behavior(SC3333, p.reshape(shape)), bw.Behavior(SC3333, pp.reshape(shape))
+
+
+def test_kl_evaluator_matches_per_support_oracle_at_3333():
+    # rows of 9 outcome pairs: the zero-filled row sums may differ from
+    # the per-support sums in the last digit, never in where they are
+    # +inf or exactly 0
+    for inf_settings, argmax in (((), (1, 0)), (((1, 2), (2, 1)), (1, 2))):
+        p, pp = _pair_3333(inf_settings)
+        oracle = np.array([[_per_support_kl(p.p[x, y].ravel(), pp.p[x, y].ravel())
+                            for y in range(3)] for x in range(3)])
+        table = bw.per_setting_kl(p, pp)
+        np.testing.assert_allclose(table, oracle, rtol=1e-13, atol=0.0)
+        assert np.array_equal(np.isinf(table), np.isinf(oracle))
+        assert np.isinf(oracle).sum() == len(inf_settings)
+        assert table[0, 1] == 0.0 and oracle[0, 1] == 0.0
+        assert 0.0 < table[0, 2] < math.inf
+        # the tied maximum, or the first +inf, in lexicographic order
+        assert table[1, 0] == table[2, 2] == np.max(oracle[np.isfinite(oracle)])
+        val = bw.behavior_re(p, pp)
+        assert val.argmax_setting == argmax
+        assert val.bits == table[argmax]
+        for d in (bw.InputDistribution.uniform(SC3333),
+                  bw.InputDistribution.general(SC3333, np.arange(9.0) / 36.0)):
+            q = bw.product_with_inputs(p, d).q
+            qp = bw.product_with_inputs(pp, d).q
+            got = bw.kl(q, qp).bits
+            want = _per_support_kl(q.ravel(), qp.ravel())
+            if math.isinf(want):
+                assert math.isinf(got)
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert bw.kl(q, q).bits == 0.0

@@ -227,6 +227,19 @@ def test_monotonicity_audit_snl_under_wpicc():
     assert not rep.any_violation
 
 
+def test_quantifier_keywords_reach_the_quantifier():
+    # a keyword the quantifier does not take is a TypeError, for every
+    # name, before anything is solved
+    p = bw.pr_box()
+    for name in ("snl", "su", "sc", "suc"):
+        with pytest.raises(TypeError):
+            bw.evaluate_quantifier(name, p, TOL, bogus=1)
+    with pytest.raises(TypeError):
+        bw.evaluate_quantifier("snl", p, TOL, restarts=3)
+    with pytest.raises(TypeError):
+        bw.monotonicity_audit("su", p, [bw.setting_fold_wiring()], TOL, seed=5)
+
+
 def test_convexity_audit_snl():
     rep = bw.convexity_audit(
         "snl", bw.pr_box(), bw.white_noise(SC2222), [0.0, 0.25, 0.5, 0.75, 1.0], TOL
@@ -356,10 +369,12 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _kls_grads_hessian_oracle(P, V, m, lam, c=None):
+def _kls_grads_hessian_oracle(P, V, m, lam, c=None, clamp_kls=False):
     """Per-setting divergences, their gradients in the vertex weights and
     (given setting weights c) the c-weighted sum of their Hessians, one
-    setting at a time."""
+    setting at a time. A supported outcome that lam leaves uncovered
+    makes its setting's divergence +inf, or, with clamp_kls, takes
+    q = 1e-300 there; the gradients and Hessian always take the clamp."""
     n, dim = V.shape
     k = dim // m
     Ps = P.reshape(m, k)
@@ -371,7 +386,10 @@ def _kls_grads_hessian_oracle(P, V, m, lam, c=None):
         mask = Ps[s] > 0.0
         pe = Ps[s][mask]
         qe = np.maximum(qs[s][mask], 1e-300)
-        kls[s] = float(np.sum(pe * np.log2(pe / qe)))
+        if clamp_kls or np.all(qs[s][mask] > 0.0):
+            kls[s] = float(np.sum(pe * np.log2(pe / qe)))
+        else:
+            kls[s] = math.inf
         Vs = V[:, s * k + np.where(mask)[0]]
         grads[s] = -(Vs @ (pe / qe)) / math.log(2.0)
         if c is not None:
@@ -380,11 +398,12 @@ def _kls_grads_hessian_oracle(P, V, m, lam, c=None):
 
 
 class _OracleTables:
-    def __init__(self, P, V, m):
+    def __init__(self, P, V, m, clamp_kls=False):
         self.args = (P, V, m)
+        self.clamp_kls = clamp_kls
 
     def kls(self, lam):
-        return _kls_grads_hessian_oracle(*self.args, lam)[0]
+        return _kls_grads_hessian_oracle(*self.args, lam, clamp_kls=self.clamp_kls)[0]
 
     def grads(self, lam):
         return _kls_grads_hessian_oracle(*self.args, lam)[1]
@@ -446,17 +465,42 @@ def test_divergence_tables_match_per_setting_loop():
         assert np.array_equal(tables.hessian(lam, c), hess, equal_nan=True)
 
 
+def test_minimax_rows_infinite_exactly_where_uncovered():
+    # a supported outcome with no weight on any vertex that produces it
+    # makes every row that weighs its setting +inf, not a large finite
+    # value read off a floored q
+    rng = np.random.default_rng(47)
+    seen = set()
+    for p, M in ((noisy_pr(0.8), None), (bw.pr_box(), None),
+                 (pr_relabeling_mixture(7, 0.8, 1), np.kron([1.0, 0.0], np.eye(2))),
+                 (tsirelson_4222(0), np.kron([0.0, 0.2, 0.0, 0.8], np.eye(2)))):
+        P = p.flat()
+        m = p.scenario.sA * p.scenario.sB
+        solver = monotones._MinimaxSolver(p, TOL, M)
+        for size in range(1, 9):
+            lam = np.zeros(solver.n)
+            lam[rng.choice(solver.n, size, replace=False)] = rng.dirichlet(np.ones(size))
+            uncovered = ((P > 0.0) & (lam @ solver.V == 0.0)).reshape(m, -1).any(axis=1)
+            want = (solver.M[:, uncovered] > 0.0).any(axis=1)
+            rows = solver.rows(lam)
+            assert np.array_equal(np.isinf(rows), want)
+            assert np.all(np.isfinite(rows[~want]))
+            seen.update(want.tolist())
+    assert seen == {True, False}
+
+
 def _slsqp_epigraph_oracle(P, V, m, M, lam0):
     """SciPy's SLSQP on the epigraph program min t s.t. every row value of
     M @ (per-setting divergences) is <= t, over the weight simplex, with
     the per-setting loop's divergences and gradients; returns the worst
-    row value at its (clipped, renormalized) weights."""
+    row value at its (clipped, renormalized) weights. SLSQP takes no
+    +inf or NaN, so its divergences take the clamp."""
     from scipy.optimize import minimize
 
     n = V.shape[0]
     lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
     lam0 = lam0 / lam0.sum()
-    tables = _OracleTables(P, V, m)
+    tables = _OracleTables(P, V, m, clamp_kls=True)
     x0 = np.concatenate([lam0, [float(np.max(M @ tables.kls(lam0))) + 1e-3]])
 
     def cons_j(x):
@@ -508,9 +552,9 @@ def test_barrier_epigraph_matches_slsqp_oracle():
         solver.solve_at(np.eye(solver.k)[0], 1e-4)
         assert solver.gap > 0.1
         P, V, m, M = solver.P, solver.V, solver.m, solver.M
-        lam, D = monotones._barrier_epigraph(P, V, m, M, solver.lam_best,
+        lam, D = monotones._barrier_epigraph(solver.tables, M, solver.lam_best,
                                              solver.gap, TOL)
-        upper = float(np.max(solver.rows(monotones._kl_table_from_q(P, lam @ V, m))))
+        upper = float(np.max(solver.rows(lam)))
         oracle = _slsqp_epigraph_oracle(P, V, m, M, solver.lam_best)
         assert abs(upper - oracle) <= TOL / 8.0
         inner = monotones._fw_minimize(P, V, D @ M, gap_tol=TOL / 8.0, lam0=lam)
@@ -518,7 +562,7 @@ def test_barrier_epigraph_matches_slsqp_oracle():
         assert upper - (inner.value - inner.gap) <= TOL
 
 
-def test_epigraph_polish_matches_per_setting_loop(monkeypatch):
+def test_epigraph_polish_matches_per_setting_loop():
     from bellwire import monotones
 
     p = tsirelson_4222(4)
@@ -526,9 +570,10 @@ def test_epigraph_polish_matches_per_setting_loop(monkeypatch):
     V = bw.local_vertex_matrix(p.scenario)
     m = p.scenario.sA * p.scenario.sB
     lam0 = monotones._fw_minimize(P, V, np.full(m, 1.0 / m), gap_tol=1e-4).lam
-    got = monotones._barrier_epigraph(P, V, m, np.eye(m), lam0, 1e-3, TOL)
-    monkeypatch.setattr(monotones, "_DivergenceTables", _OracleTables)
-    want = monotones._barrier_epigraph(P, V, m, np.eye(m), lam0, 1e-3, TOL)
+    got = monotones._barrier_epigraph(monotones._DivergenceTables(P, V, m),
+                                      np.eye(m), lam0, 1e-3, TOL)
+    want = monotones._barrier_epigraph(_OracleTables(P, V, m),
+                                       np.eye(m), lam0, 1e-3, TOL)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
