@@ -10,6 +10,15 @@ rejects invalid tables instead of renormalizing them: silent repair would
 mask bugs in wiring application, where normalization is a correctness
 signal.
 
+One routine, `_stochastic`, validates every probability table in the
+package: these containers, `geometry.LocalModel`'s weights, every wiring
+field and both arguments of `divergence.kl`. It raises `LengthMismatch`
+on a wrong shape, `NegativeEntry` on a negative or non-finite entry and
+`NormalizationViolation` (a `NotNormalized`) when a distribution misses
+one by more than its tolerance: `PROB_ATOL` everywhere except local-model
+weights, which get 1e-9 because their sparse JSON form drops entries
+below 1e-15.
+
 Array layout is dense row-major [x][y][a][b] throughout.
 """
 
@@ -25,7 +34,6 @@ from .errors import (
     LengthMismatch,
     NegativeEntry,
     NormalizationViolation,
-    NotNormalized,
     ParameterOutOfRange,
     ScenarioMismatch,
     VertexCapExceeded,
@@ -40,6 +48,34 @@ DEFAULT_VERTEX_CAP = 10**6
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
+    out.flags.writeable = False
+    return out
+
+
+def _stochastic(
+    arr, shape: tuple[int, ...], trailing: int, name: str, atol: float = PROB_ATOL
+) -> np.ndarray:
+    """`arr` as a read-only float copy of `shape` whose entries over the
+    `trailing` last axes are distributions: finite, nonnegative and
+    summing to one within `atol`."""
+    out = np.array(arr, dtype=float)
+    if out.shape != shape:
+        raise LengthMismatch(f"{name} has shape {out.shape}, expected {shape}")
+    cut = len(shape) - trailing
+    # the ufunc reductions skip the ndarray methods' dispatch, which costs
+    # as much as the checks on a small table; initial=0 admits empty ones
+    rows = out.reshape(math.prod(shape[:cut]), math.prod(shape[cut:]))
+    dev = np.add.reduce(rows, 1) - 1.0
+    # a NaN fails both tests and an infinite entry the second
+    if not (np.minimum.reduce(out, axis=None, initial=0.0) >= 0.0
+            and np.maximum.reduce(np.abs(dev), initial=0.0) <= atol):
+        bad = np.argwhere(~(out >= 0.0) | np.isinf(out))
+        if bad.size:
+            idx = tuple(int(i) for i in bad[0])
+            raise NegativeEntry(f"{name} has entry {out[idx]} at {idx}")
+        k = int(np.argmax(np.abs(dev)))
+        index = tuple(int(i) for i in np.unravel_index(k, shape[:cut]))
+        raise NormalizationViolation(name, index, float(dev[k]))
     out.flags.writeable = False
     return out
 
@@ -118,23 +154,9 @@ class Behavior:
     p: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.p, dtype=float)
-        if arr.shape != self.scenario.shape:
-            raise LengthMismatch(
-                f"table shape {arr.shape} does not match scenario "
-                f"{self.scenario.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NegativeEntry("table contains non-finite entries")
-        if np.any(arr < 0):
-            idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
-            raise NegativeEntry(f"negative entry {arr[idx]} at (x,y,a,b)={idx}")
-        sums = arr.sum(axis=(2, 3))
-        dev = sums - 1.0
-        if np.any(np.abs(dev) > PROB_ATOL):
-            x, y = np.unravel_index(int(np.argmax(np.abs(dev))), dev.shape)
-            raise NormalizationViolation(int(x), int(y), float(dev[x, y]))
-        object.__setattr__(self, "p", _freeze(arr))
+        object.__setattr__(
+            self, "p", _stochastic(self.p, self.scenario.shape, 2, "behavior")
+        )
 
     def column(self, x: int, y: int) -> np.ndarray:
         """Output distribution P(.,.|x,y) as a flat length rA*rB array."""
@@ -190,35 +212,26 @@ class InputDistribution:
     dY: np.ndarray | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.d, dtype=float)
-        if arr.shape != (self.scenario.sA, self.scenario.sB):
-            raise LengthMismatch(
-                f"input table shape {arr.shape} does not match "
-                f"({self.scenario.sA}, {self.scenario.sB})"
-            )
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise NegativeEntry("input distribution has negative or non-finite entries")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise NotNormalized(f"input distribution sums to 1{total - 1.0:+.3e}")
+        sc = self.scenario
         if self.kind not in (KIND_GENERAL, KIND_PRODUCT, KIND_UNIFORM):
             raise ParameterOutOfRange(f"unknown input-distribution kind {self.kind!r}")
         if self.kind == KIND_PRODUCT:
             if self.dX is None or self.dY is None:
                 raise ParameterOutOfRange("product kind requires dX and dY")
-            dx = np.asarray(self.dX, dtype=float)
-            dy = np.asarray(self.dY, dtype=float)
-            if not np.array_equal(arr, np.outer(dx, dy)):
-                raise ParameterOutOfRange(
-                    "product kind must satisfy d[x][y] = dX[x]*dY[y] exactly"
-                )
-            object.__setattr__(self, "dX", _freeze(dx))
-            object.__setattr__(self, "dY", _freeze(dy))
+            object.__setattr__(self, "dX", _stochastic(self.dX, (sc.sA,), 1, "dX"))
+            object.__setattr__(self, "dY", _stochastic(self.dY, (sc.sB,), 1, "dY"))
+        arr = _stochastic(self.d, (sc.sA, sc.sB), 2, "input distribution")
+        if self.kind == KIND_PRODUCT and not np.array_equal(
+            arr, np.outer(self.dX, self.dY)
+        ):
+            raise ParameterOutOfRange(
+                "product kind must satisfy d[x][y] = dX[x]*dY[y] exactly"
+            )
         if self.kind == KIND_UNIFORM:
             expected = 1.0 / (self.scenario.sA * self.scenario.sB)
             if not np.all(arr == expected):
                 raise ParameterOutOfRange("uniform kind must be exactly flat")
-        object.__setattr__(self, "d", _freeze(arr))
+        object.__setattr__(self, "d", arr)
 
     @staticmethod
     def uniform(scenario: Scenario) -> "InputDistribution":
@@ -230,15 +243,8 @@ class InputDistribution:
     def product(
         scenario: Scenario, dX: Sequence[float], dY: Sequence[float]
     ) -> "InputDistribution":
-        dx = np.asarray(dX, dtype=float)
-        dy = np.asarray(dY, dtype=float)
-        if dx.shape != (scenario.sA,) or dy.shape != (scenario.sB,):
-            raise LengthMismatch("marginal lengths must match setting counts")
-        if np.any(dx < 0) or np.any(dy < 0):
-            raise NegativeEntry("marginals must be nonnegative")
-        if abs(dx.sum() - 1.0) > PROB_ATOL or abs(dy.sum() - 1.0) > PROB_ATOL:
-            raise NotNormalized("each product marginal must sum to one")
-        return InputDistribution(scenario, np.outer(dx, dy), KIND_PRODUCT, dx, dy)
+        # the constructor checks both marginals before their product
+        return InputDistribution(scenario, np.outer(dX, dY), KIND_PRODUCT, dX, dY)
 
     @staticmethod
     def general(scenario: Scenario, d: np.ndarray | Sequence[float]) -> "InputDistribution":
@@ -261,17 +267,9 @@ class JointDistribution:
     q: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.q, dtype=float)
-        if arr.shape != self.scenario.shape:
-            raise LengthMismatch(
-                f"joint shape {arr.shape} does not match {self.scenario.shape}"
-            )
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise NegativeEntry("joint distribution has negative or non-finite entries")
-        total = float(arr.sum())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise NotNormalized(f"joint distribution sums to 1{total - 1.0:+.3e}")
-        object.__setattr__(self, "q", _freeze(arr))
+        object.__setattr__(
+            self, "q", _stochastic(self.q, self.scenario.shape, 4, "joint distribution")
+        )
 
     def flat(self) -> np.ndarray:
         return self.q.reshape(-1)

@@ -126,8 +126,6 @@ def _report_text(report: dict, fmt: str) -> str:
 
 def cmd_reproduce_thm2(args) -> int:
     eps = args.epsilon
-    if not 0.0 < eps < 0.5:
-        raise ParameterOutOfRange(f"epsilon must lie in (0, 1/2), got {eps}")
     p0 = doubling_pair_first(eps)
     p0p = doubling_pair_second(eps)
     wiring = feedback_copy_wiring()

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behaviors import Behavior, InputDistribution, PROB_ATOL, _require_same_scenario
+from .behaviors import Behavior, InputDistribution, _require_same_scenario, _stochastic
 from .errors import IndexMismatch, NotNormalized
 
 LOG2 = math.log(2.0)
@@ -59,19 +59,17 @@ def _kl_rows(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
 def kl(q: np.ndarray, q_prime: np.ndarray) -> DivergenceValue:
     """Kullback-Leibler divergence between two finite distributions.
 
-    Both arguments are flattened; they must share a shape and each must
-    sum to one within the probability tolerance.
+    Both arguments are flattened; they must share a shape (else
+    `IndexMismatch`) and each must be a distribution, as
+    `behaviors._stochastic` checks.
     """
     qa = np.asarray(q, dtype=float)
     qb = np.asarray(q_prime, dtype=float)
     if qa.shape != qb.shape:
         raise IndexMismatch(f"shapes {qa.shape} and {qb.shape} differ")
-    for name, arr in (("first", qa), ("second", qb)):
-        if abs(float(arr.sum()) - 1.0) > PROB_ATOL:
-            raise NotNormalized(f"{name} distribution sums to {arr.sum()!r}")
-        if np.any(arr < 0):
-            raise NotNormalized(f"{name} distribution has negative entries")
-    return DivergenceValue(float(_kl_rows(qa.reshape(1, -1), qb.reshape(1, -1))[0]))
+    rows = [_stochastic(arr.reshape(-1), (arr.size,), 1, name)[None]
+            for arr, name in ((qa, "first distribution"), (qb, "second distribution"))]
+    return DivergenceValue(float(_kl_rows(*rows)[0]))
 
 
 def per_setting_kl(p: Behavior, p_prime: Behavior) -> np.ndarray:

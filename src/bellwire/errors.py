@@ -16,22 +16,7 @@ class LengthMismatch(BellwireError, ValueError):
 
 
 class NegativeEntry(BellwireError, ValueError):
-    """A probability table contains a negative entry."""
-
-
-class NormalizationViolation(BellwireError, ValueError):
-    """A conditional distribution column does not sum to one.
-
-    Carries the offending setting pair and the signed deviation.
-    """
-
-    def __init__(self, x: int, y: int, deviation: float):
-        self.x = x
-        self.y = y
-        self.deviation = deviation
-        super().__init__(
-            f"column (x={x}, y={y}) sums to 1{deviation:+.3e}, beyond tolerance"
-        )
+    """A probability table contains a negative or non-finite entry."""
 
 
 class ScenarioMismatch(BellwireError, ValueError):
@@ -52,6 +37,23 @@ class IndexMismatch(BellwireError, ValueError):
 
 class NotNormalized(BellwireError, ValueError):
     """A finite distribution does not sum to one."""
+
+
+class NormalizationViolation(NotNormalized):
+    """A probability table has a distribution that does not sum to one.
+
+    Carries the conditioning `index` of the worst one (empty for a table
+    that is one distribution), its first two entries as `x` and `y` (the
+    setting pair of a behavior column; None where the index is shorter)
+    and the signed deviation.
+    """
+
+    def __init__(self, name: str, index: tuple[int, ...], deviation: float):
+        self.index = index
+        self.x, self.y = (*index, None, None)[:2]
+        self.deviation = deviation
+        at = f" at {index}" if index else ""
+        super().__init__(f"{name}{at} sums to 1{deviation:+.3e}, beyond tolerance")
 
 
 class DomainViolation(BellwireError, ValueError):

@@ -15,14 +15,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .behaviors import Behavior, Scenario
+from .behaviors import Behavior, Scenario, _stochastic
 from .errors import (
     LengthMismatch,
-    NegativeEntry,
-    NotNormalized,
     ParameterOutOfRange,
     SolverFailure,
-    VertexCapExceeded,
 )
 from .lp import lp_feasible
 
@@ -87,10 +84,6 @@ def _vertex_matrix_cached(key: tuple[int, int, int, int], cap: int) -> np.ndarra
 def local_vertex_matrix(scenario: Scenario) -> np.ndarray:
     """All deterministic vertex behaviors as rows of an (n, sA*sB*rA*rB)
     0/1 matrix, in canonical lexicographic order (Alice-major)."""
-    if scenario.vertex_count > scenario.vertex_cap:
-        raise VertexCapExceeded(
-            f"{scenario.vertex_count} vertices exceed cap {scenario.vertex_cap}"
-        )
     return _vertex_matrix_cached(scenario.key(), scenario.vertex_cap)
 
 
@@ -164,20 +157,11 @@ class LocalModel:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size != self.scenario.vertex_count:
-            raise LengthMismatch(
-                f"expected {self.scenario.vertex_count} weights, got {w.size}"
-            )
-        if np.any(w < 0):
-            raise NegativeEntry("local-model weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise NotNormalized(
-                f"local-model weights sum to {w.sum():.12f}, expected 1"
-            )
-        w = np.array(w, copy=True)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _stochastic(
+            np.asarray(self.weights, dtype=float).reshape(-1),
+            (self.scenario.vertex_count,), 1,
+            "local-model weights", atol=1e-9,
+        ))
 
     def reconstruct(self) -> Behavior:
         table = (self.weights @ local_vertex_matrix(self.scenario)).reshape(

@@ -18,9 +18,12 @@ a full LOSR wiring document.
 
 Malformed input raises `LengthMismatch` (an array of the wrong size) or
 `ParameterOutOfRange` (text that is not JSON, a missing key, an entry
-that is not a number, a scenario size that is not an integer, another
-JSON type where an object or a list belongs). `wiring_from_json` also takes an already
-parsed document as a dict, held to the same checks.
+that is not a number, a scenario size or local-model strategy index that
+is not an integer in range, another JSON type where an object or a list
+belongs). Every array then passes its container's check, so a table that
+is not a distribution raises `NegativeEntry` (a negative, NaN or
+infinite entry) or `NotNormalized`. `wiring_from_json` also takes an
+already parsed document as a dict, held to the same checks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .behaviors import (
     KIND_PRODUCT,
     KIND_UNIFORM,
     Scenario,
-    behavior_from_array,
 )
 from .divergence import DivergenceValue
 from .errors import LengthMismatch, ParameterOutOfRange
@@ -104,9 +106,13 @@ def _load(text: str) -> _Doc:
 def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
     """`data` (flat or nested, row-major) as a float array of `shape`."""
     try:
-        out = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as err:
+        out = np.asarray(data)
+    except ValueError as err:  # ragged nesting
         raise ParameterOutOfRange(f"{name} is not an array of numbers: {err}") from None
+    # strings, booleans, nulls and objects are not JSON numbers
+    if out.dtype.kind not in "iuf":
+        raise ParameterOutOfRange(f"{name} is not an array of numbers")
+    out = out.astype(float)
     if out.size != math.prod(shape):
         raise LengthMismatch(
             f"{name} has {out.size} entries, expected {math.prod(shape)}")
@@ -137,7 +143,7 @@ def behavior_to_json(p: Behavior) -> str:
 def behavior_from_json(text: str, vertex_cap: int | None = None) -> Behavior:
     data = _load(text)
     sc = _scenario_from(data, vertex_cap)
-    return behavior_from_array(sc, np.asarray(data["p"], dtype=float))
+    return Behavior(sc, _arr(data["p"], sc.shape, "p"))
 
 
 # -- input distributions -----------------------------------------------------
@@ -161,9 +167,9 @@ def input_distribution_from_json(text: str) -> InputDistribution:
     if kind == KIND_UNIFORM:
         return InputDistribution.uniform(sc)
     if kind == KIND_PRODUCT:
-        return InputDistribution.product(sc, np.asarray(data["dX"], dtype=float),
-                                         np.asarray(data["dY"], dtype=float))
-    return InputDistribution.general(sc, np.asarray(data["d"], dtype=float))
+        return InputDistribution.product(sc, _arr(data["dX"], (sc.sA,), "dX"),
+                                         _arr(data["dY"], (sc.sB,), "dY"))
+    return InputDistribution.general(sc, _arr(data["d"], (sc.sA, sc.sB), "d"))
 
 
 # -- divergence and certificates ---------------------------------------------
@@ -185,13 +191,27 @@ def local_model_to_json(model: LocalModel) -> str:
     return dumps(doc)
 
 
+def _strategy(value, count: int, party: str) -> int:
+    """`value`, required to be a JSON integer indexing one of `count`
+    strategies of `party`."""
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < count:
+        raise ParameterOutOfRange(
+            f"{party} strategy must be an integer in [0, {count}), got {value!r}")
+    return value
+
+
 def local_model_from_json(text: str) -> LocalModel:
     data = _load(text)
     sc = _scenario_from(data)
     weights = np.zeros(sc.vertex_count)
-    nB = sc.n_bob_strategies
-    for a, b, w in data["weights"]:
-        weights[int(a) * nB + int(b)] = float(w)
+    nA, nB = sc.n_alice_strategies, sc.n_bob_strategies
+    triples = data["weights"]
+    if not (isinstance(triples, list)
+            and all(isinstance(t, list) and len(t) == 3 for t in triples)):
+        raise ParameterOutOfRange("local-model weights must be [alice, bob, weight] lists")
+    for a, b, w in triples:
+        k = _strategy(a, nA, "alice") * nB + _strategy(b, nB, "bob")
+        weights[k] = _arr(w, (), "local-model weight")
     return LocalModel(sc, weights)
 
 

@@ -34,18 +34,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .behaviors import Behavior, Scenario
-from .errors import (
-    DomainViolation,
-    LengthMismatch,
-    NegativeEntry,
-    NormalizationViolation,
-    ParameterOutOfRange,
-    ScenarioMismatch,
-)
+from .behaviors import Behavior, Scenario, _stochastic
+from .errors import DomainViolation, ParameterOutOfRange, ScenarioMismatch
 from .geometry import is_no_signaling, marginal_residual
-
-NORM_ATOL = 1e-12
 
 ALICE_FIRST = "alice"
 BOB_FIRST = "bob"
@@ -106,43 +97,22 @@ class Layout:
         return out
 
 
-def _as_array(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    if out.shape != shape:
-        raise LengthMismatch(f"{name} must have shape {shape}, got {out.shape}")
-    if np.any(out < 0) or not np.all(np.isfinite(out)):
-        raise NegativeEntry(f"{name} has negative or non-finite entries")
-    out = np.array(out, copy=True)
-    out.flags.writeable = False
-    return out
-
-
-def _check_stochastic(arr: np.ndarray, trailing: int, name: str) -> None:
-    """Require normalization along the trailing `trailing` axes."""
-    sums = arr.reshape(math.prod(arr.shape[: arr.ndim - trailing]), -1).sum(axis=1)
-    dev = np.abs(sums - 1.0)
-    if np.any(dev > NORM_ATOL):
-        k = int(np.argmax(dev))
-        err = NormalizationViolation(k, -1, float(sums[k] - 1.0))
-        err.args = (f"{name}: {err}",)
-        raise err
-
-
 def _validate_fields(obj, si: Scenario, sf: Scenario) -> None:
     """Check every field of `obj` against its class layout, all shapes
-    and signs before any normalization, and store read-only copies."""
+    before any entry, and store read-only copies."""
     layout = obj.LAYOUT
     n = np.size(obj.weights) if _WEIGHTS in layout.fields else 1
     party = getattr(obj, layout.party) if layout.party else None
     shapes = layout.shapes(si, sf, n, party)
-    arrays = {
-        f.name: _as_array(getattr(obj, f.name), shapes[f.name], f.name)
-        for f in layout.fields
-    }
+    # a truncated weights vector is a well-formed shorter one that only
+    # the other fields' shapes reveal, so no sum is checked before them
     for f in layout.fields:
-        _check_stochastic(arrays[f.name], f.trailing, f.name)
-    for name, arr in arrays.items():
-        object.__setattr__(obj, name, arr)
+        if np.shape(getattr(obj, f.name)) != shapes[f.name]:
+            # raises LengthMismatch
+            _stochastic(getattr(obj, f.name), shapes[f.name], f.trailing, f.name)
+    for f in layout.fields:
+        object.__setattr__(obj, f.name, _stochastic(
+            getattr(obj, f.name), shapes[f.name], f.trailing, f.name))
 
 
 @functools.lru_cache(maxsize=256)
@@ -480,9 +450,8 @@ class WpiccWiring:
     )
 
     def __post_init__(self):
-        probs = _as_array(np.reshape(self.branch_probabilities, -1),
-                          (len(self.BRANCHES),), "branch_probabilities")
-        _check_stochastic(probs, 1, "branch_probabilities")
+        probs = _stochastic(np.reshape(self.branch_probabilities, -1),
+                            (len(self.BRANCHES),), 1, "branch_probabilities")
         object.__setattr__(self, "branch_probabilities", probs)
         for weight, (name, cls, party) in zip(probs, self.BRANCHES):
             branch = getattr(self, name)

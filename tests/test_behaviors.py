@@ -175,6 +175,26 @@ def test_input_distribution_kinds():
         bw.InputDistribution.general(SC2222, [[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(NegativeEntry):
         bw.InputDistribution.general(SC2222, [[1.5, -0.5], [0.0, 0.0]])
+    with pytest.raises(NegativeEntry):
+        bw.InputDistribution.general(SC2222, [[math.nan, 0.5], [0.25, 0.25]])
+    with pytest.raises(NegativeEntry):
+        bw.InputDistribution.product(SC2222, [math.nan, 0.5], [1.0, 0.0])
+    with pytest.raises(NotNormalized):
+        bw.InputDistribution.product(SC2222, [0.25, 0.75], [1.0, 0.5])
+
+
+def test_joint_distribution_rejects_invalid_tables():
+    q = np.full(SC2222.shape, 1.0 / 16)
+    assert bw.JointDistribution(SC2222, q).q.sum() == 1.0
+    with pytest.raises(LengthMismatch):
+        bw.JointDistribution(SC2222, q[:1])
+    with pytest.raises(NotNormalized):
+        bw.JointDistribution(SC2222, 2 * q)
+    for bad in (math.nan, math.inf, -1.0 / 16):
+        table = q.copy()
+        table[1, 0, 1, 1] = bad
+        with pytest.raises(NegativeEntry):
+            bw.JointDistribution(SC2222, table)
 
 
 @settings(max_examples=25)

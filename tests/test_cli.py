@@ -198,12 +198,18 @@ def _malformed_input(case: str) -> tuple[str, str]:
     if case == "not_json":
         text = jsonio.wiring_to_json(bw.random_wpicc_wiring(SC2222, SC2222, 3))
         return "apply", text[: len(text) // 2]
-    return "snl", json.dumps({"sA": 2, "sB": 2, "rA": 2, "rB": 2})  # no "p"
+    behavior = {"sA": 2, "sB": 2, "rA": 2, "rB": 2}
+    if case == "behavior_p_string":
+        return "snl", json.dumps(dict(behavior, p="0.25"))
+    if case == "behavior_p_object":
+        return "snl", json.dumps(dict(behavior, p={"x": 0.25}))
+    return "snl", json.dumps(behavior)  # no "p"
 
 
 @pytest.mark.parametrize(
     "case", ["array_one_short", "missing_o_box", "scenario_size_not_a_number",
-             "not_json", "behavior_without_p"])
+             "not_json", "behavior_without_p", "behavior_p_string",
+             "behavior_p_object"])
 def test_malformed_json_exits_2(case, tmp_path, capsys):
     what, text = _malformed_input(case)
     path = tmp_path / "in.json"

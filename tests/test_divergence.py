@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellwire as bw
-from bellwire.errors import IndexMismatch, NotNormalized, ScenarioMismatch
+from bellwire.errors import IndexMismatch, NegativeEntry, NotNormalized, ScenarioMismatch
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 SC_PAIR = bw.Scenario(2, 2, 1, 2)
@@ -59,6 +59,14 @@ def test_kl_not_normalized():
         bw.kl(np.array([0.9, 0.0]), np.array([0.5, 0.5]))
     with pytest.raises(NotNormalized):
         bw.kl(np.array([0.5, 0.5]), np.array([0.9, 0.2]))
+    # a NaN sums to neither more nor less than one, so only the entry
+    # check catches it
+    with pytest.raises(NegativeEntry):
+        bw.kl(np.array([math.nan, 0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(NegativeEntry):
+        bw.kl(np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.5, math.nan]))
+    with pytest.raises(NegativeEntry):
+        bw.kl(np.array([1.5, -0.5]), np.array([0.5, 0.5]))
 
 
 def test_conditional_re_equal_behaviors():

@@ -129,6 +129,9 @@ def test_local_model_rejects_bad_weights():
     w[0], w[1] = -w[0], 3.0 * w[1]
     with pytest.raises(NegativeEntry):
         bw.LocalModel(SC2222, w)
+    w[0], w[1] = np.nan, 1.0 / 16
+    with pytest.raises(NegativeEntry):
+        bw.LocalModel(SC2222, w)
 
 
 def test_random_ns_behavior_contract():

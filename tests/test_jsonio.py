@@ -7,7 +7,12 @@ import pytest
 
 import bellwire as bw
 from bellwire import jsonio
-from bellwire.errors import ParameterOutOfRange
+from bellwire.errors import (
+    LengthMismatch,
+    NegativeEntry,
+    NotNormalized,
+    ParameterOutOfRange,
+)
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 
@@ -206,3 +211,45 @@ def test_wiring_parts_must_be_objects(slot, value):
     doc = json.loads(jsonio.wiring_to_json(bw.random_wpicc_wiring(SC2222, SC2222, 3)))
     with pytest.raises(ParameterOutOfRange, match="expected a JSON object|JSON list"):
         jsonio.wiring_from_json(json.dumps(dict(doc, **{slot: value})))
+
+
+@pytest.mark.parametrize("triple", [
+    [-1, 0, 1.0], [16, 0, 1.0], [99, 0, 1.0], [0, 4, 1.0], ["x", 0, 1.0],
+    [1.0, 0, 1.0], [True, 0, 1.0], [0, None, 1.0], [0, 0], 5,
+])
+def test_local_model_strategy_indices_are_checked(triple):
+    doc = json.loads(jsonio.local_model_to_json(bw.LocalModel(SC2222, np.eye(16)[3])))
+    assert doc["weights"] == [[0, 3, 1.0]]
+    with pytest.raises(ParameterOutOfRange):
+        jsonio.local_model_from_json(json.dumps(dict(doc, weights=[triple])))
+
+
+def test_local_model_json_rejects_invalid_weights():
+    doc = json.loads(jsonio.local_model_to_json(bw.LocalModel(SC2222, np.eye(16)[3])))
+    # json writes a NaN weight as the bare token NaN, which json reads back
+    with pytest.raises(NegativeEntry):
+        jsonio.local_model_from_json(json.dumps(dict(doc, weights=[[0, 3, math.nan]])))
+    with pytest.raises(ParameterOutOfRange):
+        jsonio.local_model_from_json(json.dumps(dict(doc, weights=[[0, 3, "1"]])))
+    with pytest.raises(NotNormalized):
+        jsonio.local_model_from_json(json.dumps(dict(doc, weights=[[0, 3, 0.5]])))
+
+
+def test_malformed_behavior_and_input_distribution_arrays():
+    doc = json.loads(jsonio.behavior_to_json(bw.pr_box()))
+    for p in (["a"] * 16, [None] * 16, [[0.25] * 4, [0.25] * 3]):
+        with pytest.raises(ParameterOutOfRange):
+            jsonio.behavior_from_json(json.dumps(dict(doc, p=p)))
+    with pytest.raises(LengthMismatch):
+        jsonio.behavior_from_json(json.dumps(dict(doc, p=doc["p"][:-1])))
+    d = json.loads(jsonio.input_distribution_to_json(bw.InputDistribution.uniform(SC2222)))
+    general = dict(d, kind="general", d=[0.5, 0.25, 0.25])
+    with pytest.raises(LengthMismatch):
+        jsonio.input_distribution_from_json(json.dumps(general))
+    with pytest.raises(ParameterOutOfRange):
+        jsonio.input_distribution_from_json(json.dumps(dict(general, d="x")))
+    product = dict(d, kind="product", dX=[0.5, 0.5], dY=[1.0])
+    with pytest.raises(LengthMismatch):
+        jsonio.input_distribution_from_json(json.dumps(product))
+    with pytest.raises(NegativeEntry):
+        jsonio.input_distribution_from_json(json.dumps(dict(product, dY=[1.0, math.nan])))

@@ -393,6 +393,9 @@ def test_field_validation_rejects(kind, name):
     negative.flat[0] = -0.25
     with pytest.raises(NegativeEntry):
         _rebuild(kind, name, negative)
+    negative.flat[0] = np.nan
+    with pytest.raises(NegativeEntry):
+        _rebuild(kind, name, negative)
     unnormalized = arr.copy()
     unnormalized.flat[0] += 0.01
     with pytest.raises(NormalizationViolation, match=name):
