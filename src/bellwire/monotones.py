@@ -200,7 +200,6 @@ def _fw_minimize(
     active = c > 0.0
     cE = c[active]
     VE = V[:, active]
-    mass = float(cE.sum())
     const = float(np.sum(cE * np.log2(P[active])))
 
     if lam0 is None:
@@ -212,6 +211,8 @@ def _fw_minimize(
         lam = lam / lam.sum()
         lam = (1.0 - 1e-6) * lam + 1e-6 / n
     qE = lam @ VE
+    ratio = np.empty_like(qE)
+    back = np.empty(n)
 
     gap = math.inf
     it = 0
@@ -221,17 +222,17 @@ def _fw_minimize(
         # the floor only matters for entries whose target weight is
         # rounding dust; it keeps incremental cancellation from feeding
         # an exact zero into the ratio
-        ratio = cE / np.maximum(qE, 1e-300)
-        back = VE @ ratio  # also the (negated, scaled) vertex scores
-        scores = -back / LN2
-        fw = int(scores.argmin())
-        gap = float(lam @ scores - scores[fw])
+        np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
+        # back is the vertex gradient, negated and scaled by ln 2
+        np.dot(VE, ratio, back)
+        fw = int(back.argmax())
+        gap = float(back[fw] - np.dot(lam, back)) / LN2
         if gap <= gap_tol:
             converged = True
             break
         if it % PAIRWISE_EVERY == 0:
             support = (lam > 1e-15).nonzero()[0]
-            aw = int(support[scores[support].argmax()])
+            aw = int(support[back[support].argmin()])
             if aw != fw:
                 d = VE[fw] - VE[aw]
                 gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
@@ -240,11 +241,11 @@ def _fw_minimize(
                     lam[aw] -= gamma
                     if lam[aw] < 1e-15:
                         lam[aw] = 0.0
-                    qE = qE + gamma * d
+                    qE += gamma * d
                     continue
-        lam = lam * back / mass
-        lam = lam / lam.sum()
-        qE = lam @ VE
+        lam *= back
+        lam /= np.add.reduce(lam)
+        np.dot(lam, VE, qE)
 
     value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
     return _InnerSolution(lam, value, max(gap, 0.0), it, converged)
@@ -291,47 +292,43 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
 
 
 class _DivergenceTables:
-    """Per-setting divergences KL(P_s || (V.lam)_s) in bits, their
-    gradients and their Hessians in the vertex weights, for fixed P and V
-    with m settings. `kls` is one mat-vec and one pass of
-    `divergence._kl_rows`, so it is +inf for a setting where lam leaves a
-    supported outcome uncovered. The support of P and each setting's
-    column block of V are indexed once; `grads` then costs one mat-vec per
-    setting and `hessian` one weighted Gram product per setting, both
-    with q floored at 1e-300 so that they stay finite."""
+    """Per-setting divergences KL(P_s || (V.lam)_s) in bits and their
+    derivatives in the vertex weights, for fixed P and V with m settings.
+    `kls` is one mat-vec and one pass of `divergence._kl_rows`, so it is
+    +inf for a setting where lam leaves a supported outcome uncovered.
+    The columns of V on the support of P are indexed once, with each
+    column's setting; `derivatives` scales that block by lam once and
+    reads q, every setting's gradient (one product, summed per setting by
+    the 0/1 setting matrix) and the weighted Hessian (one Gram product)
+    off it, with q floored at 1e-300 so that the gradients stay finite."""
 
     def __init__(self, P: np.ndarray, V: np.ndarray, m: int):
         k = V.shape[1] // m
         self.V = V
         self.shape = (m, k)
         self.P_rows = P.reshape(m, k)
-        positive = P > 0.0
-        self.support = np.flatnonzero(positive)
+        self.support = np.flatnonzero(P > 0.0)
         self.P_support = P[self.support]
-        rows = positive.reshape(m, k)
-        self.blocks = [V[:, s * k + np.flatnonzero(rows[s])] for s in range(m)]
-        ends = np.cumsum(rows.sum(axis=1)).tolist()
-        self.slices = [slice(a, b) for a, b in zip([0] + ends, ends)]
-
-    def _q(self, lam: np.ndarray) -> np.ndarray:
-        return np.maximum((lam @ self.V)[self.support], 1e-300)
+        self.VS = V[:, self.support]
+        # each support column's setting, and the 0/1 matrix that sums
+        # the columns of every setting
+        self.setting = self.support // k
+        self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
 
     def kls(self, lam: np.ndarray) -> np.ndarray:
         return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
 
-    def grads(self, lam: np.ndarray) -> np.ndarray:
-        ratio = self.P_support / self._q(lam)
-        return -np.array([B @ ratio[s] for B, s in zip(self.blocks, self.slices)]) / LN2
-
-    def hessian(self, lam: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """sum_s c_s H_s, with H_s = V_s diag(P_s / q_s^2) V_s^T / ln 2
-        the Hessian of setting s's divergence."""
-        q = self._q(lam)
-        curvature = self.P_support / (q * q)
-        H = np.zeros((lam.size, lam.size))
-        for c_s, B, s in zip(c, self.blocks, self.slices):
-            H += c_s * ((B * curvature[s]) @ B.T)
-        return H / LN2
+    def derivatives(self, lam: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every setting's gradient and the Hessian of sum_s c_s times its
+        divergence, both in the relative step u of lam -> lam (1 + u) at
+        u = 0: the rows of diag(lam) grad_s and diag(lam) H diag(lam),
+        with H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
+        VL = self.VS * lam[:, None]
+        q = np.maximum(np.add.reduce(VL, 0), 1e-300)
+        ratio = self.P_support / q
+        grads = ((VL * ratio) @ self.groups).T / -LN2
+        w = c[self.setting] * (ratio / (q * LN2))
+        return grads, (VL * w) @ VL.T
 
 
 #: Barrier parameter growth per centering stage.
@@ -351,10 +348,11 @@ def _barrier_epigraph(
     tau t - sum_j log(t - g_j) - sum_i log lam_i on the simplex, tau
     growing by BARRIER_GROWTH per stage from where the barrier's duality
     gap (k + n) / tau is about gap0 to where it is tol / 8. The lam block
-    of each KKT system is scaled by diag(lam), so the barrier's own term
-    is the identity however close lam comes to its bounds. This is the
-    tiebreaker for degenerate optimal faces, where weighted-sum
-    minimizers are not unique and plain exchanges stall.
+    of each KKT system is in the relative step u of lam -> lam (1 + u),
+    the diag(lam) scaling that `tables.derivatives` returns, so the
+    barrier's own term is the identity however close lam comes to its
+    bounds. This is the tiebreaker for degenerate optimal faces, where
+    weighted-sum minimizers are not unique and plain exchanges stall.
 
     Returns the final weights and the central-path input weights
     D_j = 1 / (tau (t - g_j)), normalized, or None when a KKT system is
@@ -377,16 +375,18 @@ def _barrier_epigraph(
         tau /= BARRIER_GROWTH
     t = float(np.max(g)) + k / tau
     kkt = np.zeros((n + 2, n + 2))
+    block, diagonal = kkt[:n, :n], kkt.reshape(-1)[:n * (n + 3):n + 3]
     while True:
         for _ in range(CENTERING_STEPS):
             w = 1.0 / (t - g)
             w2 = w * w
-            GL = (M @ tables.grads(lam)) * lam  # row gradients, scaled
+            grads, H = tables.derivatives(lam, M.T @ w)
+            GL = M @ grads  # row gradients, scaled
             grad = np.concatenate([GL.T @ w - 1.0, [tau - w.sum(), 0.0]])
-            kkt[:n, :n] = (lam[:, None] * tables.hessian(lam, M.T @ w) * lam
-                           + (GL.T * w2) @ GL)
-            kkt[:n, :n] += np.eye(n)
-            kkt[:n, n] = kkt[n, :n] = -(GL.T @ w2)
+            np.matmul(GL.T * w2, GL, out=block)
+            block += H
+            diagonal += 1.0
+            kkt[:n, n] = kkt[n, :n] = -(w2 @ GL)
             kkt[n, n] = w2.sum()
             kkt[:n, n + 1] = kkt[n + 1, :n] = lam
             try:

@@ -408,8 +408,9 @@ class _OracleTables:
     def grads(self, lam):
         return _kls_grads_hessian_oracle(*self.args, lam)[1]
 
-    def hessian(self, lam, c):
-        return _kls_grads_hessian_oracle(*self.args, lam, c)[2]
+    def derivatives(self, lam, c):
+        _, grads, hess = _kls_grads_hessian_oracle(*self.args, lam, c)
+        return grads * lam, lam[:, None] * hess * lam
 
 
 def _random_lams(n: int, seed: int, count: int = 6) -> list[np.ndarray]:
@@ -427,6 +428,17 @@ def _random_lams(n: int, seed: int, count: int = 6) -> list[np.ndarray]:
     return lams
 
 
+def _assert_close_to_largest(got, want, rtol=1e-12):
+    """Equal inf and NaN entries; finite entries within rtol of the
+    largest finite entry of want."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    assert np.array_equal(got[~finite], want[~finite], equal_nan=True)
+    if finite.any():
+        scale = np.abs(want[finite]).max()
+        assert np.abs(got[finite] - want[finite]).max() <= rtol * scale
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_tables_match_per_setting_loop():
     # weights with exact zeros can leave a supported outcome uncovered:
@@ -441,28 +453,25 @@ def test_divergence_tables_match_per_setting_loop():
         P = p.flat()
         V = bw.local_vertex_matrix(p.scenario)
         m = p.scenario.sA * p.scenario.sB
-        tables = _DivergenceTables(P, V, m)
+        tables, oracle = _DivergenceTables(P, V, m), _OracleTables(P, V, m)
         c = np.random.default_rng([43, seed]).dirichlet(np.ones(m))
         for lam in _random_lams(V.shape[0], seed):
-            kls, grads, hess = _kls_grads_hessian_oracle(P, V, m, lam, c)
-            assert np.array_equal(tables.kls(lam), kls)
-            assert np.array_equal(tables.grads(lam), grads)
-            assert np.array_equal(tables.hessian(lam, c), hess, equal_nan=True)
-    # zero-filled entries are summed over with the rest: bit for bit the
-    # per-support sum while a setting has fewer than 8 outcome pairs
-    # (numpy sums such short rows in order), equal to rounding beyond
+            assert np.array_equal(tables.kls(lam), oracle.kls(lam))
+            for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
+                _assert_close_to_largest(got, want)
+    # the fused sums run over settings of 9 outcome pairs, beyond the 8
+    # that numpy sums in order, and over a setting of weight zero
     assert np.any(bw.pr_box().flat() == 0.0)
     sc = bw.Scenario(2, 3, 2, 3)
     p = bw.Behavior(sc, 0.6 * bw.local_vertex_matrix(sc)[5].reshape(sc.shape)
                     + 0.4 * bw.random_ns_behavior(sc, 1).p)
     V = bw.local_vertex_matrix(sc)
-    tables = _DivergenceTables(p.flat(), V, 4)
+    tables, oracle = _DivergenceTables(p.flat(), V, 4), _OracleTables(p.flat(), V, 4)
     c = np.array([0.5, 0.0, 0.25, 0.25])
     for lam in _random_lams(V.shape[0], 99):
-        kls, grads, hess = _kls_grads_hessian_oracle(p.flat(), V, 4, lam, c)
-        np.testing.assert_allclose(tables.kls(lam), kls, rtol=1e-13, atol=1e-15)
-        assert np.array_equal(tables.grads(lam), grads)
-        assert np.array_equal(tables.hessian(lam, c), hess, equal_nan=True)
+        np.testing.assert_allclose(tables.kls(lam), oracle.kls(lam), rtol=1e-13, atol=1e-15)
+        for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
+            _assert_close_to_largest(got, want)
 
 
 def test_minimax_rows_infinite_exactly_where_uncovered():
@@ -563,19 +572,25 @@ def test_barrier_epigraph_matches_slsqp_oracle():
 
 
 def test_epigraph_polish_matches_per_setting_loop():
+    # the fused tables and the per-setting loop round differently, so the
+    # barrier takes slightly different paths: its weights must give the
+    # same exact rows, and the solver must close the same bracket
     from bellwire import monotones
 
     p = tsirelson_4222(4)
-    P = p.flat()
-    V = bw.local_vertex_matrix(p.scenario)
-    m = p.scenario.sA * p.scenario.sB
+    solvers = [monotones._MinimaxSolver(p, TOL) for _ in range(2)]
+    P, V, m = solvers[0].P, solvers[0].V, solvers[0].m
+    solvers[1].tables = _OracleTables(P, V, m)
     lam0 = monotones._fw_minimize(P, V, np.full(m, 1.0 / m), gap_tol=1e-4).lam
-    got = monotones._barrier_epigraph(monotones._DivergenceTables(P, V, m),
-                                      np.eye(m), lam0, 1e-3, TOL)
-    want = monotones._barrier_epigraph(_OracleTables(P, V, m),
-                                       np.eye(m), lam0, 1e-3, TOL)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
+    got, want = (monotones._barrier_epigraph(s.tables, np.eye(m), lam0, 1e-3, TOL)
+                 for s in solvers)
+    rows = solvers[0].rows
+    np.testing.assert_allclose(rows(got[0]), rows(want[0]), rtol=0.0, atol=1e-9)
+    for s in solvers:
+        s.run()
+        assert s.closed
+    (a, b) = solvers
+    assert max(a.lower, b.lower) <= min(a.upper, b.upper)
 
 
 # ---------------------------------------------------------------------------
