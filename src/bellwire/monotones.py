@@ -135,14 +135,13 @@ def _exchange_step(
 
     Safeguarded Newton on phi' inside a sign bracket [lo, hi] with
     phi'(lo) < 0; a Newton step that leaves the bracket is replaced by
-    bisection. It stops once |phi'| is 1e-12 of |phi'(0)| or the bracket
-    is narrower than 1e-15 of gamma_max. phi' is +inf where a
+    bisection. It stops once |phi'| is 1e-12 of |phi'(0)| or below the
+    rounding noise of its sum, len(qE) eps sum |cE d / qE|, or once the
+    bracket is narrower than 1e-15 of gamma_max. phi' is +inf where a
     denominator is not positive, so the returned step keeps every entry
-    of qE + g d positive unless it is the full step. When phi' is
-    rounding noise before either test is met (a search that starts next
-    to the minimizer with a small gamma_max), Newton steps can stall
-    below the resolution of the denominators; LINE_SEARCH_EVALS bounds
-    such a search.
+    of qE + g d positive unless it is the full step. LINE_SEARCH_EVALS
+    bounds a search whose Newton steps stall below the resolution of the
+    denominators all the same.
     Returns (step, number of derivative evaluations).
     """
 
@@ -160,7 +159,8 @@ def _exchange_step(
     lo, hi = 0.0, gamma_max
     g = 0.0
     d1, d2 = derivs(g)
-    tol = 1e-12 * abs(d1)
+    noise = qE.size * np.finfo(float).eps * float(np.sum(cE * np.abs(d) / qE))
+    tol = max(1e-12 * abs(d1), noise)
     evals = 2
     while evals < LINE_SEARCH_EVALS:
         if abs(d1) <= tol:
