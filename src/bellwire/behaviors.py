@@ -52,13 +52,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _float_array(arr, name: str) -> np.ndarray:
+    """`arr` as a float array copy; `ParameterOutOfRange` when numpy
+    cannot convert it (a string, a ragged nesting)."""
+    try:
+        return np.array(arr, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterOutOfRange(f"{name} is not a numeric table: {exc}") from None
+
+
 def _stochastic(
     arr, shape: tuple[int, ...], trailing: int, name: str, atol: float = PROB_ATOL
 ) -> np.ndarray:
     """`arr` as a read-only float copy of `shape` whose entries over the
     `trailing` last axes are distributions: finite, nonnegative and
     summing to one within `atol`."""
-    out = np.array(arr, dtype=float)
+    out = _float_array(arr, name)
     if out.shape != shape:
         raise LengthMismatch(f"{name} has shape {out.shape}, expected {shape}")
     cut = len(shape) - trailing
@@ -182,8 +191,8 @@ def behavior_from_array(
     scenario: Scenario, entries: Sequence[float] | Iterable[float] | np.ndarray
 ) -> Behavior:
     """Build a validated Behavior from flat row-major [x][y][a][b] entries."""
-    flat = np.asarray(list(entries) if not isinstance(entries, np.ndarray) else entries,
-                      dtype=float).reshape(-1)
+    flat = _float_array(list(entries) if not isinstance(entries, np.ndarray) else entries,
+                        "behavior").reshape(-1)
     if flat.size != scenario.table_size:
         raise LengthMismatch(
             f"expected {scenario.table_size} entries, got {flat.size}"
@@ -248,8 +257,11 @@ class InputDistribution:
 
     @staticmethod
     def general(scenario: Scenario, d: np.ndarray | Sequence[float]) -> "InputDistribution":
-        arr = np.asarray(d, dtype=float).reshape(scenario.sA, scenario.sB)
-        return InputDistribution(scenario, arr, KIND_GENERAL)
+        arr = _float_array(d, "input distribution")
+        if arr.size != scenario.sA * scenario.sB:
+            raise LengthMismatch(f"input distribution has {arr.size} entries, "
+                                 f"expected {scenario.sA * scenario.sB}")
+        return InputDistribution(scenario, arr.reshape(scenario.sA, scenario.sB), KIND_GENERAL)
 
     @staticmethod
     def point_mass(scenario: Scenario, x: int, y: int) -> "InputDistribution":

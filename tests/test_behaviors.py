@@ -183,6 +183,23 @@ def test_input_distribution_kinds():
         bw.InputDistribution.product(SC2222, [0.25, 0.75], [1.0, 0.5])
 
 
+def test_input_distribution_general_checks_size_before_reshape():
+    for d in ([0.5, 0.25, 0.25], [0.2] * 5, np.full((2, 3), 1.0 / 6)):
+        with pytest.raises(LengthMismatch):
+            bw.InputDistribution.general(SC2222, d)
+
+
+def test_non_numeric_tables_raise_parameter_out_of_range():
+    # numpy's float conversion fails before any shape or entry check
+    for make in (lambda: bw.Behavior(SC2222, "abc"),
+                 lambda: bw.Behavior(SC2222, [[0.5, 0.5], [1.0]]),
+                 lambda: bw.behavior_from_array(SC2222, ["x"] * 16),
+                 lambda: bw.InputDistribution.general(SC2222, "abcd"),
+                 lambda: bw.JointDistribution(SC2222, {"q": 1.0})):
+        with pytest.raises(ParameterOutOfRange):
+            make()
+
+
 def test_joint_distribution_rejects_invalid_tables():
     q = np.full(SC2222.shape, 1.0 / 16)
     assert bw.JointDistribution(SC2222, q).q.sum() == 1.0
