@@ -135,13 +135,14 @@ def _exchange_step(
 
     Safeguarded Newton on phi' inside a sign bracket [lo, hi] with
     phi'(lo) < 0; a Newton step that leaves the bracket is replaced by
-    bisection. It stops once |phi'| is 1e-12 of |phi'(0)| or below the
-    rounding noise of its sum, len(qE) eps sum |cE d / qE|, or once the
-    bracket is narrower than 1e-15 of gamma_max. phi' is +inf where a
+    bisection. It stops once |phi'| is 1e-12 of |phi'(0)| or the bracket
+    is narrower than 1e-15 of gamma_max. phi' is +inf where a
     denominator is not positive, so the returned step keeps every entry
-    of qE + g d positive unless it is the full step. LINE_SEARCH_EVALS
-    bounds a search whose Newton steps stall below the resolution of the
-    denominators all the same.
+    of qE + g d positive unless it is the full step. When phi' is
+    rounding noise before either test is met (a search that starts next
+    to the minimizer with a small gamma_max), Newton steps can stall
+    below the resolution of the denominators; LINE_SEARCH_EVALS bounds
+    such a search.
     Returns (step, number of derivative evaluations).
     """
 
@@ -159,8 +160,7 @@ def _exchange_step(
     lo, hi = 0.0, gamma_max
     g = 0.0
     d1, d2 = derivs(g)
-    noise = qE.size * np.finfo(float).eps * float(np.sum(cE * np.abs(d) / qE))
-    tol = max(1e-12 * abs(d1), noise)
+    tol = 1e-12 * abs(d1)
     evals = 2
     while evals < LINE_SEARCH_EVALS:
         if abs(d1) <= tol:
@@ -307,12 +307,12 @@ class _DivergenceTables:
         self.V = V
         self.shape = (m, k)
         self.P_rows = P.reshape(m, k)
-        self.support = np.flatnonzero(P > 0.0)
-        self.P_support = P[self.support]
-        self.VS = V[:, self.support]
+        support = np.flatnonzero(P > 0.0)
+        self.P_support = P[support]
+        self.VS = V[:, support]
         # each support column's setting, and the 0/1 matrix that sums
         # the columns of every setting
-        self.setting = self.support // k
+        self.setting = support // k
         self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
 
     def kls(self, lam: np.ndarray) -> np.ndarray:
@@ -320,8 +320,8 @@ class _DivergenceTables:
 
     def derivatives(self, lam: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every setting's gradient and the Hessian of sum_s c_s times its
-        divergence, both in the relative step u of lam -> lam (1 + u) at
-        u = 0: the rows of diag(lam) grad_s and diag(lam) H diag(lam),
+        divergence in the relative step u of lam -> lam (1 + u), at u = 0:
+        row s of the first is lam * grad_s, the second diag(lam) H diag(lam)
         with H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
         VL = self.VS * lam[:, None]
         q = np.maximum(np.add.reduce(VL, 0), 1e-300)
@@ -383,8 +383,7 @@ def _barrier_epigraph(
             grads, H = tables.derivatives(lam, M.T @ w)
             GL = M @ grads  # row gradients, scaled
             grad = np.concatenate([GL.T @ w - 1.0, [tau - w.sum(), 0.0]])
-            np.matmul(GL.T * w2, GL, out=block)
-            block += H
+            np.add(H, (GL.T * w2) @ GL, out=block)
             diagonal += 1.0
             kkt[:n, n] = kkt[n, :n] = -(w2 @ GL)
             kkt[n, n] = w2.sum()

@@ -181,9 +181,7 @@ def test_input_distribution_kinds():
         bw.InputDistribution.product(SC2222, [math.nan, 0.5], [1.0, 0.0])
     with pytest.raises(NotNormalized):
         bw.InputDistribution.product(SC2222, [0.25, 0.75], [1.0, 0.5])
-
-
-def test_input_distribution_general_checks_size_before_reshape():
+    # the entry count is checked before the reshape
     for d in ([0.5, 0.25, 0.25], [0.2] * 5, np.full((2, 3), 1.0 / 6)):
         with pytest.raises(LengthMismatch):
             bw.InputDistribution.general(SC2222, d)
