@@ -459,8 +459,8 @@ def test_divergence_tables_match_per_setting_loop():
             assert np.array_equal(tables.kls(lam), oracle.kls(lam))
             for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
                 _assert_close_to_largest(got, want)
-    # the fused sums run over settings of 9 outcome pairs, beyond the 8
-    # that numpy sums in order, and over a setting of weight zero
+    # settings of 9 outcome pairs, beyond the 8 that numpy sums in order
+    # (so kls equals the loop to rounding), and a setting of weight zero
     assert np.any(bw.pr_box().flat() == 0.0)
     sc = bw.Scenario(2, 3, 2, 3)
     p = bw.Behavior(sc, 0.6 * bw.local_vertex_matrix(sc)[5].reshape(sc.shape)
@@ -589,7 +589,7 @@ def test_epigraph_polish_matches_per_setting_loop():
     for s in solvers:
         s.run()
         assert s.closed
-    (a, b) = solvers
+    a, b = solvers
     assert max(a.lower, b.lower) <= min(a.upper, b.upper)
 
 
