@@ -46,12 +46,6 @@ PROB_ATOL = 1e-12
 DEFAULT_VERTEX_CAP = 10**6
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 def _float_array(arr, name: str) -> np.ndarray:
     """`arr` as a float array copy; `ParameterOutOfRange` when numpy
     cannot convert it (a string, a ragged nesting)."""

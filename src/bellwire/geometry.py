@@ -72,11 +72,9 @@ def _response_tables(key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=32)
-def _vertex_matrix_cached(key: tuple[int, int, int, int], cap: int) -> np.ndarray:
-    scenario = Scenario(*key, vertex_cap=cap)
-    nA, nB = scenario.n_alice_strategies, scenario.n_bob_strategies
+def _vertex_matrix_cached(key: tuple[int, int, int, int]) -> np.ndarray:
     VA, VB = _response_tables(key)
-    V = np.einsum("sxa,tyb->stxyab", VA, VB).reshape(nA * nB, scenario.table_size)
+    V = np.einsum("sxa,tyb->stxyab", VA, VB).reshape(VA.shape[0] * VB.shape[0], -1)
     V.flags.writeable = False
     return V
 
@@ -84,7 +82,7 @@ def _vertex_matrix_cached(key: tuple[int, int, int, int], cap: int) -> np.ndarra
 def local_vertex_matrix(scenario: Scenario) -> np.ndarray:
     """All deterministic vertex behaviors as rows of an (n, sA*sB*rA*rB)
     0/1 matrix, in canonical lexicographic order (Alice-major)."""
-    return _vertex_matrix_cached(scenario.key(), scenario.vertex_cap)
+    return _vertex_matrix_cached(scenario.key())
 
 
 class VertexColumns:
@@ -318,39 +316,19 @@ def _ns_projector(key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarra
     sA, rA, sB, rB = key
     dim = sA * sB * rA * rB
 
-    def flat_index(x, y, a, b):
-        return ((x * sB + y) * rA + a) * rB + b
+    def diff(s: int) -> np.ndarray:  # rows e_i - e_{i+1}
+        return np.eye(s - 1, s) - np.eye(s - 1, s, 1)
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    for x in range(sA):
-        for y in range(sB):
-            row = np.zeros(dim)
-            for a in range(rA):
-                for b in range(rB):
-                    row[flat_index(x, y, a, b)] = 1.0
-            rows.append(row)
-            rhs.append(1.0)
-    for x in range(sA):
-        for a in range(rA):
-            for y in range(sB - 1):
-                row = np.zeros(dim)
-                for b in range(rB):
-                    row[flat_index(x, y, a, b)] = 1.0
-                    row[flat_index(x, y + 1, a, b)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-    for y in range(sB):
-        for b in range(rB):
-            for x in range(sA - 1):
-                row = np.zeros(dim)
-                for a in range(rA):
-                    row[flat_index(x, y, a, b)] = 1.0
-                    row[flat_index(x + 1, y, a, b)] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-    C = np.array(rows)
-    d = np.array(rhs)
+    # rows (x, y): normalization; (x, a, y): Alice's marginal at y equals
+    # that at y + 1; (y, b, x): Bob's mirror. Columns are (x, y, a, b).
+    norm = np.einsum("xX,yY,a,b->xyXYab", np.eye(sA), np.eye(sB),
+                     np.ones(rA), np.ones(rB))
+    alice = np.einsum("xX,aA,yY,b->xayXYAb", np.eye(sA), np.eye(rA),
+                      diff(sB), np.ones(rB))
+    bob = np.einsum("yY,bB,xX,a->ybxXYaB", np.eye(sB), np.eye(rB),
+                    diff(sA), np.ones(rA))
+    C = np.concatenate([t.reshape(-1, dim) for t in (norm, alice, bob)])
+    d = np.concatenate([np.ones(sA * sB), np.zeros(C.shape[0] - sA * sB)])
     pinv = np.linalg.pinv(C @ C.T)
     return C, pinv, d
 

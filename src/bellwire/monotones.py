@@ -1,17 +1,19 @@
 """Nonlocality quantifiers over the local polytope.
 
-Four quantities are computed, all in bits:
+Every quantifier, in bits, minimizes over vertex weights the worst row
+of M @ (per-setting divergences) for some input map M, whose rows are
+setting weights. One engine, `_MinimaxSolver`, solves and reports them
+all: inner minimizations at fixed input weights bound the optimum from
+below, the exact rows at any vertex weights bound it from above. Every
+value is the upper end of the closed bracket and `gap_estimate` its
+width, so value - gap_estimate is a certified lower bound, never below 0.
 
 * `s_u` — divergence from the local set under uniformly chosen inputs:
-  a single convex minimization over vertex weights.
+  the engine with one input row, the uniform setting weights.
 * `s_nl` — the input-maximized divergence from the local set, a convex
-  min-max problem. The objective is linear in the input distribution, so
-  input-side best responses are point masses on the worst setting; the
-  solver alternates input-side updates with full convex minimizations
-  over vertex weights and certifies a bracket from the saddle-point
-  inequality: any vertex-weight iterate upper-bounds the value by its
-  worst-setting divergence, and any inner minimization at fixed inputs
-  lower-bounds it.
+  min-max problem with one row per setting. The objective is linear in
+  the input distribution, so input-side best responses are point
+  masses on the worst setting.
 * `s_c` — equal to `s_nl` by the minimax theorem; reported with a
   maximin input distribution D, the input weights whose inner
   minimization set the bracket's lower bound: the minimum over vertex
@@ -22,11 +24,12 @@ Four quantities are computed, all in bits:
   The product set is nonconvex, so the alternating coordinate ascent
   with multi-start reports a certified LOWER bound, flagged as such.
   Each block of the ascent, over one party's marginal with the other
-  fixed, is again a convex min-max problem, solved by the same engine
-  as `s_nl` with the settings grouped by the free party's input.
+  fixed, is again a convex min-max problem, solved by the engine with
+  the settings grouped by the free party's input; the final solve at
+  the best product is the engine with that product as its one row.
 
 `s_nl` and `s_c` read the same deterministic solve, and the module keeps
-the outcome of the most recent one: a call on the box and tol of the
+`s_c`'s result of the most recent one: a call on the box and tol of the
 previous `s_nl` or `s_c` call returns values built from that solve,
 bit-identical to a fresh one, without solving again. Only that one
 solve is kept. `s_c_alternating` and `s_uc` never read it.
@@ -38,27 +41,25 @@ its stopping certificate is the Frank-Wolfe gap, whose linear subproblem
 is exact enumeration over the deterministic vertices. Iterates start at
 the barycenter.
 
-The engine works on input coordinates, each a fixed weighting of the
-settings (for `s_nl` one coordinate per setting). After an inner
-minimization at uniform input weights, it polishes by a log-barrier
-Newton solve of the epigraph program (minimize t subject to every
-coordinate's divergence being at most t, over the vertex-weight
-simplex), whose central path also yields input weights: the barrier's
-multipliers on the coordinate constraints. The barrier's outputs are
-never trusted as such: the exact worst-coordinate divergence at its
-vertex weights bounds the value from above, and an inner minimization
-at its multipliers bounds it from below, so the polish can only tighten
-the certified bracket.
+When an inner minimization at uniform input weights leaves a minimax
+bracket open, the engine polishes by a log-barrier Newton solve of the
+epigraph program (minimize t subject to every row's divergence being at
+most t, over the vertex-weight simplex), whose central path also yields
+input weights: the barrier's multipliers on the row constraints. The
+barrier's outputs are never trusted as such: the exact worst-row
+divergence at its vertex weights bounds the value from above, and an
+inner minimization at its multipliers bounds it from below, so the
+polish can only tighten the certified bracket.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .behaviors import Behavior, InputDistribution, Scenario, _freeze
+from .behaviors import Behavior, InputDistribution
 from .divergence import _kl_rows
 from .errors import NoConvergence, SolverFailure
 from .geometry import LocalModel, local_vertex_matrix
@@ -99,10 +100,10 @@ ALTERNATING_STEPS = 60
 class MonotoneResult:
     """Solver output: the value in bits plus certificates.
 
-    `optimizer_local` reconstructs to the minimizing local behavior;
-    `gap_estimate` is a valid optimality-gap bound except when
-    `lower_bound` is set, in which case only the inner minimization is
-    certified and the outer maximization is heuristic.
+    `value` is the upper end of a closed bracket, the exact worst-row
+    divergence at `optimizer_local`, and `gap_estimate` its width. When
+    `lower_bound` is set, the bracket certifies only the minimization
+    over vertex weights; the outer maximization is heuristic.
     """
 
     value: float
@@ -251,43 +252,8 @@ def _fw_minimize(
     return _InnerSolution(lam, value, max(gap, 0.0), it, converged)
 
 
-def _result_from_lam(
-    p: Behavior,
-    lam: np.ndarray,
-    inputs: InputDistribution | None,
-    value: float,
-    gap: float,
-    iterations: int,
-    lower_bound: bool = False,
-) -> MonotoneResult:
-    lam = np.clip(lam, 0.0, None)
-    model = LocalModel(p.scenario, lam / lam.sum())
-    return MonotoneResult(
-        value=float(value),
-        optimizer_local=model,
-        optimizer_inputs=inputs,
-        gap_estimate=float(gap),
-        iterations=iterations,
-        lower_bound=lower_bound,
-    )
-
-
-def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
-    """Divergence from the local set under the uniform input
-    distribution: a single convex minimization, certified by the
-    Frank-Wolfe gap."""
-    sc = p.scenario
-    V = local_vertex_matrix(sc)
-    weights = np.full(sc.sA * sc.sB, 1.0 / (sc.sA * sc.sB))
-    inner = _fw_minimize(p.flat(), V, weights, gap_tol=tol)
-    if not inner.converged:
-        raise NoConvergence(inner.iterations, inner.gap)
-    return _result_from_lam(p, inner.lam, None, inner.value, inner.gap,
-                            inner.iterations)
-
-
 # ---------------------------------------------------------------------------
-# Minimax: s_nl and s_c
+# The minimax engine
 # ---------------------------------------------------------------------------
 
 
@@ -432,7 +398,7 @@ class _MinimaxSolver:
     makes the rows the settings. Maintains a bracket [lower, upper]:
     lower bounds come from inner minimizations at fixed input weights d
     (setting weights d @ M), upper bounds from the worst row value of any
-    vertex-weight iterate."""
+    vertex-weight iterate. `result` reports the closed bracket."""
 
     def __init__(self, p: Behavior, tol: float, M: np.ndarray | None = None):
         self.V = local_vertex_matrix(p.scenario)
@@ -517,29 +483,47 @@ class _MinimaxSolver:
         if not self.closed:
             raise NoConvergence(self.iterations, float(self.gap))
 
+    def result(
+        self, p: Behavior, inputs: InputDistribution | None, lower_bound: bool = False
+    ) -> MonotoneResult:
+        """The closed bracket as a result: its upper end, the weights that
+        set it and its width. Raises NoConvergence while it is open."""
+        if not self.closed:
+            raise NoConvergence(self.iterations, float(self.gap))
+        lam = self.lam_best
+        return MonotoneResult(self.upper, LocalModel(p.scenario, lam / lam.sum()),
+                              inputs, self.gap, self.iterations, lower_bound)
 
-@dataclass(frozen=True)
-class _MinimaxOutcome:
-    """The closed bracket of one `_MinimaxSolver.run`, arrays read-only."""
 
-    lam_best: np.ndarray
-    d_lower: np.ndarray
-    upper: float
-    gap: float
-    iterations: int
+# ---------------------------------------------------------------------------
+# s_u, s_nl and s_c
+# ---------------------------------------------------------------------------
 
 
-#: ((scenario key, table bytes, tol), outcome) of the most recent
+def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
+    """Divergence from the local set under the uniform input
+    distribution: the minimax engine with one input row, the uniform
+    setting weights, closed by a single inner minimization. The value is
+    the exact uniform-weighted divergence at its minimizer; the bracket's
+    lower end is the minimizer's value less its Frank-Wolfe gap."""
+    m = p.scenario.sA * p.scenario.sB
+    solver = _MinimaxSolver(p, tol, np.full((1, m), 1.0 / m))
+    solver.solve_at(np.ones(1), tol)
+    return solver.result(p, None)
+
+
+#: ((scenario key, table bytes, tol), `s_c`'s result) of the most recent
 #: successful `_minimax_solve`. It holds one solve only, so just a repeat
 #: call on the same box and tol (`s_c` then `s_nl`, say) reuses it.
-_last_solve: tuple[tuple, _MinimaxOutcome] | None = None
+_last_solve: tuple[tuple, MonotoneResult] | None = None
 
 
-def _minimax_solve(p: Behavior, tol: float) -> _MinimaxOutcome:
-    """The saddle problem of `s_nl` and `s_c` at p and tol. The solve is
-    deterministic, so a call on the box and tol of the previous one
-    returns that solve's outcome: exactly what a fresh solve returns. A
-    solve that raises leaves no outcome behind."""
+def _minimax_solve(p: Behavior, tol: float) -> MonotoneResult:
+    """`s_c`'s result for the saddle problem of `s_nl` and `s_c` at p and
+    tol. The solve is deterministic, so a call on the box and tol of the
+    previous one returns that solve's result, whose arrays are
+    read-only: exactly what a fresh solve returns. A solve that raises
+    leaves no result behind."""
     global _last_solve
     key = (p.scenario.key(), p.p.tobytes(), tol)
     last = _last_solve  # one read: the pair is replaced, never edited
@@ -548,23 +532,17 @@ def _minimax_solve(p: Behavior, tol: float) -> _MinimaxOutcome:
     _last_solve = None
     solver = _MinimaxSolver(p, tol)
     solver.run()
-    outcome = _MinimaxOutcome(_freeze(solver.lam_best), _freeze(solver.d_lower),
-                              solver.upper, solver.gap, solver.iterations)
-    _last_solve = key, outcome
-    return outcome
+    result = _maximin_result(p, solver)
+    _last_solve = key, result
+    return result
 
 
-def _maximin_result(
-    p: Behavior, solver: _MinimaxSolver | _MinimaxOutcome
-) -> MonotoneResult:
+def _maximin_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
     """The closed bracket's result, reporting as optimizer input the
     input weights `d_lower` whose certified inner minimum set the lower
     bound: the minimum over vertex weights at them is at least
     value - gap_estimate."""
-    inputs = InputDistribution.general(p.scenario, solver.d_lower)
-    return _result_from_lam(
-        p, solver.lam_best, inputs, solver.upper, solver.gap, solver.iterations
-    )
+    return solver.result(p, InputDistribution.general(p.scenario, solver.d_lower))
 
 
 def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
@@ -572,10 +550,7 @@ def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     entropy of nonlocality), certified by the saddle-point bracket. A
     call on the box and tol of the last `s_nl` or `s_c` call reuses that
     call's solve."""
-    solved = _minimax_solve(p, tol)
-    return _result_from_lam(
-        p, solved.lam_best, None, solved.upper, solved.gap, solved.iterations
-    )
+    return replace(_minimax_solve(p, tol), optimizer_inputs=None)
 
 
 def s_c(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
@@ -585,7 +560,7 @@ def s_c(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     minimization at it certifies at least value - gap_estimate. A call
     on the box and tol of the last `s_nl` or `s_c` call reuses that
     call's solve."""
-    return _maximin_result(p, _minimax_solve(p, tol))
+    return _minimax_solve(p, tol)
 
 
 def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
@@ -647,8 +622,6 @@ def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
         if not solver.closed and solver.gap > gap_before / 2.0:
             solver.polish()
 
-    if not solver.closed:
-        raise NoConvergence(solver.iterations, float(solver.gap))
     return _maximin_result(p, solver)
 
 
@@ -671,30 +644,23 @@ def s_uc(
     of sum_x d_x r_x over one marginal d, where r_x is the divergence of
     the settings with that party's input x weighted by the other, fixed
     marginal: the saddle problem of `s_nl` with the settings grouped by
-    the free party's input, certified by the same engine; a block whose
-    bracket does not close, or a final re-solve at the best product that
-    misses the gap, raises NoConvergence. `restarts` is a floor
-    on the number of starts: the uniform product and all sA*sB
-    point-mass products always run, and seeded random products fill up
-    to `restarts`. The product set is nonconvex, so global optimality is not certified: the result reports
-    the best value found, flagged as a lower bound; its gap_estimate
-    certifies only the inner minimization.
+    the free party's input, certified by the same engine. The final
+    re-solve at the best product is the engine with that product as its
+    one input row, as in `s_u`; a block's bracket or the final one that
+    does not close raises NoConvergence. `restarts` is a floor on the
+    number of starts: the uniform product and all sA*sB point-mass
+    products always run, and seeded random products fill up to
+    `restarts`. The product set is nonconvex, so global optimality is
+    not certified: the result reports the exact divergence at the best
+    product, flagged as a lower bound; its gap_estimate is the width of
+    the final bracket, which certifies only the inner minimization.
     """
     sc = p.scenario
-    V = local_vertex_matrix(sc)
-    P = p.flat()
     rng = np.random.default_rng(seed)
 
-    starts: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.full(sc.sA, 1.0 / sc.sA), np.full(sc.sB, 1.0 / sc.sB))
-    ]
-    for x in range(sc.sA):
-        for y in range(sc.sB):
-            dx = np.zeros(sc.sA)
-            dy = np.zeros(sc.sB)
-            dx[x] = 1.0
-            dy[y] = 1.0
-            starts.append((dx, dy))
+    eye_A, eye_B = np.eye(sc.sA), np.eye(sc.sB)
+    starts = [(np.full(sc.sA, 1.0 / sc.sA), np.full(sc.sB, 1.0 / sc.sB))]
+    starts += [(eye_A[x], eye_B[y]) for x in range(sc.sA) for y in range(sc.sB)]
     while len(starts) < max(restarts, 1):
         starts.append(
             (rng.dirichlet(np.ones(sc.sA)), rng.dirichlet(np.ones(sc.sB)))
@@ -717,7 +683,6 @@ def s_uc(
         iterations += solver.iterations
         return solver.d_lower, solver.lower, solver.lam_warm
 
-    eye_A, eye_B = np.eye(sc.sA), np.eye(sc.sB)
     for dx0, dy0 in starts:
         dx, dy = dx0.copy(), dy0.copy()
         val_prev = -math.inf
@@ -734,16 +699,11 @@ def s_uc(
             best_lam = lam_warm
 
     dx, dy = best_pair
-    D = np.outer(dx, dy).reshape(-1)
-    inner = _fw_minimize(P, V, D, gap_tol=tol, lam0=best_lam)
-    iterations += inner.iterations
-    if not inner.converged:
-        raise NoConvergence(inner.iterations, inner.gap)
-    inputs = InputDistribution.product(sc, dx, dy)
-    return _result_from_lam(
-        p, inner.lam, inputs, inner.value, inner.gap, iterations,
-        lower_bound=True,
-    )
+    solver = _MinimaxSolver(p, tol, np.outer(dx, dy).reshape(1, -1))
+    solver.lam_warm = best_lam
+    solver.iterations = iterations
+    solver.solve_at(np.ones(1), tol)
+    return solver.result(p, InputDistribution.product(sc, dx, dy), lower_bound=True)
 
 
 QUANTIFIERS = {

@@ -149,6 +149,24 @@ def test_random_ns_behavior_other_scenarios():
         assert bw.is_no_signaling(p, 1e-9).ok
 
 
+@pytest.mark.parametrize(
+    "key", [(2, 2, 2, 2), (3, 2, 2, 3), (1, 2, 2, 2), (2, 2, 1, 3), (2, 1, 2, 2),
+            (1, 1, 1, 1), (4, 3, 4, 3)]
+)
+def test_ns_constraints_hold_on_every_vertex_with_full_rank(key):
+    from bellwire.geometry import _ns_projector
+
+    sA, rA, sB, rB = key
+    sc = bw.Scenario(*key)
+    C, _, d = _ns_projector(key)
+    V = bw.local_vertex_matrix(sc)
+    assert np.all(C @ V.T == d[:, None])
+    # the no-signaling set spans an affine subspace of dimension
+    # (sA(rA-1)+1)(sB(rB-1)+1) - 1, the local polytope's
+    ns_dim = (sA * (rA - 1) + 1) * (sB * (rB - 1) + 1) - 1
+    assert np.linalg.matrix_rank(C) == sc.table_size - ns_dim
+
+
 def test_degenerate_scenarios_ns_implies_local():
     # one-outcome parties collapse the polytope: every no-signaling
     # behavior there is local

@@ -361,7 +361,22 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
     with pytest.raises(NoConvergence) as err:
         bw.s_uc(p, TOL, restarts=1, seed=0)
     assert len(calls) == 2 * last
-    assert err.value.gap == 1e-3
+    # the error reports the final bracket's width: the stalled inner gap
+    # plus the rounding between the exact rows and the inner value
+    assert 1e-3 <= err.value.gap <= 1e-3 + 1e-12
+
+
+@pytest.mark.parametrize("quantifier", ["su", "suc", "snl", "sc"])
+def test_value_minus_gap_is_a_nonnegative_lower_bound(quantifier):
+    # every value is the upper end of a closed bracket whose lower end,
+    # value - gap_estimate, bounds a divergence and so is never below 0
+    boxes = [bw.random_local_behavior(SC2222, seed)[0] for seed in range(6)]
+    boxes += [noisy_pr(0.8), pr_relabeling_mixture(7, 0.8, 1)]
+    kwargs = {"restarts": 1} if quantifier == "suc" else {}
+    for p in boxes:
+        r = monotones.evaluate_quantifier(quantifier, p, TOL, **kwargs)
+        assert r.gap_estimate <= TOL
+        assert r.value - r.gap_estimate >= 0.0
 
 
 # ---------------------------------------------------------------------------
