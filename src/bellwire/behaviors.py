@@ -259,6 +259,9 @@ class InputDistribution:
 
     @staticmethod
     def point_mass(scenario: Scenario, x: int, y: int) -> "InputDistribution":
+        if not (0 <= x < scenario.sA and 0 <= y < scenario.sB):
+            raise ParameterOutOfRange(
+                f"setting ({x}, {y}) outside {scenario.sA} x {scenario.sB} settings")
         d = np.zeros((scenario.sA, scenario.sB))
         d[x, y] = 1.0
         return InputDistribution(scenario, d, KIND_GENERAL)

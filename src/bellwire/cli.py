@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .divergence import behavior_re
 from .errors import BellwireError, ParameterOutOfRange
 from .geometry import is_local, is_no_signaling, random_local_behavior, random_ns_behavior
 from .monotones import (
+    AuditRow,
+    convexity_audit,
     evaluate_quantifier,
     monotonicity_audit,
     s_c_alternating,
@@ -198,7 +201,7 @@ def cmd_reproduce_thm5(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _trial_gw_contractivity(seed: int, trial: int, tol: float) -> dict:
+def _trial_gw_contractivity(seed: int, trial: int, tol: float) -> AuditRow:
     p = random_ns_behavior(SC2222, _trial_seed(seed, trial, 0))
     pp = random_ns_behavior(SC2222, _trial_seed(seed, trial, 1))
     w = random_global_wiring(SC2222, SC2222, _trial_seed(seed, trial, 2))
@@ -211,65 +214,52 @@ def _trial_gw_contractivity(seed: int, trial: int, tol: float) -> dict:
         violation = float("inf")
     else:
         violation = max(0.0, after - before - slack)
-    return {"label": "gw", "value_before": before, "value_after": after,
-            "slack": slack, "violation": violation}
+    return AuditRow("gw", before, after, slack, violation)
 
 
-def _trial_losr_closure(seed: int, trial: int, tol: float) -> dict:
+def _trial_losr_closure(seed: int, trial: int, tol: float) -> AuditRow:
     p, _ = random_local_behavior(SC2222, _trial_seed(seed, trial, 0))
     w = random_losr_wiring(SC2222, SC2222, _trial_seed(seed, trial, 1))
     out = apply_losr(w, p)
     local = is_local(out, tol=1e-8).is_local
-    return {"label": "losr-closure", "value_before": 1.0,
-            "value_after": 1.0 if local else 0.0, "slack": 0.0,
-            "violation": 0.0 if local else 1.0}
+    return AuditRow("losr-closure", 1.0, 1.0 if local else 0.0, 0.0,
+                    0.0 if local else 1.0)
 
 
-def _trial_snl_monotonicity(seed: int, trial: int, tol: float) -> dict:
+def _trial_snl_monotonicity(seed: int, trial: int, tol: float) -> AuditRow:
     p = random_ns_behavior(SC2222, _trial_seed(seed, trial, 0))
     w = random_wpicc_wiring(SC2222, SC2222, _trial_seed(seed, trial, 1))
     rep = monotonicity_audit("snl", p, [w], tol)
-    row = rep.rows[0]
-    return {"label": "snl-wpicc", "value_before": row.value_before,
-            "value_after": row.value_after, "slack": row.slack,
-            "violation": row.violation}
+    return replace(rep.rows[0], label="snl-wpicc")
 
 
-def _trial_suc_monotonicity(seed: int, trial: int, tol: float) -> dict:
+def _trial_suc_monotonicity(seed: int, trial: int, tol: float) -> AuditRow:
     p = random_ns_behavior(SC2222, _trial_seed(seed, trial, 0))
     w = random_uclosr_wiring(SC2222, SC2222, _trial_seed(seed, trial, 1))
     rep = monotonicity_audit("suc", p, [w], tol, restarts=8,
                              seed=_trial_seed(seed, trial, 2))
-    row = rep.rows[0]
-    return {"label": "suc-uclosr", "value_before": row.value_before,
-            "value_after": row.value_after, "slack": row.slack,
-            "violation": row.violation}
+    return replace(rep.rows[0], label="suc-uclosr")
 
 
-def _trial_convexity(seed: int, trial: int, tol: float) -> dict:
+def _trial_convexity(seed: int, trial: int, tol: float) -> AuditRow:
     p = random_ns_behavior(SC2222, _trial_seed(seed, trial, 0))
     pp = random_ns_behavior(SC2222, _trial_seed(seed, trial, 1))
     rng = np.random.default_rng(_trial_seed(seed, trial, 2))
     mu = float(rng.uniform())
-    from .monotones import convexity_audit
-
     rep_nl = convexity_audit("snl", p, pp, [mu], tol)
     rep_uc = convexity_audit("suc", p, pp, [mu], tol, restarts=6,
                              seed=_trial_seed(seed, trial, 3))
-    worst = max(rep_nl.worst, rep_uc.worst)
-    return {"label": f"convexity-mu={mu:.6f}",
-            "value_before": rep_nl.rows[0].value_before,
-            "value_after": rep_nl.rows[0].value_after,
-            "slack": rep_nl.rows[0].slack, "violation": worst}
+    # the s_nl row, with the worse violation of the two quantifiers
+    return replace(rep_nl.rows[0], label=f"convexity-mu={mu:.6f}",
+                   violation=max(rep_nl.worst, rep_uc.worst))
 
 
-def _trial_minimax_identity(seed: int, trial: int, tol: float) -> dict:
+def _trial_minimax_identity(seed: int, trial: int, tol: float) -> AuditRow:
     p = random_ns_behavior(SC2222, _trial_seed(seed, trial, 0))
     a = s_nl(p, tol)
     b = s_c_alternating(p, tol)
     gap = abs(a.value - b.value)
-    return {"label": "minimax", "value_before": a.value, "value_after": b.value,
-            "slack": 2.0 * tol, "violation": max(0.0, gap - 2.0 * tol)}
+    return AuditRow("minimax", a.value, b.value, 2.0 * tol, max(0.0, gap - 2.0 * tol))
 
 
 TRIAL_RUNNERS = {
@@ -285,18 +275,12 @@ TRIAL_RUNNERS = {
 def cmd_campaign(args) -> int:
     runner = TRIAL_RUNNERS[args.suite]
 
-    def run_trial(trial: int) -> dict:
+    def run_trial(trial: int) -> tuple[AuditRow, str]:
         try:
-            row = runner(args.seed, trial, args.tol)
+            return runner(args.seed, trial, args.tol), ""
         except BellwireError as err:
-            row = {"label": "error", "value_before": float("nan"),
-                   "value_after": float("nan"), "slack": float("nan"),
-                   "violation": float("nan"), "error": str(err)}
-        row.setdefault("error", "")
-        row["trial"] = trial
-        return row
-
-    rows = [run_trial(t) for t in range(args.trials)]
+            nan = float("nan")
+            return AuditRow("error", nan, nan, nan, nan), str(err)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -304,16 +288,16 @@ def cmd_campaign(args) -> int:
                      "violation", "error"])
     n_viol = 0
     n_err = 0
-    for row in rows:
-        viol = row["violation"]
-        if isinstance(viol, float) and math.isnan(viol):
+    for trial in range(args.trials):
+        row, error = run_trial(trial)
+        if math.isnan(row.violation):
             n_err += 1
-        elif viol > 0:
+        elif row.violated:
             n_viol += 1
         writer.writerow([
-            row["trial"], row["label"],
-            f"{row['value_before']:.17g}", f"{row['value_after']:.17g}",
-            f"{row['slack']:.17g}", f"{row['violation']:.17g}", row["error"],
+            trial, row.label,
+            f"{row.value_before:.17g}", f"{row.value_after:.17g}",
+            f"{row.slack:.17g}", f"{row.violation:.17g}", error,
         ])
     _emit(buf.getvalue(), args.out)
     print(f"suite={args.suite} trials={args.trials} violations={n_viol} "
@@ -338,7 +322,7 @@ def cmd_eval(args) -> int:
                   "worst": list(rep.worst) if rep.worst else None}
     elif what == "local_check":
         p = _load_behavior(args.infile, args.epsilon, cap)
-        res = is_local(p, tol=args.tol if args.tol < 1e-3 else 1e-8)
+        res = is_local(p)
         report = {"is_local": res.is_local}
         if res.model is not None:
             report["model"] = json.loads(jsonio.local_model_to_json(res.model))

@@ -49,10 +49,8 @@ class DivergenceValue:
 def _kl_rows(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
     """Row sums of q*log2(q/q') over two 2-D tables: 0 off q's support,
     +inf in a row where q' is 0 on it."""
-    pos = q > 0.0
-    terms = np.zeros(q.shape)
-    with np.errstate(divide="ignore"):
-        terms[pos] = q[pos] * np.log2(q[pos] / q_prime[pos])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0.0, q * np.log2(q / q_prime), 0.0)
     return terms.sum(axis=1)
 
 

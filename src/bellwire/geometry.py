@@ -41,6 +41,9 @@ class DeterministicStrategy:
 
 
 def _strategy_outcomes(index: int, settings: int, outcomes: int) -> tuple[int, ...]:
+    if not 0 <= index < outcomes**settings:
+        raise ParameterOutOfRange(
+            f"strategy index {index} outside [0, {outcomes**settings})")
     # lexicographic: the setting-0 response is the most significant digit
     digits = []
     for pos in range(settings):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import ParameterOutOfRange, SolverFailure
 
 #: Reduced costs above -RC_TOL count as optimal.
 RC_TOL = 1e-11
@@ -233,7 +233,7 @@ def solve_lp(
     multipliers when optimal, the Farkas certificate when infeasible.
     """
     if pivot not in PIVOT_RULES:
-        raise SolverFailure(f"unknown pivot rule {pivot!r}")
+        raise ParameterOutOfRange(f"unknown pivot rule {pivot!r}")
     cols = A if hasattr(A, "price") else _DenseColumns(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)

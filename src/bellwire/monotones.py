@@ -28,6 +28,11 @@ width, so value - gap_estimate is a certified lower bound, never below 0.
   the settings grouped by the free party's input; the final solve at
   the best product is the engine with that product as its one row.
 
+Each quantifier call builds the box's `_DivergenceTables` once: the
+vertex matrix and the columns on the box's support, each with its
+setting. The inner minimizations, the barrier and every engine instance
+of the call read it; `s_uc`'s block solves and its final solve share one.
+
 `s_nl` and `s_c` read the same deterministic solve, and the module keeps
 `s_c`'s result of the most recent one: a call on the box and tol of the
 previous `s_nl` or `s_c` call returns values built from that solve,
@@ -61,7 +66,7 @@ import numpy as np
 
 from .behaviors import Behavior, InputDistribution
 from .divergence import _kl_rows
-from .errors import NoConvergence, SolverFailure
+from .errors import NoConvergence, ParameterOutOfRange, SolverFailure
 from .geometry import LocalModel, local_vertex_matrix
 from .lp import solve_lp  # noqa: F401 -- perfbench/tracing.py wraps it here
 from .wirings import (
@@ -112,6 +117,60 @@ class MonotoneResult:
     gap_estimate: float
     iterations: int
     lower_bound: bool = False
+
+
+# ---------------------------------------------------------------------------
+# A box's divergence tables
+# ---------------------------------------------------------------------------
+
+
+class _DivergenceTables:
+    """A box's data as the engine reads it, built once per quantifier
+    call: its scenario, the vertex matrix V (n vertices) and P, with the
+    columns of V on the support of P indexed once, each with its setting.
+    Frank-Wolfe reads the support block at its setting weights, and
+    every `_MinimaxSolver` on the box shares one instance.
+
+    `kls` gives the per-setting divergences KL(P_s || (V.lam)_s) in bits:
+    one mat-vec and one pass of `divergence._kl_rows`, so it is +inf for
+    a setting where lam leaves a supported outcome uncovered.
+    `derivatives` scales the support block by lam once and reads q, every
+    setting's gradient (one product, summed per setting by the 0/1
+    setting matrix) and the weighted Hessian (one Gram product) off it,
+    with q floored at 1e-300 so that the gradients stay finite."""
+
+    def __init__(self, p: Behavior):
+        self.scenario = sc = p.scenario
+        # the module-level name, which perfbench/tracing.py wraps
+        self.V = V = local_vertex_matrix(sc)
+        self.n = V.shape[0]
+        P = p.flat()
+        m = sc.sA * sc.sB
+        k = V.shape[1] // m
+        self.shape = (m, k)
+        self.P_rows = P.reshape(m, k)
+        support = np.flatnonzero(P > 0.0)
+        self.P_support = P[support]
+        self.VS = V[:, support]
+        # each support column's setting, and the 0/1 matrix that sums
+        # the columns of every setting
+        self.setting = support // k
+        self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
+
+    def kls(self, lam: np.ndarray) -> np.ndarray:
+        return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
+
+    def derivatives(self, lam: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every setting's gradient and the Hessian of sum_s c_s times its
+        divergence in the relative step u of lam -> lam (1 + u), at u = 0:
+        row s of the first is lam * grad_s, the second diag(lam) H diag(lam)
+        with H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
+        VL = self.VS * lam[:, None]
+        q = np.maximum(np.add.reduce(VL, 0), 1e-300)
+        ratio = self.P_support / q
+        grads = ((VL * ratio) @ self.groups).T / -LN2
+        w = c[self.setting] * (ratio / (q * LN2))
+        return grads, (VL * w) @ VL.T
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +239,7 @@ def _exchange_step(
 
 
 def _fw_minimize(
-    P: np.ndarray,
-    V: np.ndarray,
+    tables: _DivergenceTables,
     setting_weights: np.ndarray,
     *,
     gap_tol: float,
@@ -193,15 +251,15 @@ def _fw_minimize(
     PAIRWISE_EVERY-th step a pairwise vertex exchange with exact line
     search prunes or revives vertices. Progress is certified by the
     Frank-Wolfe gap, whose linear subproblem is exact enumeration over
-    the vertices.
+    the vertices. Only the support columns of settings with positive
+    weight enter.
     """
-    n, dim = V.shape
-    k = dim // setting_weights.size
-    c = np.repeat(setting_weights, k) * P
+    n = tables.n
+    c = setting_weights[tables.setting] * tables.P_support
     active = c > 0.0
     cE = c[active]
-    VE = V[:, active]
-    const = float(np.sum(cE * np.log2(P[active])))
+    VE = tables.VS[:, active]
+    const = float(np.sum(cE * np.log2(tables.P_support[active])))
 
     if lam0 is None:
         lam = np.full(n, 1.0 / n)
@@ -255,46 +313,6 @@ def _fw_minimize(
 # ---------------------------------------------------------------------------
 # The minimax engine
 # ---------------------------------------------------------------------------
-
-
-class _DivergenceTables:
-    """Per-setting divergences KL(P_s || (V.lam)_s) in bits and their
-    derivatives in the vertex weights, for fixed P and V with m settings.
-    `kls` is one mat-vec and one pass of `divergence._kl_rows`, so it is
-    +inf for a setting where lam leaves a supported outcome uncovered.
-    The columns of V on the support of P are indexed once, with each
-    column's setting; `derivatives` scales that block by lam once and
-    reads q, every setting's gradient (one product, summed per setting by
-    the 0/1 setting matrix) and the weighted Hessian (one Gram product)
-    off it, with q floored at 1e-300 so that the gradients stay finite."""
-
-    def __init__(self, P: np.ndarray, V: np.ndarray, m: int):
-        k = V.shape[1] // m
-        self.V = V
-        self.shape = (m, k)
-        self.P_rows = P.reshape(m, k)
-        support = np.flatnonzero(P > 0.0)
-        self.P_support = P[support]
-        self.VS = V[:, support]
-        # each support column's setting, and the 0/1 matrix that sums
-        # the columns of every setting
-        self.setting = support // k
-        self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
-
-    def kls(self, lam: np.ndarray) -> np.ndarray:
-        return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
-
-    def derivatives(self, lam: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every setting's gradient and the Hessian of sum_s c_s times its
-        divergence in the relative step u of lam -> lam (1 + u), at u = 0:
-        row s of the first is lam * grad_s, the second diag(lam) H diag(lam)
-        with H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
-        VL = self.VS * lam[:, None]
-        q = np.maximum(np.add.reduce(VL, 0), 1e-300)
-        ratio = self.P_support / q
-        grads = ((VL * ratio) @ self.groups).T / -LN2
-        w = c[self.setting] * (ratio / (q * LN2))
-        return grads, (VL * w) @ VL.T
 
 
 #: Barrier parameter growth per centering stage.
@@ -398,23 +416,24 @@ class _MinimaxSolver:
     makes the rows the settings. Maintains a bracket [lower, upper]:
     lower bounds come from inner minimizations at fixed input weights d
     (setting weights d @ M), upper bounds from the worst row value of any
-    vertex-weight iterate. `result` reports the closed bracket."""
+    vertex-weight iterate. `result` reports the closed bracket. The
+    box's tables are built by the caller and may be shared by several
+    solvers; `lam_warm` starts the first inner minimization."""
 
-    def __init__(self, p: Behavior, tol: float, M: np.ndarray | None = None):
-        self.V = local_vertex_matrix(p.scenario)
-        self.P = p.flat()
-        self.m = p.scenario.sA * p.scenario.sB
-        self.tables = _DivergenceTables(self.P, self.V, self.m)
-        self.M = np.eye(self.m) if M is None else M
+    def __init__(
+        self, tables: _DivergenceTables, tol: float, M: np.ndarray | None = None,
+        lam_warm: np.ndarray | None = None,
+    ):
+        self.tables = tables
+        self.M = np.eye(tables.shape[0]) if M is None else M
         self.k = self.M.shape[0]
         self.tol = tol
-        self.n = self.V.shape[0]
         self.lower = 0.0
         self.upper = math.inf
         self.d_lower: np.ndarray | None = None  # input weights that set lower
         self.lam_best: np.ndarray | None = None
         self.iterations = 0
-        self.lam_warm: np.ndarray | None = None
+        self.lam_warm = lam_warm
 
     @property
     def gap(self) -> float:
@@ -444,7 +463,7 @@ class _MinimaxSolver:
     def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
         """Inner minimization at input weights d; returns its value and
         the row values at its minimizer."""
-        inner = _fw_minimize(self.P, self.V, d @ self.M, gap_tol=gap_tol,
+        inner = _fw_minimize(self.tables, d @ self.M, gap_tol=gap_tol,
                              lam0=self.lam_warm)
         self.iterations += inner.iterations
         self.lam_warm = inner.lam
@@ -460,9 +479,8 @@ class _MinimaxSolver:
         so far. The exact row values at its weights bound the value from
         above; an inner minimization at its central-path input weights,
         warm-started there, bounds it from below."""
-        lam0 = self.lam_best if self.lam_best is not None else np.full(
-            self.n, 1.0 / self.n
-        )
+        n = self.tables.n
+        lam0 = self.lam_best if self.lam_best is not None else np.full(n, 1.0 / n)
         polished = _barrier_epigraph(self.tables, self.M, lam0, self.gap, self.tol)
         if polished is None:
             return
@@ -484,14 +502,14 @@ class _MinimaxSolver:
             raise NoConvergence(self.iterations, float(self.gap))
 
     def result(
-        self, p: Behavior, inputs: InputDistribution | None, lower_bound: bool = False
+        self, inputs: InputDistribution | None, lower_bound: bool = False
     ) -> MonotoneResult:
         """The closed bracket as a result: its upper end, the weights that
         set it and its width. Raises NoConvergence while it is open."""
         if not self.closed:
             raise NoConvergence(self.iterations, float(self.gap))
         lam = self.lam_best
-        return MonotoneResult(self.upper, LocalModel(p.scenario, lam / lam.sum()),
+        return MonotoneResult(self.upper, LocalModel(self.tables.scenario, lam / lam.sum()),
                               inputs, self.gap, self.iterations, lower_bound)
 
 
@@ -507,9 +525,9 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     the exact uniform-weighted divergence at its minimizer; the bracket's
     lower end is the minimizer's value less its Frank-Wolfe gap."""
     m = p.scenario.sA * p.scenario.sB
-    solver = _MinimaxSolver(p, tol, np.full((1, m), 1.0 / m))
+    solver = _MinimaxSolver(_DivergenceTables(p), tol, np.full((1, m), 1.0 / m))
     solver.solve_at(np.ones(1), tol)
-    return solver.result(p, None)
+    return solver.result(None)
 
 
 #: ((scenario key, table bytes, tol), `s_c`'s result) of the most recent
@@ -530,19 +548,19 @@ def _minimax_solve(p: Behavior, tol: float) -> MonotoneResult:
     if last is not None and last[0] == key:
         return last[1]
     _last_solve = None
-    solver = _MinimaxSolver(p, tol)
+    solver = _MinimaxSolver(_DivergenceTables(p), tol)
     solver.run()
-    result = _maximin_result(p, solver)
+    result = _maximin_result(solver)
     _last_solve = key, result
     return result
 
 
-def _maximin_result(p: Behavior, solver: _MinimaxSolver) -> MonotoneResult:
+def _maximin_result(solver: _MinimaxSolver) -> MonotoneResult:
     """The closed bracket's result, reporting as optimizer input the
     input weights `d_lower` whose certified inner minimum set the lower
     bound: the minimum over vertex weights at them is at least
     value - gap_estimate."""
-    return solver.result(p, InputDistribution.general(p.scenario, solver.d_lower))
+    return solver.result(InputDistribution.general(solver.tables.scenario, solver.d_lower))
 
 
 def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
@@ -579,8 +597,8 @@ def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     select the equalizing minimizer. Reports the same maximin input
     certificate as `s_c`.
     """
-    solver = _MinimaxSolver(p, tol)
-    m = solver.m
+    solver = _MinimaxSolver(_DivergenceTables(p), tol)
+    m = solver.k
     inner_tol = tol / (2.0 * m)
     D = np.full(m, 1.0 / m)
     _, rows = solver.solve_at(D, inner_tol)
@@ -622,7 +640,7 @@ def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
         if not solver.closed and solver.gap > gap_before / 2.0:
             solver.polish()
 
-    return _maximin_result(p, solver)
+    return _maximin_result(solver)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +684,7 @@ def s_uc(
             (rng.dirichlet(np.ones(sc.sA)), rng.dirichlet(np.ones(sc.sB)))
         )
 
+    tables = _DivergenceTables(p)
     best_val = -math.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
     best_lam: np.ndarray | None = None
@@ -677,8 +696,7 @@ def s_uc(
     ) -> tuple[np.ndarray, float, np.ndarray | None]:
         """Maximize the inner value over the input weights of the rows of M."""
         nonlocal iterations
-        solver = _MinimaxSolver(p, tol, M)
-        solver.lam_warm = warm
+        solver = _MinimaxSolver(tables, tol, M, lam_warm=warm)
         solver.run()
         iterations += solver.iterations
         return solver.d_lower, solver.lower, solver.lam_warm
@@ -699,11 +717,10 @@ def s_uc(
             best_lam = lam_warm
 
     dx, dy = best_pair
-    solver = _MinimaxSolver(p, tol, np.outer(dx, dy).reshape(1, -1))
-    solver.lam_warm = best_lam
-    solver.iterations = iterations
+    solver = _MinimaxSolver(tables, tol, np.outer(dx, dy).reshape(1, -1), lam_warm=best_lam)
     solver.solve_at(np.ones(1), tol)
-    return solver.result(p, InputDistribution.product(sc, dx, dy), lower_bound=True)
+    result = solver.result(InputDistribution.product(sc, dx, dy), lower_bound=True)
+    return replace(result, iterations=iterations + result.iterations)
 
 
 QUANTIFIERS = {
@@ -716,7 +733,7 @@ QUANTIFIERS = {
 
 def evaluate_quantifier(name: str, p: Behavior, tol: float, **kwargs) -> MonotoneResult:
     if name not in QUANTIFIERS:
-        raise SolverFailure(f"unknown quantifier {name!r}")
+        raise ParameterOutOfRange(f"unknown quantifier {name!r}")
     return QUANTIFIERS[name](p, tol, **kwargs)
 
 

@@ -90,6 +90,13 @@ def test_product_with_inputs_point_mass_selects_column():
     assert np.all(q.q[1, 0] == 0.0)
 
 
+@pytest.mark.parametrize("x, y", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+def test_point_mass_rejects_settings_out_of_range(x, y):
+    # a negative index is not read from the end
+    with pytest.raises(ParameterOutOfRange):
+        bw.InputDistribution.point_mass(SC2222, x, y)
+
+
 def test_product_with_inputs_deterministic_behavior():
     table = np.zeros(SC2222.shape)
     table[:, :, 0, 0] = 1.0

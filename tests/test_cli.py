@@ -90,6 +90,23 @@ def test_eval_local_check_pr_box(tmp_path):
     assert cert["value_on_behavior"] > cert["local_bound"] + 1e-9
 
 
+def test_eval_local_check_agrees_with_library(tmp_path):
+    # just past the local visibility 1/2 of the PR box in white noise:
+    # the verdict must not depend on the quantifiers' --tol (in bits)
+    w = 0.5 + 1e-7
+    p = bw.Behavior(SC2222, w * bw.pr_box().p + (1 - w) * bw.white_noise(SC2222).p)
+    infile = tmp_path / "p.json"
+    infile.write_text(jsonio.behavior_to_json(p))
+    out = tmp_path / "lc.json"
+    assert run_cli("eval", "local_check", "--in", str(infile), "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    want = bw.is_local(p)
+    assert want.is_local is False
+    assert doc["is_local"] is False
+    cert = doc["certificate"]
+    assert cert["value_on_behavior"] > cert["local_bound"]
+
+
 def test_eval_sb_doubling_pair(tmp_path):
     out = tmp_path / "sb.json"
     assert run_cli("eval", "sb", "--in", "doubling-first", "--in2",

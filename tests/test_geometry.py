@@ -205,6 +205,17 @@ def test_strategy_enumeration():
     assert t.outcomes == (1, 0)
 
 
+@pytest.mark.parametrize("index", [-1, 4, 17])
+def test_strategy_index_out_of_range(index):
+    from bellwire.errors import ParameterOutOfRange
+    from bellwire.geometry import alice_strategy, bob_strategy
+
+    # 2222 has 4 strategies per party, indexed 0..3
+    for strategy in (alice_strategy, bob_strategy):
+        with pytest.raises(ParameterOutOfRange):
+            strategy(SC2222, index)
+
+
 @pytest.mark.parametrize(
     "key", [(2, 2, 2, 2), (4, 3, 4, 3), (3, 2, 2, 3), (2, 1, 2, 2), (1, 1, 1, 1)]
 )

@@ -118,6 +118,16 @@ def _check_optimum(c, A, b, res, x_tol=1e-12):
     assert res.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
+def test_unknown_pivot_rule_is_a_parameter_error():
+    import bellwire as bw
+    from bellwire.errors import ParameterOutOfRange
+
+    with pytest.raises(ParameterOutOfRange):
+        solve_lp(np.zeros(2), np.ones((1, 2)), np.ones(1), pivot="steepest")
+    with pytest.raises(ParameterOutOfRange):
+        bw.is_local(bw.pr_box(), pivot="steepest")
+
+
 def _check_farkas(A, b, res):
     assert res.status == "infeasible"
     assert np.max(res.dual @ A) <= 1e-9

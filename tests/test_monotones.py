@@ -72,13 +72,12 @@ def assert_maximin_certificate(p: bw.Behavior, r) -> None:
     local models at D, re-solved from the reported local model, is
     within the bracket of the value. (A cold start at D can run into
     MAX_INNER_ITER on 4222 boxes.)"""
-    from bellwire.monotones import _fw_minimize
+    from bellwire.monotones import _DivergenceTables, _fw_minimize
 
     assert r.optimizer_inputs is not None
     assert r.optimizer_inputs.kind == "general"
-    inner = _fw_minimize(p.flat(), bw.local_vertex_matrix(p.scenario),
-                         r.optimizer_inputs.d.reshape(-1), gap_tol=TOL,
-                         lam0=r.optimizer_local.weights)
+    inner = _fw_minimize(_DivergenceTables(p), r.optimizer_inputs.d.reshape(-1),
+                         gap_tol=TOL, lam0=r.optimizer_local.weights)
     assert inner.converged
     assert inner.value - inner.gap >= r.value - r.gap_estimate - TOL
 
@@ -155,16 +154,15 @@ def test_s_uc_grid_cross_check():
     # dense grid over product distributions on the 2x2 setting simplex;
     # the PR-relabeling mixture is setting-asymmetric, so its best
     # product input is not the uniform one
-    from bellwire.monotones import _fw_minimize
-    from bellwire.geometry import local_vertex_matrix
+    from bellwire.monotones import _DivergenceTables, _fw_minimize
 
-    V = local_vertex_matrix(SC2222)
     for p in (noisy_pr(0.8), pr_relabeling_mixture(7, 0.8, 1)):
+        tables = _DivergenceTables(p)
         best = 0.0
         for ax in np.linspace(0, 1, 21):
             for by in np.linspace(0, 1, 21):
                 D = np.outer([ax, 1 - ax], [by, 1 - by]).reshape(-1)
-                inner = _fw_minimize(p.flat(), V, D, gap_tol=1e-7)
+                inner = _fw_minimize(tables, D, gap_tol=1e-7)
                 best = max(best, max(0.0, inner.value - inner.gap))
         r = bw.s_uc(p, TOL, restarts=8, seed=0)
         assert best > 1e-3
@@ -238,6 +236,13 @@ def test_quantifier_keywords_reach_the_quantifier():
         bw.evaluate_quantifier("snl", p, TOL, restarts=3)
     with pytest.raises(TypeError):
         bw.monotonicity_audit("su", p, [bw.setting_fold_wiring()], TOL, seed=5)
+
+
+def test_unknown_quantifier_is_a_parameter_error():
+    from bellwire.errors import ParameterOutOfRange
+
+    with pytest.raises(ParameterOutOfRange):
+        bw.evaluate_quantifier("sx", bw.pr_box(), TOL)
 
 
 def test_convexity_audit_snl():
@@ -366,6 +371,30 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
     assert 1e-3 <= err.value.gap <= 1e-3 + 1e-12
 
 
+def test_s_uc_builds_the_tables_once(monkeypatch):
+    # every block solve and the final solve read one set of the box's
+    # tables, and the result counts the inner iterations of all of them
+    real_init, real_fw = monotones._DivergenceTables.__init__, monotones._fw_minimize
+    builds, inner_iterations = [], []
+
+    def counting_init(self, p):
+        builds.append(p)
+        real_init(self, p)
+
+    def counting_fw(*args, **kwargs):
+        inner = real_fw(*args, **kwargs)
+        inner_iterations.append(inner.iterations)
+        return inner
+
+    monkeypatch.setattr(monotones._DivergenceTables, "__init__", counting_init)
+    monkeypatch.setattr(monotones, "_fw_minimize", counting_fw)
+    r = bw.s_uc(noisy_pr(0.8), TOL)
+    assert len(builds) == 1
+    assert len(inner_iterations) > 100
+    assert r.iterations == sum(inner_iterations)
+    assert r.gap_estimate <= TOL
+
+
 @pytest.mark.parametrize("quantifier", ["su", "suc", "snl", "sc"])
 def test_value_minus_gap_is_a_nonnegative_lower_bound(quantifier):
     # every value is the upper end of a closed bracket whose lower end,
@@ -412,9 +441,13 @@ def _kls_grads_hessian_oracle(P, V, m, lam, c=None, clamp_kls=False):
     return kls, grads, hess / math.log(2.0)
 
 
-class _OracleTables:
-    def __init__(self, P, V, m, clamp_kls=False):
-        self.args = (P, V, m)
+class _OracleTables(monotones._DivergenceTables):
+    """The box's tables with `kls` and `derivatives` read off the
+    per-setting loop."""
+
+    def __init__(self, p, clamp_kls=False):
+        super().__init__(p)
+        self.args = (p.flat(), self.V, self.shape[0])
         self.clamp_kls = clamp_kls
 
     def kls(self, lam):
@@ -465,12 +498,10 @@ def test_divergence_tables_match_per_setting_loop():
               for k, w, v in ((7, 0.8, 1), (6, 0.95, 1), (3, 0.7, 9), (0, 0.5, 14))]
     boxes += [tsirelson_4222(i) for i in (0, 4)]
     for seed, p in enumerate(boxes):
-        P = p.flat()
-        V = bw.local_vertex_matrix(p.scenario)
         m = p.scenario.sA * p.scenario.sB
-        tables, oracle = _DivergenceTables(P, V, m), _OracleTables(P, V, m)
+        tables, oracle = _DivergenceTables(p), _OracleTables(p)
         c = np.random.default_rng([43, seed]).dirichlet(np.ones(m))
-        for lam in _random_lams(V.shape[0], seed):
+        for lam in _random_lams(tables.n, seed):
             assert np.array_equal(tables.kls(lam), oracle.kls(lam))
             for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
                 _assert_close_to_largest(got, want)
@@ -480,10 +511,9 @@ def test_divergence_tables_match_per_setting_loop():
     sc = bw.Scenario(2, 3, 2, 3)
     p = bw.Behavior(sc, 0.6 * bw.local_vertex_matrix(sc)[5].reshape(sc.shape)
                     + 0.4 * bw.random_ns_behavior(sc, 1).p)
-    V = bw.local_vertex_matrix(sc)
-    tables, oracle = _DivergenceTables(p.flat(), V, 4), _OracleTables(p.flat(), V, 4)
+    tables, oracle = _DivergenceTables(p), _OracleTables(p)
     c = np.array([0.5, 0.0, 0.25, 0.25])
-    for lam in _random_lams(V.shape[0], 99):
+    for lam in _random_lams(tables.n, 99):
         np.testing.assert_allclose(tables.kls(lam), oracle.kls(lam), rtol=1e-13, atol=1e-15)
         for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
             _assert_close_to_largest(got, want)
@@ -500,11 +530,12 @@ def test_minimax_rows_infinite_exactly_where_uncovered():
                  (tsirelson_4222(0), np.kron([0.0, 0.2, 0.0, 0.8], np.eye(2)))):
         P = p.flat()
         m = p.scenario.sA * p.scenario.sB
-        solver = monotones._MinimaxSolver(p, TOL, M)
+        tables = monotones._DivergenceTables(p)
+        solver = monotones._MinimaxSolver(tables, TOL, M)
         for size in range(1, 9):
-            lam = np.zeros(solver.n)
-            lam[rng.choice(solver.n, size, replace=False)] = rng.dirichlet(np.ones(size))
-            uncovered = ((P > 0.0) & (lam @ solver.V == 0.0)).reshape(m, -1).any(axis=1)
+            lam = np.zeros(tables.n)
+            lam[rng.choice(tables.n, size, replace=False)] = rng.dirichlet(np.ones(size))
+            uncovered = ((P > 0.0) & (lam @ tables.V == 0.0)).reshape(m, -1).any(axis=1)
             want = (solver.M[:, uncovered] > 0.0).any(axis=1)
             rows = solver.rows(lam)
             assert np.array_equal(np.isinf(rows), want)
@@ -513,7 +544,7 @@ def test_minimax_rows_infinite_exactly_where_uncovered():
     assert seen == {True, False}
 
 
-def _slsqp_epigraph_oracle(P, V, m, M, lam0):
+def _slsqp_epigraph_oracle(p, M, lam0):
     """SciPy's SLSQP on the epigraph program min t s.t. every row value of
     M @ (per-setting divergences) is <= t, over the weight simplex, with
     the per-setting loop's divergences and gradients; returns the worst
@@ -521,10 +552,10 @@ def _slsqp_epigraph_oracle(P, V, m, M, lam0):
     +inf or NaN, so its divergences take the clamp."""
     from scipy.optimize import minimize
 
-    n = V.shape[0]
+    tables = _OracleTables(p, clamp_kls=True)
+    n = tables.n
     lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
     lam0 = lam0 / lam0.sum()
-    tables = _OracleTables(P, V, m, clamp_kls=True)
     x0 = np.concatenate([lam0, [float(np.max(M @ tables.kls(lam0))) + 1e-3]])
 
     def cons_j(x):
@@ -572,16 +603,16 @@ def test_barrier_epigraph_matches_slsqp_oracle():
     from bellwire import monotones
 
     for p, M in _barrier_cases():
-        solver = monotones._MinimaxSolver(p, TOL, M)
+        solver = monotones._MinimaxSolver(monotones._DivergenceTables(p), TOL, M)
         solver.solve_at(np.eye(solver.k)[0], 1e-4)
         assert solver.gap > 0.1
-        P, V, m, M = solver.P, solver.V, solver.m, solver.M
+        M = solver.M
         lam, D = monotones._barrier_epigraph(solver.tables, M, solver.lam_best,
                                              solver.gap, TOL)
         upper = float(np.max(solver.rows(lam)))
-        oracle = _slsqp_epigraph_oracle(P, V, m, M, solver.lam_best)
+        oracle = _slsqp_epigraph_oracle(p, M, solver.lam_best)
         assert abs(upper - oracle) <= TOL / 8.0
-        inner = monotones._fw_minimize(P, V, D @ M, gap_tol=TOL / 8.0, lam0=lam)
+        inner = monotones._fw_minimize(solver.tables, D @ M, gap_tol=TOL / 8.0, lam0=lam)
         assert inner.converged
         assert upper - (inner.value - inner.gap) <= TOL
 
@@ -593,10 +624,10 @@ def test_epigraph_polish_matches_per_setting_loop():
     from bellwire import monotones
 
     p = tsirelson_4222(4)
-    solvers = [monotones._MinimaxSolver(p, TOL) for _ in range(2)]
-    P, V, m = solvers[0].P, solvers[0].V, solvers[0].m
-    solvers[1].tables = _OracleTables(P, V, m)
-    lam0 = monotones._fw_minimize(P, V, np.full(m, 1.0 / m), gap_tol=1e-4).lam
+    tables = monotones._DivergenceTables(p)
+    solvers = [monotones._MinimaxSolver(t, TOL) for t in (tables, _OracleTables(p))]
+    m = solvers[0].k
+    lam0 = monotones._fw_minimize(tables, np.full(m, 1.0 / m), gap_tol=1e-4).lam
     got, want = (monotones._barrier_epigraph(s.tables, np.eye(m), lam0, 1e-3, TOL)
                  for s in solvers)
     rows = solvers[0].rows
