@@ -2,10 +2,11 @@
 # CLI checks through the installed `bellwire` console script, run by every
 # CI job (with and without SciPy): `eval sc` on the four-setting Tsirelson
 # box (the epigraph polish, the maximin input and its JSON), the paper's two
-# reproductions, `eval su` on the same box, `eval apply` of a seeded WPICC
-# wiring file to the PR box, and exit status 2 for a truncated wiring file,
-# an apply with no --in2 and `eval snl` on a behavior file with a
-# non-numeric entry.
+# reproductions, `eval su` on the same box, `eval local_check` on the PR
+# box (the membership LP and its Bell certificate, whose bound is re-checked
+# by the best-response maximum), `eval apply` of a seeded WPICC wiring file
+# to the PR box, and exit status 2 for a truncated wiring file, an apply
+# with no --in2 and `eval snl` on a behavior file with a non-numeric entry.
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
@@ -13,6 +14,7 @@ bellwire eval sc --in tsirelson-four > /dev/null
 bellwire reproduce-thm2 --epsilon 0.125 > /dev/null
 bellwire reproduce-thm5 > /dev/null
 bellwire eval su --in tsirelson-four > /dev/null
+bellwire eval local_check --in pr-box | grep -q '"is_local":false'
 
 python -c "import bellwire as bw; sc = bw.Scenario(2, 2, 2, 2); print(bw.jsonio.wiring_to_json(bw.random_wpicc_wiring(sc, sc, 3)))" > "$tmp/w.json"
 bellwire eval apply --in "$tmp/w.json" --in2 pr-box > /dev/null

@@ -55,6 +55,17 @@ def _float_array(arr, name: str) -> np.ndarray:
         raise ParameterOutOfRange(f"{name} is not a numeric table: {exc}") from None
 
 
+def _index(value, count: int, name: str) -> int:
+    """`value` as an int in [0, count). `ParameterOutOfRange` for a
+    non-integer, a bool included, and for an index out of range: a
+    negative index is not read from the end."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) \
+            or not 0 <= value < count:
+        raise ParameterOutOfRange(
+            f"{name} must be an integer in [0, {count}), got {value!r}")
+    return int(value)
+
+
 def _stochastic(
     arr, shape: tuple[int, ...], trailing: int, name: str, atol: float = PROB_ATOL
 ) -> np.ndarray:
@@ -259,11 +270,8 @@ class InputDistribution:
 
     @staticmethod
     def point_mass(scenario: Scenario, x: int, y: int) -> "InputDistribution":
-        if not (0 <= x < scenario.sA and 0 <= y < scenario.sB):
-            raise ParameterOutOfRange(
-                f"setting ({x}, {y}) outside {scenario.sA} x {scenario.sB} settings")
         d = np.zeros((scenario.sA, scenario.sB))
-        d[x, y] = 1.0
+        d[_index(x, scenario.sA, "setting x"), _index(y, scenario.sB, "setting y")] = 1.0
         return InputDistribution(scenario, d, KIND_GENERAL)
 
 

@@ -4,18 +4,19 @@ The local set is the convex hull of deterministic strategy pairs.
 Membership is decided by LP feasibility over the explicit vertex list;
 both possible answers come with certificates that re-verify without
 trusting the solver: a `LocalModel` (convex weights that reconstruct the
-behavior) or a `BellCertificate` (a separating functional whose value on
-the behavior exceeds its exhaustive maximum over all vertices).
+behavior, checked against the dense vertex matrix) or a `BellCertificate`
+(a separating functional whose value on the behavior exceeds its
+exhaustive maximum over all vertices, re-checked by best response).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .behaviors import Behavior, Scenario, _stochastic
+from .behaviors import Behavior, Scenario, _index, _stochastic
 from .errors import (
     LengthMismatch,
     ParameterOutOfRange,
@@ -41,15 +42,9 @@ class DeterministicStrategy:
 
 
 def _strategy_outcomes(index: int, settings: int, outcomes: int) -> tuple[int, ...]:
-    if not 0 <= index < outcomes**settings:
-        raise ParameterOutOfRange(
-            f"strategy index {index} outside [0, {outcomes**settings})")
     # lexicographic: the setting-0 response is the most significant digit
-    digits = []
-    for pos in range(settings):
-        power = outcomes ** (settings - 1 - pos)
-        digits.append((index // power) % outcomes)
-    return tuple(digits)
+    index = _index(index, outcomes**settings, "strategy index")
+    return tuple(int(d) for d in np.unravel_index(index, (outcomes,) * settings))
 
 
 def alice_strategy(scenario: Scenario, index: int) -> DeterministicStrategy:
@@ -60,86 +55,93 @@ def bob_strategy(scenario: Scenario, index: int) -> DeterministicStrategy:
     return DeterministicStrategy(BOB, _strategy_outcomes(index, scenario.sB, scenario.rB))
 
 
-@lru_cache(maxsize=32)
-def _response_tables(key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-party 0/1 response tables: VA[s, x, a] = [strategy s answers a
-    at setting x], shape (nA, sA, rA), and likewise VB (nB, sB, rB)."""
-    sA, rA, sB, rB = key
-    ax = np.array([_strategy_outcomes(s, sA, rA) for s in range(rA**sA)])
-    by = np.array([_strategy_outcomes(t, sB, rB) for t in range(rB**sB)])
-    VA = (ax[:, :, None] == np.arange(rA)[None, None, :]).astype(float)
-    VB = (by[:, :, None] == np.arange(rB)[None, None, :]).astype(float)
-    VA.flags.writeable = False
-    VB.flags.writeable = False
-    return VA, VB
+class Vertices:
+    """A scenario's deterministic vertices, read through each party's
+    strategy digits: `alice[s, x]` is the outcome of Alice's strategy s
+    at setting x (in `alice_strategy` order), `bob` likewise, and vertex
+    (alpha, beta) has index alpha * nB + beta. `Vertices.of` keeps one
+    instance per scenario. It serves
 
+    * `dense`, the read-only (n, sA*sB*rA*rB) 0/1 vertex matrix V, built
+      on first use;
+    * the membership constraints [V^T; 1] as an `lp` column source
+      (`shape`, `price`, `columns`). A dual y prices every vertex at once
+      by the factorized product (VA @ Y) @ VB^T of the one-hot response
+      tables, so V is never multiplied;
+    * `best(c)`, the exhaustive maximum of a functional over all
+      vertices, max_alpha sum_y max_b sum_x c[x, y, alpha(x), b]: c
+      gathered at Alice's digits, Bob's best response in closed form.
+      It shares nothing with `price`, so it re-checks a certificate
+      bound independently of the LP.
+    """
 
-@lru_cache(maxsize=32)
-def _vertex_matrix_cached(key: tuple[int, int, int, int]) -> np.ndarray:
-    VA, VB = _response_tables(key)
-    V = np.einsum("sxa,tyb->stxyab", VA, VB).reshape(VA.shape[0] * VB.shape[0], -1)
-    V.flags.writeable = False
-    return V
+    def __init__(self, scenario: Scenario):
+        sA, sB, rA, rB = self.table_shape = scenario.shape
+        self.alice = np.stack(np.unravel_index(np.arange(rA**sA), (rA,) * sA), axis=1)
+        self.bob = np.stack(np.unravel_index(np.arange(rB**sB), (rB,) * sB), axis=1)
+        self.alice.flags.writeable = self.bob.flags.writeable = False  # shared by `of`
+        nA, self.nB = len(self.alice), len(self.bob)
+        self.shape = (scenario.table_size + 1, nA * self.nB)
+        # VA[s, (x, a)] = [alice[s, x] == a] and VBt[(y, b), t] = [bob[t, y] == b]
+        self._VA = (self.alice[:, :, None] == np.arange(rA)).reshape(nA, -1).astype(float)
+        self._VBt = (self.bob[:, :, None] == np.arange(rB)).reshape(self.nB, -1).T.astype(
+            float, order="C")
+        # y[perm] reorders a flat (x, y, a, b) dual to (x, a, y, b)
+        self._perm = np.arange(scenario.table_size).reshape(scenario.shape).transpose(
+            0, 2, 1, 3).ravel()
+        # column (alpha, beta) has its unit entries at the rows
+        # rowA[alpha] + rowB[beta]: one per setting pair (x, y), then the
+        # normalization row
+        xy = np.arange(sA * sB)
+        self._rowA = np.column_stack([(xy * rA + self.alice[:, xy // sB]) * rB,
+                                      np.full(nA, scenario.table_size)])
+        self._rowB = np.column_stack([self.bob[:, xy % sB], np.zeros(self.nB, dtype=int)])
+
+    @staticmethod
+    @lru_cache(maxsize=32)
+    def of(scenario: Scenario) -> Vertices:
+        return Vertices(scenario)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        sA, sB, rA, rB = self.table_shape
+        # written in place: no transient copy of V
+        V = np.empty((len(self.alice), self.nB) + self.table_shape)
+        np.einsum("sxa,ybt->stxyab", self._VA.reshape(-1, sA, rA),
+                  self._VBt.reshape(sB, rB, -1), out=V)
+        V = V.reshape(self.shape[1], -1)
+        V.flags.writeable = False
+        return V
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        Y = y[self._perm].reshape(self._VA.shape[1], self._VBt.shape[0])
+        return ((self._VA @ Y) @ self._VBt).reshape(-1) + y[-1]
+
+    def columns(self, idx) -> np.ndarray:
+        if len(idx) == 1:
+            # the simplex's entering column, once per pivot: the fancy
+            # gathers below would double its cost
+            alpha, beta = divmod(int(idx[0]), self.nB)
+            out = np.zeros(self.shape[0])
+            out[self._rowA[alpha] + self._rowB[beta]] = 1.0
+            return out[:, None]
+        idx = np.asarray(idx)
+        out = np.zeros((self.shape[0], len(idx)))
+        out[self._rowA[idx // self.nB] + self._rowB[idx % self.nB],
+            np.arange(len(idx))[:, None]] = 1.0
+        return out
+
+    def best(self, c) -> float:
+        c = np.asarray(c, dtype=float).reshape(self.table_shape)
+        # G[alpha, y, b] = sum_x c[x, y, alpha(x), b]
+        G = c[np.arange(len(c)), :, self.alice, :].sum(axis=1)
+        return float(G.max(axis=2).sum(axis=1).max())
 
 
 def local_vertex_matrix(scenario: Scenario) -> np.ndarray:
     """All deterministic vertex behaviors as rows of an (n, sA*sB*rA*rB)
     0/1 matrix, in canonical lexicographic order (Alice-major)."""
-    return _vertex_matrix_cached(scenario.key())
-
-
-class VertexColumns:
-    """The membership constraints [V^T; 1] as an `lp` column source.
-
-    Column (alpha, beta), at index alpha * nB + beta, is the vertex of
-    that strategy pair with a trailing 1 for the normalization row. A
-    dual y prices every vertex at once by the factorized best-response
-    product  y.a = sum_{x,y} Y[x, y, alpha(x), beta(y)] + y_last,  i.e.
-    the two small products (VA @ Y) @ VB^T on the response tables, so
-    the dense vertex matrix is never multiplied.
-    """
-
-    def __init__(self, scenario: Scenario):
-        sc = scenario
-        VA, VB = _response_tables(sc.key())
-        nA, nB = VA.shape[0], VB.shape[0]
-        self.nB = nB
-        self.shape = (sc.table_size + 1, nA * nB)
-        self.VA = VA.reshape(nA, sc.sA * sc.rA)  # columns (x, a)
-        self.VBt = np.ascontiguousarray(VB.reshape(nB, sc.sB * sc.rB).T)  # rows (y, b)
-        # y[perm] reorders a flat (x, y, a, b) dual to (x, a, y, b)
-        self.perm = np.arange(sc.table_size).reshape(sc.shape).transpose(0, 2, 1, 3).ravel()
-        self.ydim = (sc.sA * sc.rA, sc.sB * sc.rB)
-        # vertex (alpha, beta) has its unit entries at the flat rows
-        # rowA[alpha] + rowB[beta], one per setting pair (x, y)
-        xy = np.arange(sc.sA * sc.sB)
-        alice = VA.argmax(axis=2)[:, xy // sc.sB]  # alpha(x), (nA, sA*sB)
-        self.rowA = (xy * sc.rA + alice) * sc.rB
-        self.rowB = VB.argmax(axis=2)[:, xy % sc.sB]  # beta(y), (nB, sA*sB)
-
-    def price(self, y: np.ndarray) -> np.ndarray:
-        Y = y[self.perm].reshape(self.ydim)
-        return ((self.VA @ Y) @ self.VBt).reshape(-1) + y[-1]
-
-    def column(self, j: int) -> np.ndarray:
-        alpha, beta = divmod(j, self.nB)
-        out = np.zeros(self.shape[0])
-        out[self.rowA[alpha] + self.rowB[beta]] = 1.0
-        out[-1] = 1.0
-        return out
-
-    def columns(self, idx) -> np.ndarray:
-        idx = np.asarray(idx)
-        out = np.zeros((self.shape[0], idx.size))
-        rows = self.rowA[idx // self.nB] + self.rowB[idx % self.nB]
-        out[rows, np.arange(idx.size)[:, None]] = 1.0
-        out[-1] = 1.0
-        return out
-
-
-@lru_cache(maxsize=32)
-def _vertex_columns(scenario: Scenario) -> VertexColumns:
-    return VertexColumns(scenario)
+    return Vertices.of(scenario).dense
 
 
 def enumerate_local_vertices(scenario: Scenario) -> list[Behavior]:
@@ -178,12 +180,9 @@ class LocalModel:
         return bool(np.max(np.abs(flat - p.flat())) <= tol)
 
     def sparse_pairs(self, threshold: float = 0.0) -> list[tuple[int, int, float]]:
-        nB = self.scenario.n_bob_strategies
-        out = []
-        for idx, w in enumerate(self.weights):
-            if w > threshold:
-                out.append((idx // nB, idx % nB, float(w)))
-        return out
+        idx = np.flatnonzero(self.weights > threshold)
+        alice, bob = np.divmod(idx, self.scenario.n_bob_strategies)
+        return list(zip(alice.tolist(), bob.tolist(), self.weights[idx].tolist()))
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,9 @@ class BellCertificate:
     """A separating functional proving non-membership in the local set.
 
     `local_bound` always equals the exhaustive maximum of the functional
-    over all deterministic vertices (recomputed at construction), and the
-    behavior value must exceed it by more than 1e-9.
+    over all deterministic vertices (recomputed at construction by
+    `Vertices.best`), and the behavior value must exceed it by more than
+    1e-9.
     """
 
     scenario: Scenario
@@ -204,8 +204,8 @@ class BellCertificate:
         coeff = np.asarray(self.coefficients, dtype=float)
         if coeff.shape != self.scenario.shape:
             raise LengthMismatch("certificate coefficients must match the scenario")
-        exhaustive = float(np.max(local_vertex_matrix(self.scenario) @ coeff.reshape(-1)))
-        if abs(exhaustive - self.local_bound) > 1e-9:
+        exhaustive = Vertices.of(self.scenario).best(coeff)
+        if not abs(exhaustive - self.local_bound) <= 1e-9:  # NaN fails too
             raise SolverFailure(
                 f"certificate bound {self.local_bound} disagrees with exhaustive "
                 f"vertex maximum {exhaustive}"
@@ -283,14 +283,15 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
 
     Feasibility of {weights >= 0, sum = 1, V.weights = p} is decided by
     the in-repo revised simplex, which reads the constraints through
-    `VertexColumns`: vertices are priced by the factorized best-response
+    `Vertices`: vertices are priced by the factorized best-response
     product and built one column at a time, so the LP never forms
     [V^T; 1]. Either certificate is re-verified independently of the
-    solver, on the dense vertex matrix, before being returned.
+    solver before being returned: a local model against the dense vertex
+    matrix, a Bell certificate's bound by `Vertices.best`.
     """
-    V = local_vertex_matrix(p.scenario)
+    vertices = Vertices.of(p.scenario)
     b = np.concatenate([p.flat(), [1.0]])
-    res = lp_feasible(_vertex_columns(p.scenario), b, pivot=pivot, feas_tol=tol)
+    res = lp_feasible(vertices, b, pivot=pivot, feas_tol=tol)
     if res.feasible:
         w = np.clip(res.x, 0.0, None)
         w = w / w.sum()
@@ -299,11 +300,9 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
             raise SolverFailure("local model failed reconstruction re-verification")
         return MembershipResult(True, model, None, res.iterations)
 
-    y = res.dual
-    coeff = y[:-1].reshape(p.scenario.shape)
-    bound = float(np.max(V @ y[:-1]))
-    value = float(y[:-1] @ p.flat())
-    cert = BellCertificate(p.scenario, coeff, bound, value)
+    y = res.dual[:-1]
+    cert = BellCertificate(p.scenario, y.reshape(p.scenario.shape), vertices.best(y),
+                           float(y @ p.flat()))
     return MembershipResult(False, None, cert, res.iterations)
 
 

@@ -41,6 +41,7 @@ from .behaviors import (
     KIND_PRODUCT,
     KIND_UNIFORM,
     Scenario,
+    _index,
 )
 from .divergence import DivergenceValue
 from .errors import LengthMismatch, ParameterOutOfRange
@@ -191,15 +192,6 @@ def local_model_to_json(model: LocalModel) -> str:
     return dumps(doc)
 
 
-def _strategy(value, count: int, party: str) -> int:
-    """`value`, required to be a JSON integer indexing one of `count`
-    strategies of `party`."""
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < count:
-        raise ParameterOutOfRange(
-            f"{party} strategy must be an integer in [0, {count}), got {value!r}")
-    return value
-
-
 def local_model_from_json(text: str) -> LocalModel:
     data = _load(text)
     sc = _scenario_from(data)
@@ -210,7 +202,7 @@ def local_model_from_json(text: str) -> LocalModel:
             and all(isinstance(t, list) and len(t) == 3 for t in triples)):
         raise ParameterOutOfRange("local-model weights must be [alice, bob, weight] lists")
     for a, b, w in triples:
-        k = _strategy(a, nA, "alice") * nB + _strategy(b, nB, "bob")
+        k = _index(a, nA, "alice strategy") * nB + _index(b, nB, "bob strategy")
         weights[k] = _arr(w, (), "local-model weight")
     return LocalModel(sc, weights)
 

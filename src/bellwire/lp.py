@@ -9,10 +9,11 @@ per behavior entry and one column per deterministic vertex (145 rows
 and 6561 columns at 4343), which is the shape this suits.
 
 `A` is a dense array or a column source: an object with a `.shape`
-(m, n), a `price(y)` that returns y @ A, a `column(j)` that returns
-A[:, j] and a `columns(idx)` that returns A[:, idx]. A source lets a
-caller price structured columns without forming A; dense arrays are
-priced by y @ A in the same loop.
+(m, n), a `price(y)` that returns y @ A and a `columns(idx)` that
+returns A[:, idx]; one entering column is `columns([j])[:, 0]`. A source
+lets a caller price structured columns without forming A, as
+`geometry.Vertices` does for the membership LP; dense arrays are priced
+by y @ A in the same loop.
 
 Bland's pivot rule is the default because it guarantees termination on
 degenerate bases; Dantzig's rule is available so membership verdicts can
@@ -70,9 +71,6 @@ class _DenseColumns:
     def price(self, y: np.ndarray) -> np.ndarray:
         return y @ self.A
 
-    def column(self, j: int) -> np.ndarray:
-        return self.A[:, j]
-
     def columns(self, idx) -> np.ndarray:
         return self.A[:, idx]
 
@@ -95,7 +93,7 @@ class _Basis:
 
     def column(self, j: int) -> np.ndarray:
         if j < self.n:
-            a = self.cols.column(j)
+            a = self.cols.columns([j])[:, 0]
             return a if self.sign is None else a * self.sign
         e = np.zeros(self.m)
         e[j - self.n] = 1.0

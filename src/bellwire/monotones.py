@@ -66,7 +66,7 @@ import numpy as np
 
 from .behaviors import Behavior, InputDistribution
 from .divergence import _kl_rows
-from .errors import NoConvergence, ParameterOutOfRange, SolverFailure
+from .errors import NoConvergence, ParameterOutOfRange
 from .geometry import LocalModel, local_vertex_matrix
 from .lp import solve_lp  # noqa: F401 -- perfbench/tracing.py wraps it here
 from .wirings import (
@@ -754,7 +754,7 @@ def apply_wiring(w: WiringLike, p: Behavior) -> Behavior:
         return apply_uclosr(w, p)
     if isinstance(w, WpiccWiring):
         return apply_wpicc(w, p)
-    raise SolverFailure(f"not a wiring: {type(w).__name__}")
+    raise ParameterOutOfRange(f"not a wiring: {type(w).__name__}")
 
 
 @dataclass(frozen=True)

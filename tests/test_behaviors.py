@@ -90,9 +90,9 @@ def test_product_with_inputs_point_mass_selects_column():
     assert np.all(q.q[1, 0] == 0.0)
 
 
-@pytest.mark.parametrize("x, y", [(-1, 0), (2, 0), (0, -1), (0, 2)])
+@pytest.mark.parametrize("x, y", [(-1, 0), (2, 0), (0, -1), (0, 2), (0.5, 0), (0, 1.0)])
 def test_point_mass_rejects_settings_out_of_range(x, y):
-    # a negative index is not read from the end
+    # a negative index is not read from the end, and a float is no index
     with pytest.raises(ParameterOutOfRange):
         bw.InputDistribution.point_mass(SC2222, x, y)
 

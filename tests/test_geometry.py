@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellwire as bw
-from bellwire.errors import NegativeEntry, NotNormalized, VertexCapExceeded
+from bellwire.errors import NegativeEntry, NotNormalized, SolverFailure, VertexCapExceeded
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 SC_PAIR = bw.Scenario(2, 2, 1, 2)
@@ -90,6 +90,13 @@ def test_pr_box_nonlocal_with_verified_certificate():
     values = bw.local_vertex_matrix(SC2222) @ f
     assert np.max(values) == pytest.approx(cert.local_bound, abs=1e-12)
     assert cert.value_on(bw.pr_box()) > np.max(values) + 1e-9
+    # a certificate whose bound does not re-check is refused, NaN included
+    nan = cert.coefficients.copy()
+    nan[0, 0, 0, 0] = np.nan
+    for coeff, bound in ((cert.coefficients, cert.local_bound + 1e-6),
+                         (nan, cert.local_bound)):
+        with pytest.raises(SolverFailure):
+            bw.BellCertificate(SC2222, coeff, bound, cert.value_on_behavior)
 
 
 def test_every_vertex_is_local_with_unit_weight():
@@ -120,6 +127,15 @@ def test_local_model_reconstruction_accuracy():
     res = bw.is_local(p)
     assert res.is_local
     assert res.model.matches(p, tol=1e-8)
+
+
+def test_sparse_pairs_lists_weights_above_threshold():
+    _, model = bw.random_local_behavior(SC2222, 4)
+    t = float(np.median(model.weights))
+    expected = [(i // 4, i % 4, float(w)) for i, w in enumerate(model.weights) if w > t]
+    pairs = model.sparse_pairs(t)
+    assert pairs == expected and len(pairs) == 8
+    assert all(type(v) is k for pair in pairs for v, k in zip(pair, (int, int, float)))
 
 
 def test_local_model_rejects_bad_weights():
@@ -205,36 +221,48 @@ def test_strategy_enumeration():
     assert t.outcomes == (1, 0)
 
 
-@pytest.mark.parametrize("index", [-1, 4, 17])
+@pytest.mark.parametrize("index", [-1, 4, 17, 1.5])
 def test_strategy_index_out_of_range(index):
     from bellwire.errors import ParameterOutOfRange
     from bellwire.geometry import alice_strategy, bob_strategy
 
-    # 2222 has 4 strategies per party, indexed 0..3
+    # 2222 has 4 strategies per party, indexed 0..3; a float is not
+    # truncated to one
     for strategy in (alice_strategy, bob_strategy):
         with pytest.raises(ParameterOutOfRange):
             strategy(SC2222, index)
 
 
-@pytest.mark.parametrize(
-    "key", [(2, 2, 2, 2), (4, 3, 4, 3), (3, 2, 2, 3), (2, 1, 2, 2), (1, 1, 1, 1)]
-)
-def test_vertex_columns_match_dense_vertex_matrix(key):
-    from bellwire.geometry import VertexColumns
+@pytest.mark.parametrize("key", [
+    (2, 2, 2, 2), (4, 3, 4, 3), (3, 2, 2, 3), (2, 1, 2, 2), (1, 1, 1, 1),
+    (3, 3, 3, 3), (4, 2, 4, 2),
+])
+def test_vertices_match_dense_vertex_matrix(key):
+    from bellwire.geometry import Vertices, alice_strategy, bob_strategy
 
     sc = bw.Scenario(*key)
     V = bw.local_vertex_matrix(sc)
     A = np.vstack([V.T, np.ones(V.shape[0])])
-    cols = VertexColumns(sc)
-    assert cols.shape == A.shape
+    vertices = Vertices(sc)
+    assert np.array_equal(vertices.dense, V)
+    assert vertices.shape == A.shape
+    assert alice_strategy(sc, len(vertices.alice) - 1).outcomes == tuple(vertices.alice[-1])
+    assert bob_strategy(sc, len(vertices.bob) - 1).outcomes == tuple(vertices.bob[-1])
     rng = np.random.default_rng(5)
     for _ in range(5):
         y = rng.normal(size=A.shape[0])
-        assert np.max(np.abs(cols.price(y) - (V @ y[:-1] + y[-1]))) <= 1e-12
-    assert np.array_equal(cols.columns(np.arange(A.shape[1])), A)
+        assert np.max(np.abs(vertices.price(y) - (V @ y[:-1] + y[-1]))) <= 1e-12
+    # the best-response maximum: exact on small-integer functionals,
+    # whose maxima are tied across many vertices, and within rounding
+    # on Gaussian ones
+    for _ in range(20):
+        c = rng.integers(-2, 3, size=sc.table_size).astype(float)
+        assert vertices.best(c) == np.max(V @ c)
+        c = rng.normal(size=sc.table_size)
+        assert abs(vertices.best(c.reshape(sc.shape)) - np.max(V @ c)) <= 1e-12
+    assert np.array_equal(vertices.columns(np.arange(A.shape[1])), A)
     for j in rng.choice(A.shape[1], size=min(A.shape[1], 40), replace=False):
-        assert np.array_equal(cols.column(int(j)), A[:, j])
-        assert np.array_equal(cols.columns([int(j)])[:, 0], A[:, j])
+        assert np.array_equal(vertices.columns([int(j)])[:, 0], A[:, j])
 
 
 def _highs_is_local(p):

@@ -245,6 +245,13 @@ def test_unknown_quantifier_is_a_parameter_error():
         bw.evaluate_quantifier("sx", bw.pr_box(), TOL)
 
 
+def test_apply_wiring_rejects_a_non_wiring():
+    from bellwire.errors import ParameterOutOfRange
+
+    with pytest.raises(ParameterOutOfRange, match="not a wiring"):
+        bw.apply_wiring("x", bw.pr_box())
+
+
 def test_convexity_audit_snl():
     rep = bw.convexity_audit(
         "snl", bw.pr_box(), bw.white_noise(SC2222), [0.0, 0.25, 0.5, 0.75, 1.0], TOL
