@@ -4,7 +4,9 @@
 # box (the epigraph polish, the maximin input and its JSON), the paper's two
 # reproductions, `eval su` on the same box, `eval local_check` on the PR
 # box (the membership LP and its Bell certificate, whose bound is re-checked
-# by the best-response maximum), `eval apply` of a seeded WPICC wiring file
+# by the best-response maximum), the same eval as CSV, whose certificate
+# cell must load through `jsonio.certificate_from_json`, `eval apply` of a
+# seeded WPICC wiring file
 # to the PR box, and exit status 2 for a truncated wiring file, an apply
 # with no --in2 and `eval snl` on a behavior file with a non-numeric entry.
 set -euo pipefail
@@ -15,6 +17,8 @@ bellwire reproduce-thm2 --epsilon 0.125 > /dev/null
 bellwire reproduce-thm5 > /dev/null
 bellwire eval su --in tsirelson-four > /dev/null
 bellwire eval local_check --in pr-box | grep -q '"is_local":false'
+bellwire eval local_check --in pr-box --format csv > "$tmp/local_check.csv"
+python -c "import csv, sys; from bellwire import jsonio; cells = dict(csv.reader(open(sys.argv[1]))); jsonio.certificate_from_json(cells['certificate'])" "$tmp/local_check.csv"
 
 python -c "import bellwire as bw; sc = bw.Scenario(2, 2, 2, 2); print(bw.jsonio.wiring_to_json(bw.random_wpicc_wiring(sc, sc, 3)))" > "$tmp/w.json"
 bellwire eval apply --in "$tmp/w.json" --in2 pr-box > /dev/null

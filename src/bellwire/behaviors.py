@@ -10,14 +10,18 @@ rejects invalid tables instead of renormalizing them: silent repair would
 mask bugs in wiring application, where normalization is a correctness
 signal.
 
-One routine, `_stochastic`, validates every probability table in the
-package: these containers, `geometry.LocalModel`'s weights, every wiring
-field and both arguments of `divergence.kl`. It raises `LengthMismatch`
-on a wrong shape, `NegativeEntry` on a negative or non-finite entry and
-`NormalizationViolation` (a `NotNormalized`) when a distribution misses
-one by more than its tolerance: `PROB_ATOL` everywhere except local-model
-weights, which get 1e-9 because their sparse JSON form drops entries
-below 1e-15.
+The package's table intake lives here, each rule once. `_float_array`
+is the only conversion of outside numbers to floats: a string, a ragged
+nesting or a mapping raises `ParameterOutOfRange`; `_flat_table` adds
+the entry count (`LengthMismatch`) before the reshape. `_stochastic`
+validates every probability table: these containers, local-model
+weights, wiring fields and `divergence.kl`'s arguments. It raises
+`LengthMismatch` on a wrong shape, `NegativeEntry` on a negative or
+non-finite entry and `NormalizationViolation` (a `NotNormalized`) when a
+distribution misses one by more than `PROB_ATOL`; local-model weights
+get 1e-9, as their sparse JSON form drops entries below 1e-15.
+`_require_same_scenario` serves the containers, divergences and
+wirings, and `_random_stochastic` draws every seeded conditional table.
 
 Array layout is dense row-major [x][y][a][b] throughout.
 """
@@ -53,6 +57,25 @@ def _float_array(arr, name: str) -> np.ndarray:
         return np.array(arr, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParameterOutOfRange(f"{name} is not a numeric table: {exc}") from None
+
+
+def _flat_table(arr, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """`arr`, flat or nested in row-major order, as a float array of
+    `shape`; `LengthMismatch` when its entry count is not that of `shape`."""
+    out = _float_array(arr, name)
+    if out.size != math.prod(shape):
+        raise LengthMismatch(
+            f"{name} has {out.size} entries, expected {math.prod(shape)}")
+    return out.reshape(shape)
+
+
+def _random_stochastic(rng: np.random.Generator, shape: tuple[int, ...],
+                       trailing: int = 1) -> np.ndarray:
+    """Dirichlet-uniform conditional distribution of `shape` over its
+    `trailing` last axes."""
+    cut = len(shape) - trailing
+    return rng.dirichlet(np.ones(math.prod(shape[cut:])),
+                         size=math.prod(shape[:cut])).reshape(shape)
 
 
 def _index(value, count: int, name: str) -> int:
@@ -148,11 +171,11 @@ class Scenario:
         return (self.sA, self.rA, self.sB, self.rB)
 
 
-def _require_same_scenario(a, b) -> None:
-    if a.scenario.key() != b.scenario.key():
-        raise ScenarioMismatch(
-            f"scenario {a.scenario.key()} does not match {b.scenario.key()}"
-        )
+def _require_same_scenario(a: Scenario, b: Scenario, what: str = "scenario") -> None:
+    """`ScenarioMismatch`, naming `what`, unless `a` and `b` have the same
+    alphabet sizes."""
+    if a.key() != b.key():
+        raise ScenarioMismatch(f"{what} {a.key()} does not match {b.key()}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +211,7 @@ class Behavior:
         return self.p.sum(axis=2)
 
     def allclose(self, other: "Behavior", atol: float = 1e-12) -> bool:
-        _require_same_scenario(self, other)
+        _require_same_scenario(self.scenario, other.scenario)
         return bool(np.allclose(self.p, other.p, rtol=0.0, atol=atol))
 
 
@@ -196,13 +219,9 @@ def behavior_from_array(
     scenario: Scenario, entries: Sequence[float] | Iterable[float] | np.ndarray
 ) -> Behavior:
     """Build a validated Behavior from flat row-major [x][y][a][b] entries."""
-    flat = _float_array(list(entries) if not isinstance(entries, np.ndarray) else entries,
-                        "behavior").reshape(-1)
-    if flat.size != scenario.table_size:
-        raise LengthMismatch(
-            f"expected {scenario.table_size} entries, got {flat.size}"
-        )
-    return Behavior(scenario, flat.reshape(scenario.shape))
+    if not isinstance(entries, np.ndarray):
+        entries = list(entries)
+    return Behavior(scenario, _flat_table(entries, scenario.shape, "behavior"))
 
 
 KIND_GENERAL = "general"
@@ -258,15 +277,13 @@ class InputDistribution:
         scenario: Scenario, dX: Sequence[float], dY: Sequence[float]
     ) -> "InputDistribution":
         # the constructor checks both marginals before their product
+        dX, dY = _float_array(dX, "dX"), _float_array(dY, "dY")
         return InputDistribution(scenario, np.outer(dX, dY), KIND_PRODUCT, dX, dY)
 
     @staticmethod
     def general(scenario: Scenario, d: np.ndarray | Sequence[float]) -> "InputDistribution":
-        arr = _float_array(d, "input distribution")
-        if arr.size != scenario.sA * scenario.sB:
-            raise LengthMismatch(f"input distribution has {arr.size} entries, "
-                                 f"expected {scenario.sA * scenario.sB}")
-        return InputDistribution(scenario, arr.reshape(scenario.sA, scenario.sB), KIND_GENERAL)
+        arr = _flat_table(d, (scenario.sA, scenario.sB), "input distribution")
+        return InputDistribution(scenario, arr, KIND_GENERAL)
 
     @staticmethod
     def point_mass(scenario: Scenario, x: int, y: int) -> "InputDistribution":
@@ -294,7 +311,7 @@ class JointDistribution:
 
 def product_with_inputs(p: Behavior, d: InputDistribution) -> JointDistribution:
     """Form the joint statistics q[x][y][a][b] = P(a,b|x,y) * D(x,y)."""
-    _require_same_scenario(p, d)
+    _require_same_scenario(p.scenario, d.scenario)
     q = p.p * d.d[:, :, None, None]
     return JointDistribution(p.scenario, q)
 

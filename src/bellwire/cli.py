@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import jsonio
 from .behaviors import (
+    DEFAULT_VERTEX_CAP,
     Behavior,
-    InputDistribution,
     Scenario,
     doubling_pair_first,
     doubling_pair_second,
@@ -35,6 +36,8 @@ from .divergence import behavior_re
 from .errors import BellwireError, ParameterOutOfRange
 from .geometry import is_local, is_no_signaling, random_local_behavior, random_ns_behavior
 from .monotones import (
+    DEFAULT_TOL,
+    QUANTIFIERS,
     AuditRow,
     convexity_audit,
     evaluate_quantifier,
@@ -42,6 +45,7 @@ from .monotones import (
     s_c_alternating,
     s_nl,
     s_u,
+    s_uc,
     apply_wiring,
 )
 from .wirings import (
@@ -70,16 +74,6 @@ WIRING_PRESETS = {
     "feedback-wpicc": feedback_copy_wiring,
     "setting-fold-losr": setting_fold_wiring,
 }
-
-SUITES = (
-    "gw_contractivity",
-    "losr_closure",
-    "snl_monotonicity",
-    "suc_monotonicity",
-    "convexity",
-    "minimax_identity",
-)
-
 
 def _trial_seed(seed: int, trial: int, stream: int = 0) -> int:
     return int(np.random.SeedSequence([seed, trial, stream]).generate_state(1)[0])
@@ -112,13 +106,11 @@ def _emit(text: str, out: str | None) -> None:
 def _report_text(report: dict, fmt: str) -> str:
     if fmt == "json":
         return jsonio.dumps(report) + "\n"
+    # each value cell is the value's JSON text, as the JSON report has it
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in report.items():
-        writer.writerow([key, json.loads(jsonio.dumps({"v": value}))["v"]
-                         if not isinstance(value, (int, float, str, bool))
-                         else value])
+    writer.writerows([key, jsonio.dumps(value)] for key, value in report.items())
     return buf.getvalue()
 
 
@@ -334,7 +326,7 @@ def cmd_eval(args) -> int:
         pp = _load_behavior(args.infile2, args.epsilon, cap)
         val = behavior_re(p, pp)
         report = json.loads(jsonio.divergence_to_json(val))
-    elif what in ("snl", "su", "suc", "sc"):
+    elif what in QUANTIFIERS:
         p = _load_behavior(args.infile, args.epsilon, cap)
         extra = {"restarts": args.restarts, "seed": args.seed} if what == "suc" else {}
         res = evaluate_quantifier(what, p, args.tol, **extra)
@@ -363,9 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
             "relative-entropy nonlocality quantifiers."
         ),
     )
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="solver tolerance in bits (default 1e-6)")
-    parser.add_argument("--vertex-cap", type=int, default=10**6,
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help=f"solver tolerance in bits (default {DEFAULT_TOL:g})")
+    parser.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP,
                         help="cap on deterministic vertex pairs per scenario")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -394,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
              "CSV columns: trial,label,value_before,value_after,slack,"
              "violation,error",
     )
-    pc.add_argument("--suite", choices=SUITES, required=True)
+    pc.add_argument("--suite", choices=list(TRIAL_RUNNERS), required=True)
     pc.add_argument("--trials", type=int, required=True)
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", default=None)
@@ -404,8 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         "eval",
         help="single-shot evaluation with full certificates",
     )
-    pe.add_argument("what", choices=["ns_check", "local_check", "sb", "snl",
-                                     "su", "suc", "sc", "apply"])
+    pe.add_argument("what", choices=["ns_check", "local_check", "sb", *QUANTIFIERS, "apply"])
     pe.add_argument("--in", dest="infile", required=True,
                     help="behavior/wiring JSON file or preset name "
                          f"(behaviors: {', '.join(BEHAVIOR_PRESETS)}; "
@@ -415,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--epsilon", type=float, default=0.125,
                     help="parameter for the doubling-pair presets")
     pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--restarts", type=int, default=32)
+    pe.add_argument("--restarts", type=int,
+                    default=inspect.signature(s_uc).parameters["restarts"].default)
     pe.add_argument("--out", default=None)
     pe.add_argument("--format", choices=["json", "csv"], default="json")
     pe.set_defaults(func=cmd_eval)

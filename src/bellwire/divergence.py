@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behaviors import Behavior, InputDistribution, _require_same_scenario, _stochastic
+from .behaviors import (Behavior, InputDistribution, _float_array,
+                        _require_same_scenario, _stochastic)
 from .errors import IndexMismatch, NotNormalized
-
-LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,12 @@ def kl(q: np.ndarray, q_prime: np.ndarray) -> DivergenceValue:
     `IndexMismatch`) and each must be a distribution, as
     `behaviors._stochastic` checks.
     """
-    qa = np.asarray(q, dtype=float)
-    qb = np.asarray(q_prime, dtype=float)
+    names = ("first distribution", "second distribution")
+    qa, qb = (_float_array(arr, name) for arr, name in zip((q, q_prime), names))
     if qa.shape != qb.shape:
         raise IndexMismatch(f"shapes {qa.shape} and {qb.shape} differ")
     rows = [_stochastic(arr.reshape(-1), (arr.size,), 1, name)[None]
-            for arr, name in ((qa, "first distribution"), (qb, "second distribution"))]
+            for arr, name in zip((qa, qb), names)]
     return DivergenceValue(float(_kl_rows(*rows)[0]))
 
 
@@ -76,7 +75,7 @@ def per_setting_kl(p: Behavior, p_prime: Behavior) -> np.ndarray:
     This single routine feeds both the averaged and the maximized
     behavior divergences so the two stay bit-identical on shared terms.
     """
-    _require_same_scenario(p, p_prime)
+    _require_same_scenario(p.scenario, p_prime.scenario)
     sc = p.scenario
     m = sc.sA * sc.sB
     return _kl_rows(p.p.reshape(m, -1), p_prime.p.reshape(m, -1)).reshape(sc.sA, sc.sB)
@@ -91,7 +90,7 @@ def conditional_re(
     P.D and P'.D; settings with zero input weight contribute nothing even
     when their per-setting divergence is infinite.
     """
-    _require_same_scenario(p, d)
+    _require_same_scenario(p.scenario, d.scenario)
     table = per_setting_kl(p, p_prime)
     mask = d.d > 0.0
     if np.any(np.isinf(table[mask])):

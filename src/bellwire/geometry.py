@@ -16,12 +16,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .behaviors import Behavior, Scenario, _index, _stochastic
-from .errors import (
-    LengthMismatch,
-    ParameterOutOfRange,
-    SolverFailure,
+from .behaviors import (
+    Behavior,
+    Scenario,
+    _flat_table,
+    _float_array,
+    _index,
+    _random_stochastic,
+    _stochastic,
 )
+from .errors import LengthMismatch, ParameterOutOfRange, SolverFailure
 from .lp import lp_feasible
 
 ALICE = "alice"
@@ -160,10 +164,10 @@ class LocalModel:
     weights: np.ndarray
 
     def __post_init__(self):
+        name = "local-model weights"
         object.__setattr__(self, "weights", _stochastic(
-            np.asarray(self.weights, dtype=float).reshape(-1),
-            (self.scenario.vertex_count,), 1,
-            "local-model weights", atol=1e-9,
+            _float_array(self.weights, name).reshape(-1),
+            (self.scenario.vertex_count,), 1, name, atol=1e-9,
         ))
 
     def reconstruct(self) -> Behavior:
@@ -201,7 +205,9 @@ class BellCertificate:
     value_on_behavior: float
 
     def __post_init__(self):
-        coeff = np.asarray(self.coefficients, dtype=float)
+        for name in ("local_bound", "value_on_behavior"):
+            object.__setattr__(self, name, float(_flat_table(getattr(self, name), (), name)))
+        coeff = _float_array(self.coefficients, "certificate coefficients")
         if coeff.shape != self.scenario.shape:
             raise LengthMismatch("certificate coefficients must match the scenario")
         exhaustive = Vertices.of(self.scenario).best(coeff)
@@ -215,7 +221,6 @@ class BellCertificate:
                 "certificate does not separate: value "
                 f"{self.value_on_behavior} vs bound {self.local_bound}"
             )
-        coeff = np.array(coeff, copy=True)
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
 
@@ -338,9 +343,7 @@ def _ns_projector(key: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarra
 def random_behavior(scenario: Scenario, seed: int) -> Behavior:
     """A fully random conditional distribution (typically signaling)."""
     rng = np.random.default_rng(seed)
-    cols = rng.dirichlet(np.ones(scenario.rA * scenario.rB),
-                         size=scenario.sA * scenario.sB)
-    return Behavior(scenario, cols.reshape(scenario.shape))
+    return Behavior(scenario, _random_stochastic(rng, scenario.shape, 2))
 
 
 def random_ns_behavior(scenario: Scenario, seed: int) -> Behavior:
@@ -350,10 +353,7 @@ def random_ns_behavior(scenario: Scenario, seed: int) -> Behavior:
     onto the affine no-signaling subspace, then mixed with white noise
     using the smallest coefficient that restores nonnegativity.
     """
-    rng = np.random.default_rng(seed)
-    cols = rng.dirichlet(np.ones(scenario.rA * scenario.rB),
-                         size=scenario.sA * scenario.sB)
-    q = cols.reshape(-1)
+    q = _random_stochastic(np.random.default_rng(seed), scenario.shape, 2).reshape(-1)
     C, pinv, d = _ns_projector(scenario.key())
     q = q - C.T @ (pinv @ (C @ q - d))
     w = 1.0 / (scenario.rA * scenario.rB)

@@ -20,10 +20,16 @@ Malformed input raises `LengthMismatch` (an array of the wrong size) or
 `ParameterOutOfRange` (text that is not JSON, a missing key, an entry
 that is not a number, a scenario size or local-model strategy index that
 is not an integer in range, another JSON type where an object or a list
-belongs). Every array then passes its container's check, so a table that
-is not a distribution raises `NegativeEntry` (a negative, NaN or
-infinite entry) or `NotNormalized`. `wiring_from_json` also takes an
-already parsed document as a dict, held to the same checks.
+belongs). `_arr` checks that an array holds JSON numbers only and leaves
+the conversion and the entry count to `behaviors._flat_table`. Every
+array then passes its container's check, so a table that is not a
+distribution raises `NegativeEntry` (a negative, NaN or infinite entry)
+or `NotNormalized`. `wiring_from_json` also takes an already parsed
+document as a dict, held to the same checks.
+
+`dumps` writes any report value, not only a document: the CLI's CSV
+reports hold the `dumps` text of each value, so every cell parses back
+to the value the JSON report holds for its key.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ import numpy as np
 from .behaviors import (
     Behavior,
     InputDistribution,
-    JointDistribution,
     KIND_PRODUCT,
     KIND_UNIFORM,
     Scenario,
+    _flat_table,
     _index,
 )
 from .divergence import DivergenceValue
@@ -77,7 +83,7 @@ def _fmt(value: Any) -> str:
     raise ParameterOutOfRange(f"cannot serialize {type(value).__name__}")
 
 
-def dumps(obj: dict) -> str:
+def dumps(obj: Any) -> str:
     """Deterministic JSON text with 17-significant-digit doubles."""
     return _fmt(obj)
 
@@ -105,7 +111,8 @@ def _load(text: str) -> _Doc:
 
 
 def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """`data` (flat or nested, row-major) as a float array of `shape`."""
+    """`data` (flat or nested, row-major), required to hold JSON numbers
+    only, as a float array of `shape` (`behaviors._flat_table`)."""
     try:
         out = np.asarray(data)
     except ValueError as err:  # ragged nesting
@@ -113,11 +120,7 @@ def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
     # strings, booleans, nulls and objects are not JSON numbers
     if out.dtype.kind not in "iuf":
         raise ParameterOutOfRange(f"{name} is not an array of numbers")
-    out = out.astype(float)
-    if out.size != math.prod(shape):
-        raise LengthMismatch(
-            f"{name} has {out.size} entries, expected {math.prod(shape)}")
-    return out.reshape(shape)
+    return _flat_table(out, shape, name)
 
 
 def _scenario_fields(sc: Scenario) -> dict:
@@ -218,12 +221,8 @@ def certificate_to_json(cert: BellCertificate) -> str:
 def certificate_from_json(text: str) -> BellCertificate:
     data = _load(text)
     sc = _scenario_from(data)
-    return BellCertificate(
-        sc,
-        _arr(data["coefficients"], sc.shape, "coefficients"),
-        float(data["local_bound"]),
-        float(data["value_on_behavior"]),
-    )
+    return BellCertificate(sc, _arr(data["coefficients"], sc.shape, "coefficients"),
+                           data["local_bound"], data["value_on_behavior"])
 
 
 def monotone_result_to_json(r: MonotoneResult) -> str:

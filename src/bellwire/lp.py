@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, SolverFailure
+from .behaviors import _float_array
+from .errors import LengthMismatch, ParameterOutOfRange, SolverFailure
 
 #: Reduced costs above -RC_TOL count as optimal.
 RC_TOL = 1e-11
@@ -227,17 +228,20 @@ def solve_lp(
     """Minimize c.x subject to A x = b, x >= 0.
 
     `A` is a dense (m, n) array or a column source (see the module
-    docstring). Returns duals of the equality rows: the phase-2
-    multipliers when optimal, the Farkas certificate when infeasible.
+    docstring); `ParameterOutOfRange` when an argument is not numeric,
+    `LengthMismatch` when b does not have m entries or c n.
+    Returns duals of the equality rows: the phase-2 multipliers when
+    optimal, the Farkas certificate when infeasible.
     """
     if pivot not in PIVOT_RULES:
         raise ParameterOutOfRange(f"unknown pivot rule {pivot!r}")
-    cols = A if hasattr(A, "price") else _DenseColumns(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float).reshape(-1)
-    c = np.asarray(c, dtype=float).reshape(-1)
+    cols = A if hasattr(A, "price") else _DenseColumns(_float_array(A, "A"))
+    b = _float_array(b, "b").reshape(-1)
+    c = _float_array(c, "c").reshape(-1)
     m, n = cols.shape
     if b.shape != (m,) or c.shape != (n,):
-        raise SolverFailure("inconsistent LP dimensions")
+        raise LengthMismatch(f"LP dimensions disagree: A is {m} x {n}, b has "
+                             f"{b.size} entries and c {c.size}")
 
     sign = np.where(b < 0, -1.0, 1.0)
     B = _Basis(cols, sign, b * sign)

@@ -32,6 +32,8 @@ Each quantifier call builds the box's `_DivergenceTables` once: the
 vertex matrix and the columns on the box's support, each with its
 setting. The inner minimizations, the barrier and every engine instance
 of the call read it; `s_uc`'s block solves and its final solve share one.
+Its `rows(lam, M)` is the one rule for the row values, +inf included,
+which both bracket ends and the barrier read.
 
 `s_nl` and `s_c` read the same deterministic solve, and the module keeps
 `s_c`'s result of the most recent one: a call on the box and tol of the
@@ -160,6 +162,17 @@ class _DivergenceTables:
     def kls(self, lam: np.ndarray) -> np.ndarray:
         return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
 
+    def rows(self, lam: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Row values M @ kls(lam); +inf where a setting with positive
+        weight in the row has a supported outcome that lam leaves
+        uncovered, never the NaN of 0 * inf."""
+        kl_table = self.kls(lam)
+        inf = np.isinf(kl_table)
+        out = M @ np.where(inf, 0.0, kl_table)
+        if inf.any():
+            out[np.any(M[:, inf] > 0.0, axis=1)] = math.inf
+        return out
+
     def derivatives(self, lam: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every setting's gradient and the Hessian of sum_s c_s times its
         divergence in the relative step u of lam -> lam (1 + u), at u = 0:
@@ -184,7 +197,6 @@ class _InnerSolution:
     value: float
     gap: float
     iterations: int
-    converged: bool
 
 
 def _exchange_step(
@@ -275,7 +287,6 @@ def _fw_minimize(
 
     gap = math.inf
     it = 0
-    converged = False
     while it < MAX_INNER_ITER:
         it += 1
         # the floor only matters for entries whose target weight is
@@ -287,7 +298,6 @@ def _fw_minimize(
         fw = int(back.argmax())
         gap = float(back[fw] - np.dot(lam, back)) / LN2
         if gap <= gap_tol:
-            converged = True
             break
         if it % PAIRWISE_EVERY == 0:
             support = (lam > 1e-15).nonzero()[0]
@@ -307,7 +317,7 @@ def _fw_minimize(
         np.dot(lam, VE, qE)
 
     value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
-    return _InnerSolution(lam, value, max(gap, 0.0), it, converged)
+    return _InnerSolution(lam, value, max(gap, 0.0), it)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +337,7 @@ def _barrier_epigraph(
     gap0: float, tol: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Log-barrier solve of the epigraph program min t s.t. every row
-    value g_j of M @ tables.kls(lam) is <= t, lam >= 0,
+    value g_j of tables.rows(lam, M) is <= t, lam >= 0,
     sum lam = 1: damped Newton centering of
     tau t - sum_j log(t - g_j) - sum_i log lam_i on the simplex, tau
     growing by BARRIER_GROWTH per stage from where the barrier's duality
@@ -350,7 +360,7 @@ def _barrier_epigraph(
     # every weight near where the first stage's central path has it
     lam = (1.0 - gap0) * np.clip(lam0, 0.0, None) + gap0 / n
     lam = lam / lam.sum()
-    g = M @ tables.kls(lam)
+    g = tables.rows(lam, M)
     # the last stage sits exactly at the stopping gap; earlier stages
     # start one growth factor apart, from the bracket's gap
     tau_end = 8.0 * (k + n) / tol
@@ -389,7 +399,7 @@ def _barrier_epigraph(
             # swamp it
             s = 1.0 if u.min() >= 0.0 else min(1.0, 0.5 / -float(u.min()))
             while s >= 1e-12:
-                g_new = M @ tables.kls(lam * (1.0 + s * u))
+                g_new = tables.rows(lam * (1.0 + s * u), M)
                 slack_ratio = (t + s * dt - g_new) * w
                 if np.all(slack_ratio > 0.0):
                     change = (tau * s * dt - float(np.sum(np.log(slack_ratio)))
@@ -443,17 +453,6 @@ class _MinimaxSolver:
     def closed(self) -> bool:
         return self.gap <= self.tol
 
-    def rows(self, lam: np.ndarray) -> np.ndarray:
-        """Row values M @ (per-setting divergences at lam); +inf where a
-        setting with positive weight has a supported outcome that lam
-        leaves uncovered."""
-        kl_table = self.tables.kls(lam)
-        inf = np.isinf(kl_table)
-        out = self.M @ np.where(inf, 0.0, kl_table)
-        if inf.any():
-            out[np.any(self.M[:, inf] > 0.0, axis=1)] = math.inf
-        return out
-
     def observe_lam(self, lam: np.ndarray, rows: np.ndarray) -> None:
         u_here = float(np.max(rows))
         if u_here < self.upper:
@@ -470,7 +469,7 @@ class _MinimaxSolver:
         if self.d_lower is None or inner.value - inner.gap > self.lower:
             self.lower = max(self.lower, inner.value - inner.gap)
             self.d_lower = d
-        rows = self.rows(inner.lam)
+        rows = self.tables.rows(inner.lam, self.M)
         self.observe_lam(inner.lam, rows)
         return inner.value, rows
 
@@ -485,7 +484,7 @@ class _MinimaxSolver:
         if polished is None:
             return
         lam, D = polished
-        self.observe_lam(lam, self.rows(lam))
+        self.observe_lam(lam, self.tables.rows(lam, self.M))
         if self.closed:
             return
         self.lam_warm = lam

@@ -29,13 +29,19 @@ random generators and `jsonio` all read that declaration.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .behaviors import Behavior, Scenario, _stochastic
-from .errors import DomainViolation, ParameterOutOfRange, ScenarioMismatch
+from .behaviors import (
+    Behavior,
+    Scenario,
+    _float_array,
+    _random_stochastic,
+    _require_same_scenario,
+    _stochastic,
+)
+from .errors import DomainViolation, ParameterOutOfRange
 from .geometry import is_no_signaling, marginal_residual
 
 ALICE_FIRST = "alice"
@@ -101,18 +107,17 @@ def _validate_fields(obj, si: Scenario, sf: Scenario) -> None:
     """Check every field of `obj` against its class layout, all shapes
     before any entry, and store read-only copies."""
     layout = obj.LAYOUT
-    n = np.size(obj.weights) if _WEIGHTS in layout.fields else 1
+    arrays = {f: _float_array(getattr(obj, f.name), f.name) for f in layout.fields}
+    n = arrays[_WEIGHTS].size if _WEIGHTS in arrays else 1
     party = getattr(obj, layout.party) if layout.party else None
     shapes = layout.shapes(si, sf, n, party)
     # a truncated weights vector is a well-formed shorter one that only
     # the other fields' shapes reveal, so no sum is checked before them
-    for f in layout.fields:
-        if np.shape(getattr(obj, f.name)) != shapes[f.name]:
-            # raises LengthMismatch
-            _stochastic(getattr(obj, f.name), shapes[f.name], f.trailing, f.name)
-    for f in layout.fields:
-        object.__setattr__(obj, f.name, _stochastic(
-            getattr(obj, f.name), shapes[f.name], f.trailing, f.name))
+    for f, arr in arrays.items():
+        if arr.shape != shapes[f.name]:
+            _stochastic(arr, shapes[f.name], f.trailing, f.name)  # LengthMismatch
+    for f, arr in arrays.items():
+        object.__setattr__(obj, f.name, _stochastic(arr, shapes[f.name], f.trailing, f.name))
 
 
 @functools.lru_cache(maxsize=256)
@@ -128,14 +133,6 @@ def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     contraction path once per subscripts and operand shapes."""
     path = _contraction_path(subscripts, *(op.shape for op in operands))
     return np.einsum(subscripts, *operands, optimize=path)
-
-
-def _require_scenario(p: Behavior, scenario: Scenario) -> None:
-    if p.scenario.key() != scenario.key():
-        raise ScenarioMismatch(
-            f"behavior scenario {p.scenario.key()} does not match wiring "
-            f"initial scenario {scenario.key()}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ def apply_gw(w: GlobalWiring, p: Behavior) -> Behavior:
     The result is validated for normalization only; global wirings may
     produce signaling behaviors.
     """
-    _require_scenario(p, w.initial)
+    _require_same_scenario(p.scenario, w.initial, "behavior scenario")
     out = _contract("abxycsAB,xyab,csxy->csAB", w.o_box, p.p, w.i_box)
     return Behavior(w.final, out)
 
@@ -253,7 +250,7 @@ class LosrWiring:
 
 def apply_losr(w: LosrWiring, p: Behavior) -> Behavior:
     """Average over lambda of the product-form processing of `p`."""
-    _require_scenario(p, w.initial)
+    _require_same_scenario(p.scenario, w.initial, "behavior scenario")
     out = _contract(
         "l,laxcA,lbysB,xyab,lcx,lsy->csAB",
         w.weights, w.out_a, w.out_b, p.p, w.in_a, w.in_b,
@@ -339,17 +336,8 @@ def losr_to_gw(w: LosrWiring) -> GlobalWiring:
 # ---------------------------------------------------------------------------
 
 
-class _Branch:
-    """Validation shared by the measuring branches, which learn their
-    scenarios only from the enclosing `WpiccWiring`."""
-
-    def validate(self, si: Scenario, sf: Scenario):
-        _validate_fields(self, si, sf)
-        return self
-
-
 @dataclass(frozen=True)
-class BothMeasureBranch(_Branch):
+class BothMeasureBranch:
     """Preparation branch in which both parties measure their boxes.
 
     `first` names the party that measures first and communicates; the
@@ -386,7 +374,7 @@ class BothMeasureBranch(_Branch):
 
 
 @dataclass(frozen=True)
-class OneMeasuresBranch(_Branch):
+class OneMeasuresBranch:
     """Preparation branch in which only one party measures and sends its
     dits; the other party wires its still-unused box during the
     measurement phase, informed by the communicated dits.
@@ -450,8 +438,9 @@ class WpiccWiring:
     )
 
     def __post_init__(self):
-        probs = _stochastic(np.reshape(self.branch_probabilities, -1),
-                            (len(self.BRANCHES),), 1, "branch_probabilities")
+        probs = _stochastic(
+            _float_array(self.branch_probabilities, "branch_probabilities").reshape(-1),
+            (len(self.BRANCHES),), 1, "branch_probabilities")
         object.__setattr__(self, "branch_probabilities", probs)
         for weight, (name, cls, party) in zip(probs, self.BRANCHES):
             branch = getattr(self, name)
@@ -459,16 +448,15 @@ class WpiccWiring:
                 if weight > 0:
                     raise ParameterOutOfRange(f"{name} carries weight but is missing")
             elif party is None:
-                ends = (branch.initial.key(), branch.final.key())
-                if ends != (self.initial.key(), self.final.key()):
-                    raise ScenarioMismatch(
-                        f"{name} maps {ends[0]} to {ends[1]}, the wiring "
-                        f"{self.initial.key()} to {self.final.key()}")
+                for end in ("initial", "final"):
+                    _require_same_scenario(getattr(branch, end), getattr(self, end),
+                                           f"{name} {end} scenario")
             else:
                 if getattr(branch, cls.LAYOUT.party) != party:
                     raise ParameterOutOfRange(
                         f"{name} needs {cls.LAYOUT.party} {party!r}")
-                branch.validate(self.initial, self.final)
+                # the measuring branches learn their scenarios only here
+                _validate_fields(branch, self.initial, self.final)
 
     @property
     def measuring_probability(self) -> float:
@@ -492,7 +480,7 @@ def apply_wpicc(w: WpiccWiring, p: Behavior) -> Behavior:
     outputs of one box into inputs of the other, which is circular
     unless the behavior is no-signaling.
     """
-    _require_scenario(p, w.initial)
+    _require_same_scenario(p.scenario, w.initial, "behavior scenario")
     report = is_no_signaling(p)
     if not report.ok:
         raise DomainViolation(
@@ -523,17 +511,6 @@ def wpicc_local_part(w: WpiccWiring, p: Behavior) -> Behavior:
 # ---------------------------------------------------------------------------
 # Seeded random generators
 # ---------------------------------------------------------------------------
-
-
-def _random_stochastic(
-    rng: np.random.Generator, shape: tuple[int, ...], trailing: int = 1
-) -> np.ndarray:
-    """Dirichlet-uniform conditional distribution over the trailing
-    `trailing` axes."""
-    cut = len(shape) - trailing
-    return rng.dirichlet(
-        np.ones(math.prod(shape[cut:])), size=math.prod(shape[:cut])
-    ).reshape(shape)
 
 
 def _random_fields(

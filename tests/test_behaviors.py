@@ -196,11 +196,21 @@ def test_input_distribution_kinds():
 
 def test_non_numeric_tables_raise_parameter_out_of_range():
     # numpy's float conversion fails before any shape or entry check
+    ragged = [[0.5, 0.5], [1.0]]
     for make in (lambda: bw.Behavior(SC2222, "abc"),
-                 lambda: bw.Behavior(SC2222, [[0.5, 0.5], [1.0]]),
+                 lambda: bw.Behavior(SC2222, ragged),
                  lambda: bw.behavior_from_array(SC2222, ["x"] * 16),
                  lambda: bw.InputDistribution.general(SC2222, "abcd"),
-                 lambda: bw.JointDistribution(SC2222, {"q": 1.0})):
+                 lambda: bw.JointDistribution(SC2222, {"q": 1.0}),
+                 lambda: bw.LocalModel(SC2222, ["x"] * 16),
+                 lambda: bw.LocalModel(SC2222, ragged),
+                 lambda: bw.LocalModel(SC2222, {"w": 1.0}),
+                 lambda: bw.BellCertificate(SC2222, [["x"]], 1, 2),
+                 lambda: bw.BellCertificate(SC2222, ragged, 1, 2),
+                 lambda: bw.BellCertificate(SC2222, {"c": 1.0}, 1, 2),
+                 lambda: bw.kl(["x", 1], [0.5, 0.5]),
+                 lambda: bw.kl([0.5, 0.5], ragged),
+                 lambda: bw.kl({"q": 1.0}, [1.0])):
         with pytest.raises(ParameterOutOfRange):
             make()
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -182,6 +183,31 @@ def test_eval_csv_format(tmp_path):
                    "--out", str(out)) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "key,value"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "local_check", "--in", "pr-box"],
+    ["eval", "local_check", "--in", "white-noise"],
+    ["eval", "ns_check", "--in", "pr-box"],
+    ["eval", "sb", "--in", "doubling-first", "--in2", "doubling-second"],
+    ["eval", "su", "--in", "pr-box"],
+    ["eval", "apply", "--in", "feedback-wpicc", "--in2", "doubling-second"],
+    ["reproduce-thm2", "--epsilon", "0.25"],
+])
+def test_csv_cells_are_the_json_values(argv, tmp_path):
+    # booleans, NaN (null), None, nested certificates and 17-digit doubles
+    # all read back from a cell as the JSON report has them
+    for fmt in ("json", "csv"):
+        assert run_cli(*argv, "--format", fmt, "--out", str(tmp_path / fmt)) == 0
+    doc = json.loads((tmp_path / "json").read_text())
+    rows = list(csv.reader((tmp_path / "csv").read_text().splitlines()))
+    assert rows[0] == ["key", "value"]
+    assert [key for key, _ in rows[1:]] == list(doc)
+    for key, cell in rows[1:]:
+        assert json.loads(cell) == doc[key]
+    if "certificate" in doc:
+        cert = jsonio.certificate_from_json(dict(rows[1:])["certificate"])
+        assert cert.local_bound == doc["certificate"]["local_bound"]
 
 
 def test_missing_file_is_reported(capsys):

@@ -128,6 +128,22 @@ def test_unknown_pivot_rule_is_a_parameter_error():
         bw.is_local(bw.pr_box(), pivot="steepest")
 
 
+def test_inconsistent_dimensions_are_a_length_mismatch():
+    from bellwire.errors import LengthMismatch, ParameterOutOfRange
+
+    A = np.ones((2, 3))
+    for c, b in ((np.zeros(3), np.ones(3)), (np.zeros(2), np.ones(2)),
+                 (np.zeros(3), np.ones((2, 2)))):
+        with pytest.raises(LengthMismatch):
+            solve_lp(c, A, b)
+    with pytest.raises(LengthMismatch):
+        lp_feasible(A, np.ones(1))
+    # arguments numpy cannot convert are input errors too
+    for c, A, b in ((["x", 1, 1], A, np.ones(2)), (np.zeros(3), [[1], [1, 2]], np.ones(2))):
+        with pytest.raises(ParameterOutOfRange):
+            solve_lp(c, A, b)
+
+
 def _check_farkas(A, b, res):
     assert res.status == "infeasible"
     assert np.max(res.dual @ A) <= 1e-9
