@@ -2,7 +2,8 @@
 # CLI checks through the installed `bellwire` console script, run by every
 # CI job (with and without SciPy): `eval sc` on the four-setting Tsirelson
 # box (the epigraph polish, the maximin input and its JSON), the paper's two
-# reproductions, `eval su` on the same box, `eval local_check` on the PR
+# reproductions, `eval su` on the same box (which `s_u` after `s_c` in one
+# process must equal bit for bit), `eval local_check` on the PR
 # box (the membership LP and its Bell certificate, whose bound is re-checked
 # by the best-response maximum), the same eval as CSV, whose certificate
 # cell must load through `jsonio.certificate_from_json`, `eval apply` of a
@@ -15,7 +16,24 @@ tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 bellwire eval sc --in tsirelson-four > /dev/null
 bellwire reproduce-thm2 --epsilon 0.125 > /dev/null
 bellwire reproduce-thm5 > /dev/null
-bellwire eval su --in tsirelson-four > /dev/null
+bellwire eval su --in tsirelson-four > "$tmp/su.json"
+# s_u after s_c in one process is read off the Frank-Wolfe run that s_c's
+# uniform start left; it must equal the fresh `eval su` above bit for bit
+python - "$tmp/su.json" <<'EOF_PY'
+import json
+import sys
+
+import bellwire as bw
+from bellwire import jsonio
+
+p = bw.tsirelson_four_setting()
+bw.s_c(p)
+shared = json.loads(jsonio.monotone_result_to_json(bw.s_u(p)))
+with open(sys.argv[1]) as f:
+    fresh = json.load(f)
+for key in ("value", "gap_estimate", "iterations", "optimizer_local"):
+    assert shared[key] == fresh[key], f"s_u after s_c differs from eval su in {key}"
+EOF_PY
 bellwire eval local_check --in pr-box | grep -q '"is_local":false'
 bellwire eval local_check --in pr-box --format csv > "$tmp/local_check.csv"
 python -c "import csv, sys; from bellwire import jsonio; cells = dict(csv.reader(open(sys.argv[1]))); jsonio.certificate_from_json(cells['certificate'])" "$tmp/local_check.csv"

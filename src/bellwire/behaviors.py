@@ -11,8 +11,9 @@ mask bugs in wiring application, where normalization is a correctness
 signal.
 
 The package's table intake lives here, each rule once. `_float_array`
-is the only conversion of outside numbers to floats: a string, a ragged
-nesting or a mapping raises `ParameterOutOfRange`; `_flat_table` adds
+is the only conversion of outside numbers to floats: anything numpy
+does not read as integers or floats (a string, a boolean, a ragged
+nesting, a mapping) raises `ParameterOutOfRange`; `_flat_table` adds
 the entry count (`LengthMismatch`) before the reshape. `_stochastic`
 validates every probability table: these containers, local-model
 weights, wiring fields and `divergence.kl`'s arguments. It raises
@@ -51,12 +52,16 @@ DEFAULT_VERTEX_CAP = 10**6
 
 
 def _float_array(arr, name: str) -> np.ndarray:
-    """`arr` as a float array copy; `ParameterOutOfRange` when numpy
-    cannot convert it (a string, a ragged nesting)."""
+    """`arr` as a float array copy; `ParameterOutOfRange` unless numpy
+    reads it as integers or floats (a string, a boolean, a ragged nesting
+    or a mapping is refused)."""
     try:
-        return np.array(arr, dtype=float)
-    except (TypeError, ValueError) as exc:
+        out = np.asarray(arr)
+    except (TypeError, ValueError) as exc:  # a ragged nesting
         raise ParameterOutOfRange(f"{name} is not a numeric table: {exc}") from None
+    if out.dtype.kind not in "iuf":
+        raise ParameterOutOfRange(f"{name} is not a numeric table")
+    return np.array(out, dtype=float)
 
 
 def _flat_table(arr, shape: tuple[int, ...], name: str) -> np.ndarray:

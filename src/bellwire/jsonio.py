@@ -20,8 +20,8 @@ Malformed input raises `LengthMismatch` (an array of the wrong size) or
 `ParameterOutOfRange` (text that is not JSON, a missing key, an entry
 that is not a number, a scenario size or local-model strategy index that
 is not an integer in range, another JSON type where an object or a list
-belongs). `_arr` checks that an array holds JSON numbers only and leaves
-the conversion and the entry count to `behaviors._flat_table`. Every
+belongs). `_arr` leaves the check that an array holds numbers only, the
+conversion and the entry count to `behaviors._flat_table`. Every
 array then passes its container's check, so a table that is not a
 distribution raises `NegativeEntry` (a negative, NaN or infinite entry)
 or `NotNormalized`. `wiring_from_json` also takes an already parsed
@@ -111,15 +111,13 @@ def _load(text: str) -> _Doc:
 
 
 def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """`data` (flat or nested, row-major), required to hold JSON numbers
-    only, as a float array of `shape` (`behaviors._flat_table`)."""
+    """`data` (flat or nested, row-major) as a float array of `shape`
+    (`behaviors._flat_table`, which refuses strings, booleans, nulls and
+    objects)."""
     try:
         out = np.asarray(data)
     except ValueError as err:  # ragged nesting
         raise ParameterOutOfRange(f"{name} is not an array of numbers: {err}") from None
-    # strings, booleans, nulls and objects are not JSON numbers
-    if out.dtype.kind not in "iuf":
-        raise ParameterOutOfRange(f"{name} is not an array of numbers")
     return _flat_table(out, shape, name)
 
 

@@ -35,11 +35,19 @@ of the call read it; `s_uc`'s block solves and its final solve share one.
 Its `rows(lam, M)` is the one rule for the row values, +inf included,
 which both bracket ends and the barrier read.
 
-`s_nl` and `s_c` read the same deterministic solve, and the module keeps
-`s_c`'s result of the most recent one: a call on the box and tol of the
-previous `s_nl` or `s_c` call returns values built from that solve,
-bit-identical to a fresh one, without solving again. Only that one
-solve is kept. `s_c_alternating` and `s_uc` never read it.
+The module keeps one record, of the most recent box and tol. Every cold
+inner minimization on it (one without a warm start: `s_u`'s and the
+uniform start of `s_nl`, `s_c` and `s_c_alternating`) shares one
+Frank-Wolfe run: at the same setting weights they follow the same
+deterministic iterates and differ only in the gap at which they stop,
+tol for `s_u` and tol/(2k) for the engine. The run resumes from its
+last stop and keeps the solution at each stop and at its first iterate
+within tol, so `s_u` then `s_nl` steps through it once, and `s_c` then
+`s_u` reads `s_u`'s stop off it. The record also keeps `s_c`'s result
+of the saddle problem of `s_nl` and `s_c`, so a call on the box and tol
+of the previous one returns it without solving again. Whatever is read
+off the record is bit-identical to a fresh solve, iteration counts
+included; another box, tol or setting weights starts a fresh run.
 
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
@@ -126,6 +134,11 @@ class MonotoneResult:
 # ---------------------------------------------------------------------------
 
 
+def _box_key(p: Behavior) -> tuple:
+    """When two boxes are one: the same scenario and table bytes."""
+    return p.scenario.key(), p.p.tobytes()
+
+
 class _DivergenceTables:
     """A box's data as the engine reads it, built once per quantifier
     call: its scenario, the vertex matrix V (n vertices) and P, with the
@@ -143,6 +156,7 @@ class _DivergenceTables:
 
     def __init__(self, p: Behavior):
         self.scenario = sc = p.scenario
+        self.key = _box_key(p)
         # the module-level name, which perfbench/tracing.py wraps
         self.V = V = local_vertex_matrix(sc)
         self.n = V.shape[0]
@@ -191,9 +205,9 @@ class _DivergenceTables:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _InnerSolution:
-    lam: np.ndarray
+    lam: np.ndarray  # a read-only copy, never the run's live weights
     value: float
     gap: float
     iterations: int
@@ -250,14 +264,9 @@ def _exchange_step(
     return lo, evals
 
 
-def _fw_minimize(
-    tables: _DivergenceTables,
-    setting_weights: np.ndarray,
-    *,
-    gap_tol: float,
-    lam0: np.ndarray | None = None,
-) -> _InnerSolution:
-    """Minimize sum_s w_s KL(P_s || (V.lam)_s) over the weight simplex.
+class _FrankWolfeRun:
+    """Minimize sum_s w_s KL(P_s || (V.lam)_s) over the weight simplex,
+    resumably.
 
     Steps are multiplicative (expectation-maximization form); every
     PAIRWISE_EVERY-th step a pairwise vertex exchange with exact line
@@ -265,59 +274,166 @@ def _fw_minimize(
     Frank-Wolfe gap, whose linear subproblem is exact enumeration over
     the vertices. Only the support columns of settings with positive
     weight enter.
+
+    `advance(gap_tol)` runs to the first iterate whose gap is at most
+    gap_tol, or to MAX_INNER_ITER iterations, and returns the solution
+    there. A stop counts its iteration but does not step, so a later
+    advance to a tighter gap_tol redoes that iteration's gap without
+    counting it again and carries on exactly as a straight run at the
+    tighter gap_tol would. On the way the run keeps the solution of every
+    stop asked for, and of its first iterate with gap at most `mark`;
+    `serves(gap_tol)` tells whether an advance to gap_tol returns what a
+    straight run to gap_tol would.
     """
-    n = tables.n
-    c = setting_weights[tables.setting] * tables.P_support
-    active = c > 0.0
-    cE = c[active]
-    VE = tables.VS[:, active]
-    const = float(np.sum(cE * np.log2(tables.P_support[active])))
 
-    if lam0 is None:
-        lam = np.full(n, 1.0 / n)
-    else:
-        # floor the warm start: multiplicative steps cannot revive an
-        # exactly-zero coordinate on their own
-        lam = np.clip(np.asarray(lam0, dtype=float), 0.0, None)
-        lam = lam / lam.sum()
-        lam = (1.0 - 1e-6) * lam + 1e-6 / n
-    qE = lam @ VE
-    ratio = np.empty_like(qE)
-    back = np.empty(n)
+    def __init__(
+        self,
+        tables: _DivergenceTables,
+        setting_weights: np.ndarray,
+        lam0: np.ndarray | None = None,
+        mark: float | None = None,
+    ):
+        n = tables.n
+        self.weights = setting_weights.tobytes()
+        c = setting_weights[tables.setting] * tables.P_support
+        active = c > 0.0
+        self.cE = c[active]
+        self.VE = tables.VS[:, active]
+        self.const = float(np.sum(self.cE * np.log2(tables.P_support[active])))
+        if lam0 is None:
+            lam = np.full(n, 1.0 / n)
+        else:
+            # floor the warm start: multiplicative steps cannot revive an
+            # exactly-zero coordinate on their own
+            lam = np.clip(np.asarray(lam0, dtype=float), 0.0, None)
+            lam = lam / lam.sum()
+            lam = (1.0 - 1e-6) * lam + 1e-6 / n
+        self.lam = lam
+        self.qE = lam @ self.VE
+        self.ratio = np.empty_like(self.qE)
+        self.back = np.empty(n)
+        self.gap = math.inf
+        self.it = 0
+        self.stopped = False  # at a stop: its gap read, its step not taken
+        self.mark = mark
+        self.stops: dict[float, _InnerSolution] = {}
+        self.floor = math.inf  # the tightest stop asked for so far
 
-    gap = math.inf
-    it = 0
-    while it < MAX_INNER_ITER:
-        it += 1
-        # the floor only matters for entries whose target weight is
-        # rounding dust; it keeps incremental cancellation from feeding
-        # an exact zero into the ratio
-        np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
-        # back is the vertex gradient, negated and scaled by ln 2
-        np.dot(VE, ratio, back)
-        fw = int(back.argmax())
-        gap = float(back[fw] - np.dot(lam, back)) / LN2
-        if gap <= gap_tol:
-            break
-        if it % PAIRWISE_EVERY == 0:
-            support = (lam > 1e-15).nonzero()[0]
-            aw = int(support[back[support].argmin()])
-            if aw != fw:
-                d = VE[fw] - VE[aw]
-                gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
-                if gamma > 0.0:
-                    lam[fw] += gamma
-                    lam[aw] -= gamma
-                    if lam[aw] < 1e-15:
-                        lam[aw] = 0.0
-                    qE += gamma * d
-                    continue
-        lam *= back
-        lam /= np.add.reduce(lam)
-        np.dot(lam, VE, qE)
+    def serves(self, gap_tol: float) -> bool:
+        return gap_tol in self.stops or gap_tol <= self.floor
 
-    value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
-    return _InnerSolution(lam, value, max(gap, 0.0), it)
+    def _solution(self, gap: float, it: int) -> _InnerSolution:
+        value = self.const - float(np.sum(self.cE * np.log2(np.maximum(self.qE, 1e-300))))
+        lam = self.lam.copy()
+        lam.setflags(write=False)
+        return _InnerSolution(lam, value, max(gap, 0.0), it)
+
+    def advance(self, gap_tol: float) -> _InnerSolution:
+        """The solution of a straight run to gap_tol; only when
+        `serves(gap_tol)`."""
+        if gap_tol in self.stops:
+            return self.stops[gap_tol]
+        lam, qE, cE, VE = self.lam, self.qE, self.cE, self.VE
+        ratio, back = self.ratio, self.back
+        marking = self.mark is not None and self.mark not in self.stops
+        # a stop's iteration is done again, not counted again
+        gap, it = self.gap, self.it - 1 if self.stopped else self.it
+        self.stopped = False
+        while it < MAX_INNER_ITER:
+            it += 1
+            # the floor only matters for entries whose target weight is
+            # rounding dust; it keeps incremental cancellation from feeding
+            # an exact zero into the ratio
+            np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
+            # back is the vertex gradient, negated and scaled by ln 2
+            np.dot(VE, ratio, back)
+            fw = int(back.argmax())
+            gap = float(back[fw] - np.dot(lam, back)) / LN2
+            if marking and gap <= self.mark:
+                self.stops[self.mark] = self._solution(gap, it)
+                marking = False
+            if gap <= gap_tol:
+                self.stopped = True
+                break
+            if it % PAIRWISE_EVERY == 0:
+                support = (lam > 1e-15).nonzero()[0]
+                aw = int(support[back[support].argmin()])
+                if aw != fw:
+                    d = VE[fw] - VE[aw]
+                    gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
+                    if gamma > 0.0:
+                        lam[fw] += gamma
+                        lam[aw] -= gamma
+                        if lam[aw] < 1e-15:
+                            lam[aw] = 0.0
+                        qE += gamma * d
+                        continue
+            lam *= back
+            lam /= np.add.reduce(lam)
+            np.dot(lam, VE, qE)
+        self.gap, self.it, self.floor = gap, it, gap_tol
+        if gap_tol not in self.stops:  # else the mark, kept at this iterate
+            self.stops[gap_tol] = self._solution(gap, it)
+        return self.stops[gap_tol]
+
+
+def _fw_minimize(
+    tables: _DivergenceTables,
+    setting_weights: np.ndarray,
+    *,
+    gap_tol: float,
+    lam0: np.ndarray | None = None,
+) -> _InnerSolution:
+    """One straight `_FrankWolfeRun` to gap_tol, from lam0 when given,
+    else from the barycenter."""
+    return _FrankWolfeRun(tables, setting_weights, lam0).advance(gap_tol)
+
+
+# ---------------------------------------------------------------------------
+# The record of the most recent box
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _BoxRecord:
+    """What the module keeps of the most recent box and tol, keyed by
+    `(_box_key(p), tol)`: the cold Frank-Wolfe run that the box's cold
+    inner minimizations share, and `s_c`'s result of the saddle problem
+    of `s_nl` and `s_c`. Either may be absent."""
+
+    key: tuple
+    run: _FrankWolfeRun | None = None
+    maximin: MonotoneResult | None = None
+
+
+#: The record of the most recent box; replaced, never edited.
+_box: _BoxRecord | None = None
+
+
+def _record_of(key: tuple) -> _BoxRecord:
+    """The module's record when it is of `key`, else an empty one."""
+    box = _box  # one read
+    return box if box is not None and box.key == key else _BoxRecord(key)
+
+
+def _cold_solve(
+    tables: _DivergenceTables, setting_weights: np.ndarray, tol: float, gap_tol: float
+) -> _InnerSolution:
+    """`_fw_minimize(tables, setting_weights, gap_tol=gap_tol)` on the
+    box's shared cold run: the record's run when it has these setting
+    weights and serves gap_tol, else a fresh run that replaces it. The
+    run is marked at tol, where `s_u` stops. It is taken out of the
+    record while it advances, so a run cut short is never kept."""
+    global _box
+    box = _record_of((tables.key, tol))
+    run = box.run
+    if (run is None or run.weights != setting_weights.tobytes()
+            or not run.serves(gap_tol)):
+        run = _FrankWolfeRun(tables, setting_weights, mark=tol)
+    _box = replace(box, run=None)
+    inner = run.advance(gap_tol)
+    _box = replace(box, run=run)
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +576,14 @@ class _MinimaxSolver:
             self.lam_best = lam
 
     def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
-        """Inner minimization at input weights d; returns its value and
-        the row values at its minimizer."""
-        inner = _fw_minimize(self.tables, d @ self.M, gap_tol=gap_tol,
-                             lam0=self.lam_warm)
+        """Inner minimization at input weights d, from `lam_warm` or, when
+        there is none, on the box's shared cold run; returns its value
+        and the row values at its minimizer."""
+        w = d @ self.M
+        if self.lam_warm is None:
+            inner = _cold_solve(self.tables, w, self.tol, gap_tol)
+        else:
+            inner = _fw_minimize(self.tables, w, gap_tol=gap_tol, lam0=self.lam_warm)
         self.iterations += inner.iterations
         self.lam_warm = inner.lam
         if self.d_lower is None or inner.value - inner.gap > self.lower:
@@ -522,36 +642,32 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     distribution: the minimax engine with one input row, the uniform
     setting weights, closed by a single inner minimization. The value is
     the exact uniform-weighted divergence at its minimizer; the bracket's
-    lower end is the minimizer's value less its Frank-Wolfe gap."""
+    lower end is the minimizer's value less its Frank-Wolfe gap. The
+    minimization is the box's shared cold run stopped at tol, so after
+    an `s_nl`, `s_c` or `s_c_alternating` call on the box and tol it is
+    read off that call's run, and a later `s_nl` resumes it."""
     m = p.scenario.sA * p.scenario.sB
     solver = _MinimaxSolver(_DivergenceTables(p), tol, np.full((1, m), 1.0 / m))
     solver.solve_at(np.ones(1), tol)
     return solver.result(None)
 
 
-#: ((scenario key, table bytes, tol), `s_c`'s result) of the most recent
-#: successful `_minimax_solve`. It holds one solve only, so just a repeat
-#: call on the same box and tol (`s_c` then `s_nl`, say) reuses it.
-_last_solve: tuple[tuple, MonotoneResult] | None = None
-
-
 def _minimax_solve(p: Behavior, tol: float) -> MonotoneResult:
     """`s_c`'s result for the saddle problem of `s_nl` and `s_c` at p and
-    tol. The solve is deterministic, so a call on the box and tol of the
-    previous one returns that solve's result, whose arrays are
-    read-only: exactly what a fresh solve returns. A solve that raises
-    leaves no result behind."""
-    global _last_solve
-    key = (p.scenario.key(), p.p.tobytes(), tol)
-    last = _last_solve  # one read: the pair is replaced, never edited
-    if last is not None and last[0] == key:
-        return last[1]
-    _last_solve = None
+    tol. The solve is deterministic, so when the module's record is of
+    this box and tol and holds a result, that result is returned: its
+    arrays are read-only, and it is exactly what a fresh solve returns.
+    A solve that raises leaves no result behind."""
+    global _box
+    key = (_box_key(p), tol)
+    maximin = _record_of(key).maximin
+    if maximin is not None:
+        return maximin
     solver = _MinimaxSolver(_DivergenceTables(p), tol)
     solver.run()
-    result = _maximin_result(solver)
-    _last_solve = key, result
-    return result
+    maximin = _maximin_result(solver)
+    _box = replace(_record_of(key), maximin=maximin)
+    return maximin
 
 
 def _maximin_result(solver: _MinimaxSolver) -> MonotoneResult:
@@ -566,7 +682,8 @@ def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Input-maximized divergence from the local set (the relative
     entropy of nonlocality), certified by the saddle-point bracket. A
     call on the box and tol of the last `s_nl` or `s_c` call reuses that
-    call's solve."""
+    call's solve; after an `s_u` call on them, its uniform start resumes
+    `s_u`'s Frank-Wolfe run."""
     return replace(_minimax_solve(p, tol), optimizer_inputs=None)
 
 

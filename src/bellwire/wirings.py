@@ -447,6 +447,9 @@ class WpiccWiring:
             if branch is None:
                 if weight > 0:
                     raise ParameterOutOfRange(f"{name} carries weight but is missing")
+            elif not isinstance(branch, cls):
+                raise ParameterOutOfRange(
+                    f"{name} must be a {cls.__name__}, not {type(branch).__name__}")
             elif party is None:
                 for end in ("initial", "final"):
                     _require_same_scenario(getattr(branch, end), getattr(self, end),

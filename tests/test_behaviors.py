@@ -200,6 +200,7 @@ def test_non_numeric_tables_raise_parameter_out_of_range():
     for make in (lambda: bw.Behavior(SC2222, "abc"),
                  lambda: bw.Behavior(SC2222, ragged),
                  lambda: bw.behavior_from_array(SC2222, ["x"] * 16),
+                 lambda: bw.behavior_from_array(SC2222, ["0.25"] * 16),
                  lambda: bw.InputDistribution.general(SC2222, "abcd"),
                  lambda: bw.JointDistribution(SC2222, {"q": 1.0}),
                  lambda: bw.LocalModel(SC2222, ["x"] * 16),

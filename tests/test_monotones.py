@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,9 +84,10 @@ def assert_maximin_certificate(p: bw.Behavior, r) -> None:
 
 
 def fresh(quantifier, p: bw.Behavior, tol: float = TOL):
-    """quantifier(p, tol) from a minimax solve of its own: the record of
-    the last shared `s_nl`/`s_c` solve is cleared first."""
-    monotones._last_solve = None
+    """quantifier(p, tol) from solves of its own: the module's record of
+    the most recent box (its shared cold run and `s_c`'s result) is
+    cleared first."""
+    monotones._box = None
     return quantifier(p, tol)
 
 
@@ -380,21 +382,23 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
 
 def test_s_uc_builds_the_tables_once(monkeypatch):
     # every block solve and the final solve read one set of the box's
-    # tables, and the result counts the inner iterations of all of them
-    real_init, real_fw = monotones._DivergenceTables.__init__, monotones._fw_minimize
+    # tables, and the result counts the inner iterations of all of them:
+    # every inner minimization, one-shot or on the shared cold run, is an
+    # advance of a Frank-Wolfe run
+    real_init, real_advance = monotones._DivergenceTables.__init__, monotones._FrankWolfeRun.advance
     builds, inner_iterations = [], []
 
     def counting_init(self, p):
         builds.append(p)
         real_init(self, p)
 
-    def counting_fw(*args, **kwargs):
-        inner = real_fw(*args, **kwargs)
+    def counting_advance(self, gap_tol):
+        inner = real_advance(self, gap_tol)
         inner_iterations.append(inner.iterations)
         return inner
 
     monkeypatch.setattr(monotones._DivergenceTables, "__init__", counting_init)
-    monkeypatch.setattr(monotones, "_fw_minimize", counting_fw)
+    monkeypatch.setattr(monotones._FrankWolfeRun, "advance", counting_advance)
     r = bw.s_uc(noisy_pr(0.8), TOL)
     assert len(builds) == 1
     assert len(inner_iterations) > 100
@@ -760,7 +764,7 @@ def assert_same_result(a, b) -> None:
 @pytest.fixture
 def solves(monkeypatch):
     """Counts `_MinimaxSolver.run` and `solve_at` calls, starting from an
-    empty record of the last shared solve."""
+    empty record of the most recent box."""
     counts = {"run": 0, "solve_at": 0}
     for name in counts:
         real = getattr(monotones._MinimaxSolver, name)
@@ -770,7 +774,7 @@ def solves(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(monotones._MinimaxSolver, name, counting)
-    monkeypatch.setattr(monotones, "_last_solve", None)
+    monkeypatch.setattr(monotones, "_box", None)
     return counts
 
 
@@ -823,6 +827,80 @@ def test_a_failed_solve_is_not_kept(solves, monkeypatch):
         m.setattr(monotones, "POLISH_ROUNDS", 0)
         with pytest.raises(NoConvergence):
             bw.s_nl(p, TOL)
-    assert monotones._last_solve is None
+    assert monotones._box.maximin is None
     bw.s_c(p, TOL)
     assert solves["run"] == 3
+
+
+# ---------------------------------------------------------------------------
+# The shared cold Frank-Wolfe run
+# ---------------------------------------------------------------------------
+
+
+COLD_START_QUANTIFIERS = (bw.s_u, bw.s_c, bw.s_nl, bw.s_c_alternating)
+
+
+def test_shared_cold_run_is_bit_identical_in_every_order():
+    # s_u stops on the run that the engine's uniform start resumes or has
+    # passed; every call order gives what fresh solves give
+    for p in (noisy_pr(0.8), tsirelson_4222(0)):
+        want = {q: fresh(q, p) for q in COLD_START_QUANTIFIERS}
+        for order in itertools.permutations(COLD_START_QUANTIFIERS):
+            monotones._box = None
+            for q in order:
+                assert_same_result(q(p, TOL), want[q])
+
+
+def test_s_u_weights_survive_a_resume():
+    # a stop's weights are a copy: the resume that s_nl makes leaves the
+    # weights s_u read, and the stop that a later s_u reads, as they were
+    p = tsirelson_4222(0)
+    monotones._box = None
+    m = p.scenario.sA * p.scenario.sB
+    solver = monotones._MinimaxSolver(monotones._DivergenceTables(p), TOL,
+                                      np.full((1, m), 1.0 / m))
+    solver.solve_at(np.ones(1), TOL)
+    lam, kept = solver.lam_best, solver.lam_best.copy()
+    first = bw.s_u(p, TOL)
+    bw.s_nl(p, TOL)
+    assert np.array_equal(lam, kept)
+    assert_same_result(bw.s_u(p, TOL), first)
+    assert_same_result(first, fresh(bw.s_u, p))
+
+
+def test_a_new_box_or_tol_gets_a_new_run():
+    p, q = noisy_pr(0.8), pr_relabeling_mixture(7, 0.8, 1)
+    monotones._box = None
+    bw.s_u(p, TOL)
+    for box, tol in ((p, TOL / 2), (q, TOL)):
+        run = monotones._box.run
+        r = bw.s_nl(box, tol)
+        assert monotones._box.run is not run
+        assert_same_result(r, fresh(bw.s_nl, box, tol))
+
+
+def test_shared_run_saves_the_steps_of_s_u(monkeypatch):
+    # the steps actually taken, counted by the pairwise exchanges' line
+    # searches: s_nl resumes s_u's run, so it repeats none of its steps,
+    # and s_u after s_c reads its stop off s_c's run without a step
+    real = monotones._exchange_step
+    steps = []
+
+    def counting(*args):
+        steps.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(monotones, "_exchange_step", counting)
+    p = tsirelson_4222(0)
+    fresh(bw.s_u, p)
+    s_u_steps = len(steps)
+    fresh(bw.s_nl, p)
+    cold = len(steps)
+    fresh(bw.s_u, p)
+    bw.s_nl(p, TOL)
+    assert s_u_steps > 0
+    assert len(steps) - cold == cold - s_u_steps
+    fresh(bw.s_c, p)
+    before = len(steps)
+    bw.s_u(p, TOL)
+    assert len(steps) == before

@@ -414,6 +414,15 @@ def test_wpicc_branch_with_weight_must_be_present(index, slot):
     dataclasses.replace(w, branch_probabilities=probs, **{slot: None})
 
 
+def test_wpicc_branch_class_is_checked():
+    # a branch of the wrong class is an input error, not an AttributeError
+    # on a field the class does not have
+    w = bw.random_wpicc_wiring(SC2222, SC2222, 0)
+    for slot, branch in (("both_alice_first", w.none_branch), ("none_branch", "losr")):
+        with pytest.raises(ParameterOutOfRange, match=slot):
+            dataclasses.replace(w, **{slot: branch})
+
+
 @pytest.mark.parametrize("slot,other", [
     ("both_alice_first", "both_bob_first"), ("both_bob_first", "both_alice_first"),
     ("alice_only", "bob_only"), ("bob_only", "alice_only"),
