@@ -544,7 +544,8 @@ class _MinimaxSolver:
     (setting weights d @ M), upper bounds from the worst row value of any
     vertex-weight iterate. `result` reports the closed bracket. The
     box's tables are built by the caller and may be shared by several
-    solvers; `lam_warm` starts the first inner minimization."""
+    solvers; `lam_warm` starts the first inner minimization, which
+    without it runs on the box's shared cold run."""
 
     def __init__(
         self, tables: _DivergenceTables, tol: float, M: np.ndarray | None = None,
