@@ -6,7 +6,11 @@
 # process must equal bit for bit), `eval local_check` on the PR
 # box (the membership LP and its Bell certificate, whose bound is re-checked
 # by the best-response maximum), the same eval as CSV, whose certificate
-# cell must load through `jsonio.certificate_from_json`, `eval apply` of a
+# cell must load through `jsonio.certificate_from_json`, `eval local_check`
+# on a random local 4343 box written by `jsonio.behavior_to_json` (Bland's
+# rule over the best-fit vertex order; the local model's weights must load
+# through `jsonio.local_model_from_json` and, in canonical vertex order,
+# reconstruct the box), `eval apply` of a
 # seeded WPICC wiring file
 # to the PR box, and exit status 2 for a truncated wiring file, an apply
 # with no --in2 and `eval snl` on a behavior file with a non-numeric entry.
@@ -37,6 +41,22 @@ EOF_PY
 bellwire eval local_check --in pr-box | grep -q '"is_local":false'
 bellwire eval local_check --in pr-box --format csv > "$tmp/local_check.csv"
 python -c "import csv, sys; from bellwire import jsonio; cells = dict(csv.reader(open(sys.argv[1]))); jsonio.certificate_from_json(cells['certificate'])" "$tmp/local_check.csv"
+python -c "import bellwire as bw; print(bw.jsonio.behavior_to_json(bw.random_ns_behavior(bw.Scenario(4, 3, 4, 3), 5)))" > "$tmp/box4343.json"
+bellwire eval local_check --in "$tmp/box4343.json" > "$tmp/local4343.json"
+python - "$tmp/box4343.json" "$tmp/local4343.json" <<'EOF_PY'
+import json
+import sys
+
+from bellwire import jsonio
+
+with open(sys.argv[1]) as f:
+    p = jsonio.behavior_from_json(f.read())
+with open(sys.argv[2]) as f:
+    report = json.load(f)
+assert report["is_local"] is True, "the random 4343 box is local"
+model = jsonio.local_model_from_json(json.dumps(report["model"]))
+assert model.matches(p), "the local model does not reconstruct the 4343 box"
+EOF_PY
 
 python -c "import bellwire as bw; sc = bw.Scenario(2, 2, 2, 2); print(bw.jsonio.wiring_to_json(bw.random_wpicc_wiring(sc, sc, 3)))" > "$tmp/w.json"
 bellwire eval apply --in "$tmp/w.json" --in2 pr-box > /dev/null

@@ -1,12 +1,16 @@
 """Polytope membership machinery for bipartite behaviors.
 
 The local set is the convex hull of deterministic strategy pairs.
-Membership is decided by LP feasibility over the explicit vertex list;
-both possible answers come with certificates that re-verify without
-trusting the solver: a `LocalModel` (convex weights that reconstruct the
-behavior, checked against the dense vertex matrix) or a `BellCertificate`
-(a separating functional whose value on the behavior exceeds its
-exhaustive maximum over all vertices, re-checked by best response).
+Membership is decided by LP feasibility over the explicit vertex list,
+which the LP sees ranked from best to worst fit to the behavior (vertex
+v scores v . p), so that Bland's smallest improving index is the
+best-fitting improving vertex; a local model's weights are mapped back
+to the canonical vertex order. Both possible answers come with
+certificates that re-verify without trusting the solver: a `LocalModel`
+(convex weights that reconstruct the behavior, checked against the dense
+vertex matrix) or a `BellCertificate` (a separating functional whose
+value on the behavior exceeds its exhaustive maximum over all vertices,
+re-checked by best response).
 """
 
 from __future__ import annotations
@@ -140,6 +144,21 @@ class Vertices:
         # G[alpha, y, b] = sum_x c[x, y, alpha(x), b]
         G = c[np.arange(len(c)), :, self.alice, :].sum(axis=1)
         return float(G.max(axis=2).sum(axis=1).max())
+
+
+class _Ranked:
+    """`Vertices` as an `lp` column source whose column k is vertex
+    `order[k]`."""
+
+    def __init__(self, vertices: Vertices, order: np.ndarray):
+        self.vertices, self.order = vertices, order
+        self.shape = vertices.shape
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        return self.vertices.price(y)[self.order]
+
+    def columns(self, idx) -> np.ndarray:
+        return self.vertices.columns(self.order[idx])
 
 
 def local_vertex_matrix(scenario: Scenario) -> np.ndarray:
@@ -290,15 +309,25 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     the in-repo revised simplex, which reads the constraints through
     `Vertices`: vertices are priced by the factorized best-response
     product and built one column at a time, so the LP never forms
-    [V^T; 1]. Either certificate is re-verified independently of the
-    solver before being returned: a local model against the dense vertex
-    matrix, a Bell certificate's bound by `Vertices.best`.
+    [V^T; 1]. The LP sees the vertices ranked once per call, from best
+    to worst fit: vertex v scores v . p, the summed probability p gives
+    to v's outcomes, and ties keep the canonical order. Under Bland's
+    rule the smallest improving index is then the best-fitting improving
+    vertex, and the rule still terminates, as it does under any fixed
+    column order. The LP's weights are scattered back to the canonical
+    vertex order before the `LocalModel` is built; the Farkas dual is
+    per row and needs no mapping. Either certificate is re-verified
+    independently of the solver before being returned: a local model
+    against the dense vertex matrix, a Bell certificate's bound by
+    `Vertices.best`.
     """
     vertices = Vertices.of(p.scenario)
     b = np.concatenate([p.flat(), [1.0]])
-    res = lp_feasible(vertices, b, pivot=pivot, feas_tol=tol)
+    order = np.argsort(-vertices.price(np.concatenate([p.flat(), [0.0]])), kind="stable")
+    res = lp_feasible(_Ranked(vertices, order), b, pivot=pivot, feas_tol=tol)
     if res.feasible:
-        w = np.clip(res.x, 0.0, None)
+        w = np.empty_like(res.x)
+        w[order] = np.clip(res.x, 0.0, None)
         w = w / w.sum()
         model = LocalModel(p.scenario, w)
         if not model.matches(p, tol=max(tol, 1e-8)):

@@ -17,14 +17,21 @@ by y @ A in the same loop.
 
 Bland's pivot rule is the default because it guarantees termination on
 degenerate bases; Dantzig's rule is available so membership verdicts can
-be re-derived with an independent pivot order.
+be re-derived with an independent pivot order. Bland's guarantee holds
+for any fixed order of the columns, so a caller may hand in a source
+whose columns are ranked: the smallest improving index is then the
+best-ranked improving column. `geometry.is_local` ranks the vertices by
+their fit to the behavior this way.
 
 Every verdict (optimal, unbounded, infeasible) and every returned x and
 y is read on a fresh factorization of the final basis: a phase ends only
 after a pricing pass on a refactorized inverse, so drift from the rank-1
-updates cannot decide it. On infeasible instances the phase-1 dual
-vector y is returned; it satisfies y.A <= 0 (componentwise over columns)
-and y.b > 0, i.e. it is a Farkas certificate of infeasibility.
+updates cannot decide it. Nor can it pick a ratio-test pivot: an
+element below 1e-6 of its column's largest entry is re-read on a fresh
+factorization before it is accepted. On infeasible instances the
+phase-1 dual vector y is returned; it satisfies y.A <= 0 (componentwise
+over columns) and y.b > 0, i.e. it is a Farkas certificate of
+infeasibility.
 """
 
 from __future__ import annotations
@@ -198,10 +205,13 @@ def _iterate(
             return "optimal", iterations
         alpha = B.inv @ B.column(col)
         row = _choose_leaving(alpha, B.xB, B.basis, pivot)
+        if B.stale and (row is None or alpha[row] < 1e-6 * np.abs(alpha).max()):
+            # no pivot, or one so small relative to its column that it may
+            # be drift in the inverse alone (pivoting on it can make the
+            # basis singular): re-read on a fresh factorization
+            B.refactor()
+            continue
         if row is None:
-            if B.stale:
-                B.refactor()
-                continue
             if phase1:
                 # a ray cannot lower the phase-1 objective below zero, so
                 # this column is numerical dust; bar it and move on

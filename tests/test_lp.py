@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import bellwire as bw
 from bellwire import lp
 from bellwire.lp import lp_feasible, solve_lp
 
@@ -196,6 +197,31 @@ def test_verdicts_are_read_on_a_fresh_factorization(monkeypatch):
         assert solves[-1].stale == 0
         _check_farkas(A2, b2, res)
         assert res.phase1_objective == pytest.approx(res.dual @ b2, abs=1e-12)
+
+
+def test_drift_in_the_inverse_cannot_choose_a_pivot(monkeypatch):
+    # Noise of 1e-10 to 1e-9 added to the inverse after every rank-1
+    # update lifts exact zeros of alpha = B^-1 a_j past PIV_TOL. On this
+    # membership LP (101 rows of rank 36, so many artificials stay basic
+    # at zero) such an element can win the ratio test, and pivoting on it
+    # made the next refactorization singular in 9 of these 12 solves. A
+    # pivot element that small relative to its column is re-read on a
+    # fresh factorization first.
+    p = bw.random_ns_behavior(bw.Scenario(5, 2, 5, 2), 0)
+    expected = bw.is_local(p).is_local
+    rng = np.random.default_rng(0)
+
+    class Drifting(lp._Basis):
+        def pivot(self, r, j, alpha):
+            super().pivot(r, j, alpha)
+            if self.stale:
+                self.inv += rng.uniform(1e-10, 1e-9) * rng.standard_normal(self.inv.shape)
+
+    monkeypatch.setattr(lp, "_Basis", Drifting)
+    for _ in range(6):
+        for pivot in ("bland", "dantzig"):
+            # the certificate is re-checked on construction
+            assert bw.is_local(p, pivot=pivot).is_local == expected
 
 
 def test_bland_terminates_on_beales_cycling_example():
