@@ -3,7 +3,8 @@
 # CI job (with and without SciPy): `eval sc` on the four-setting Tsirelson
 # box (the epigraph polish, the maximin input and its JSON), the paper's two
 # reproductions, `eval su` on the same box (which `s_u` after `s_c` in one
-# process must equal bit for bit), `eval local_check` on the PR
+# process must equal bit for bit), `eval snl` on it (which `s_nl` after
+# `s_u` in one process must equal bit for bit), `eval local_check` on the PR
 # box (the membership LP and its Bell certificate, whose bound is re-checked
 # by the best-response maximum), the same eval as CSV, whose certificate
 # cell must load through `jsonio.certificate_from_json`, `eval local_check`
@@ -37,6 +38,25 @@ with open(sys.argv[1]) as f:
     fresh = json.load(f)
 for key in ("value", "gap_estimate", "iterations", "optimizer_local"):
     assert shared[key] == fresh[key], f"s_u after s_c differs from eval su in {key}"
+EOF_PY
+bellwire eval snl --in tsirelson-four > "$tmp/snl.json"
+# s_nl after s_u in one process resumes the Frank-Wolfe run that s_u
+# stopped on the box's tables; it must equal the fresh `eval snl` above
+# bit for bit
+python - "$tmp/snl.json" <<'EOF_PY'
+import json
+import sys
+
+import bellwire as bw
+from bellwire import jsonio
+
+p = bw.tsirelson_four_setting()
+bw.s_u(p)
+shared = json.loads(jsonio.monotone_result_to_json(bw.s_nl(p)))
+with open(sys.argv[1]) as f:
+    fresh = json.load(f)
+for key in ("value", "gap_estimate", "iterations", "optimizer_local"):
+    assert shared[key] == fresh[key], f"s_nl after s_u differs from eval snl in {key}"
 EOF_PY
 bellwire eval local_check --in pr-box | grep -q '"is_local":false'
 bellwire eval local_check --in pr-box --format csv > "$tmp/local_check.csv"

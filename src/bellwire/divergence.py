@@ -11,6 +11,10 @@ read it. It sums each row with zeros in place of the terms off Q's
 support, which equals the sum over the support alone bit for bit while
 a row has fewer than 8 entries (numpy adds rows that short in order);
 at 8 or more the two can differ in the last digit.
+
+One rule, `_weighted_rows`, weighs such divergences: a zero weight drops
+its term even where it is +inf, and a positive weight on +inf makes the
+weighted sum +inf. `conditional_re` and the engine's row values read it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,18 @@ def _kl_rows(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
+def _weighted_rows(M: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """M @ table for nonnegative weights M and divergences table, which
+    may hold +inf: a zero weight contributes nothing, even on an infinite
+    entry (never the NaN of 0 * inf), and a positive weight on one makes
+    its row +inf."""
+    inf = np.isinf(table)
+    out = M @ np.where(inf, 0.0, table)
+    if inf.any():
+        out[np.any(M[:, inf] > 0.0, axis=1)] = math.inf
+    return out
+
+
 def kl(q: np.ndarray, q_prime: np.ndarray) -> DivergenceValue:
     """Kullback-Leibler divergence between two finite distributions.
 
@@ -91,11 +107,8 @@ def conditional_re(
     when their per-setting divergence is infinite.
     """
     _require_same_scenario(p.scenario, d.scenario)
-    table = per_setting_kl(p, p_prime)
-    mask = d.d > 0.0
-    if np.any(np.isinf(table[mask])):
-        return DivergenceValue(math.inf)
-    return DivergenceValue(float(np.sum(d.d[mask] * table[mask])))
+    table = per_setting_kl(p, p_prime).reshape(-1)
+    return DivergenceValue(float(_weighted_rows(d.d.reshape(1, -1), table)[0]))
 
 
 def behavior_re(p: Behavior, p_prime: Behavior) -> DivergenceValue:

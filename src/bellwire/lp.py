@@ -26,12 +26,14 @@ their fit to the behavior this way.
 Every verdict (optimal, unbounded, infeasible) and every returned x and
 y is read on a fresh factorization of the final basis: a phase ends only
 after a pricing pass on a refactorized inverse, so drift from the rank-1
-updates cannot decide it. Nor can it pick a ratio-test pivot: an
+updates cannot decide it. Nor can it pick a pivot. In the ratio test, an
 element below 1e-6 of its column's largest entry is re-read on a fresh
-factorization before it is accepted. On infeasible instances the
-phase-1 dual vector y is returned; it satisfies y.A <= 0 (componentwise
-over columns) and y.b > 0, i.e. it is a Farkas certificate of
-infeasibility.
+factorization before it is accepted. After phase 1, each basic
+artificial's row is read on a fresh factorization, and the artificial is
+driven out on the row's largest entry when that exceeds PIV_TOL. On
+infeasible instances the phase-1 dual vector y is returned; it satisfies
+y.A <= 0 (componentwise over columns) and y.b > 0, i.e. it is a Farkas
+certificate of infeasibility.
 """
 
 from __future__ import annotations
@@ -266,15 +268,17 @@ def solve_lp(
         y = B.duals(cost) * sign
         return LpResult("infeasible", None, float("nan"), y, z1, iterations)
 
-    # Drive artificials out of the basis where possible; rows that cannot
-    # be pivoted are redundant and stay inert (their structural entries
-    # are all ~0, so later ratio tests never pick them).
+    # Drive artificials out of the basis where possible, each row read on
+    # a fresh factorization and pivoted on its largest entry; rows that
+    # cannot be pivoted are redundant and stay inert (their structural
+    # entries are all ~0, so later ratio tests never pick them).
     for i in range(m):
         if B.basis[i] >= n:
-            row = cols.price(B.inv[i] * sign)
-            structural = np.where(np.abs(row) > PIV_TOL)[0]
-            if structural.size:
-                j = int(structural[0])
+            if B.stale:
+                B.refactor()
+            row = np.abs(cols.price(B.inv[i] * sign))
+            j = int(np.argmax(row))
+            if row[j] > PIV_TOL:
                 B.pivot(i, j, B.inv @ B.column(j))
 
     # Phase 2: artificial columns keep cost zero but are barred from

@@ -28,26 +28,28 @@ width, so value - gap_estimate is a certified lower bound, never below 0.
   the settings grouped by the free party's input; the final solve at
   the best product is the engine with that product as its one row.
 
-Each quantifier call builds the box's `_DivergenceTables` once: the
-vertex matrix and the columns on the box's support, each with its
-setting. The inner minimizations, the barrier and every engine instance
-of the call read it; `s_uc`'s block solves and its final solve share one.
-Its `rows(lam, M)` is the one rule for the row values, +inf included,
-which both bracket ends and the barrier read.
+The module keeps the `_DivergenceTables` of the most recent box, and
+every quantifier reads them through `_tables_of`, so calls on one box
+build them once: the vertex matrix and the columns on the box's
+support, each with its setting. The inner minimizations, the barrier
+and every engine instance read them; `s_uc`'s block solves and its
+final solve share them. Their `rows(lam, M)` is the one rule for the row
+values, +inf included, which both bracket ends and the barrier read.
 
-The module keeps one record, of the most recent box and tol. Every cold
-inner minimization on it (one without a warm start: `s_u`'s and the
-uniform start of `s_nl`, `s_c` and `s_c_alternating`) shares one
-Frank-Wolfe run: at the same setting weights they follow the same
+The tables also keep what the box's quantifier calls share. Every cold
+inner minimization on the box (one without a warm start: `s_u`'s and the
+uniform start of `s_nl`, `s_c` and `s_c_alternating`) at one tol shares
+one Frank-Wolfe run: at the same setting weights they follow the same
 deterministic iterates and differ only in the gap at which they stop,
 tol for `s_u` and tol/(2k) for the engine. The run resumes from its
 last stop and keeps the solution at each stop and at its first iterate
 within tol, so `s_u` then `s_nl` steps through it once, and `s_c` then
-`s_u` reads `s_u`'s stop off it. The record also keeps `s_c`'s result
-of the saddle problem of `s_nl` and `s_c`, so a call on the box and tol
-of the previous one returns it without solving again. Whatever is read
-off the record is bit-identical to a fresh solve, iteration counts
-included; another box, tol or setting weights starts a fresh run.
+`s_u` reads `s_u`'s stop off it. The tables also keep `s_c`'s result of
+the saddle problem of `s_nl` and `s_c` per tol, so a later call on the
+box and tol returns it without solving again. Whatever is read off the
+tables is bit-identical to a fresh solve, iteration counts included;
+other setting weights or another tol start a fresh run, and another
+box new tables.
 
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
@@ -75,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .behaviors import Behavior, InputDistribution
-from .divergence import _kl_rows
+from .divergence import _kl_rows, _weighted_rows
 from .errors import NoConvergence, ParameterOutOfRange
 from .geometry import LocalModel, local_vertex_matrix
 from .lp import solve_lp  # noqa: F401 -- perfbench/tracing.py wraps it here
@@ -140,11 +142,14 @@ def _box_key(p: Behavior) -> tuple:
 
 
 class _DivergenceTables:
-    """A box's data as the engine reads it, built once per quantifier
-    call: its scenario, the vertex matrix V (n vertices) and P, with the
-    columns of V on the support of P indexed once, each with its setting.
+    """A box's data as the engine reads it, built once per box: its
+    scenario, the vertex matrix V (n vertices) and P, with the columns of
+    V on the support of P indexed once, each with its setting.
     Frank-Wolfe reads the support block at its setting weights, and
-    every `_MinimaxSolver` on the box shares one instance.
+    every `_MinimaxSolver` on the box shares one instance. The tables
+    also keep what the box's quantifier calls share: `run`, the cold
+    Frank-Wolfe run (see `_cold_solve`), and `maximin`, `s_c`'s result of
+    the saddle problem of `s_nl` and `s_c` per tol.
 
     `kls` gives the per-setting divergences KL(P_s || (V.lam)_s) in bits:
     one mat-vec and one pass of `divergence._kl_rows`, so it is +inf for
@@ -172,20 +177,17 @@ class _DivergenceTables:
         # the columns of every setting
         self.setting = support // k
         self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
+        self.run: _FrankWolfeRun | None = None
+        self.maximin: dict[float, MonotoneResult] = {}
 
     def kls(self, lam: np.ndarray) -> np.ndarray:
         return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
 
     def rows(self, lam: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Row values M @ kls(lam); +inf where a setting with positive
-        weight in the row has a supported outcome that lam leaves
-        uncovered, never the NaN of 0 * inf."""
-        kl_table = self.kls(lam)
-        inf = np.isinf(kl_table)
-        out = M @ np.where(inf, 0.0, kl_table)
-        if inf.any():
-            out[np.any(M[:, inf] > 0.0, axis=1)] = math.inf
-        return out
+        """Row values M @ kls(lam) under `divergence._weighted_rows`: +inf
+        where a setting with positive weight in the row has a supported
+        outcome that lam leaves uncovered, never the NaN of 0 * inf."""
+        return _weighted_rows(M, self.kls(lam))
 
     def derivatives(self, lam: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every setting's gradient and the Hessian of sum_s c_s times its
@@ -276,14 +278,16 @@ class _FrankWolfeRun:
     weight enter.
 
     `advance(gap_tol)` runs to the first iterate whose gap is at most
-    gap_tol, or to MAX_INNER_ITER iterations, and returns the solution
-    there. A stop counts its iteration but does not step, so a later
-    advance to a tighter gap_tol redoes that iteration's gap without
-    counting it again and carries on exactly as a straight run at the
-    tighter gap_tol would. On the way the run keeps the solution of every
-    stop asked for, and of its first iterate with gap at most `mark`;
-    `serves(gap_tol)` tells whether an advance to gap_tol returns what a
-    straight run to gap_tol would.
+    gap_tol, or to MAX_INNER_ITER steps, and returns the solution there.
+    The run counts the steps it has taken. A stop reads the gap at its
+    iterate without stepping and reports steps + 1 iterations, so a later
+    advance to a tighter gap_tol reads that gap again and carries on
+    exactly as a straight run at the tighter gap_tol would. On the way the
+    run keeps the solution of every stop asked for, and of its first
+    iterate with gap at most `mark`. It stands at the first iterate within
+    the tightest kept stop, so an advance to gap_tol returns what a
+    straight run to gap_tol would (`serves(gap_tol)`) when gap_tol is a
+    kept stop or at most the tightest.
     """
 
     def __init__(
@@ -313,14 +317,12 @@ class _FrankWolfeRun:
         self.ratio = np.empty_like(self.qE)
         self.back = np.empty(n)
         self.gap = math.inf
-        self.it = 0
-        self.stopped = False  # at a stop: its gap read, its step not taken
+        self.steps = 0
         self.mark = mark
         self.stops: dict[float, _InnerSolution] = {}
-        self.floor = math.inf  # the tightest stop asked for so far
 
     def serves(self, gap_tol: float) -> bool:
-        return gap_tol in self.stops or gap_tol <= self.floor
+        return gap_tol in self.stops or gap_tol <= min(self.stops, default=math.inf)
 
     def _solution(self, gap: float, it: int) -> _InnerSolution:
         value = self.const - float(np.sum(self.cE * np.log2(np.maximum(self.qE, 1e-300))))
@@ -336,11 +338,8 @@ class _FrankWolfeRun:
         lam, qE, cE, VE = self.lam, self.qE, self.cE, self.VE
         ratio, back = self.ratio, self.back
         marking = self.mark is not None and self.mark not in self.stops
-        # a stop's iteration is done again, not counted again
-        gap, it = self.gap, self.it - 1 if self.stopped else self.it
-        self.stopped = False
-        while it < MAX_INNER_ITER:
-            it += 1
+        gap, steps = self.gap, self.steps
+        while steps < MAX_INNER_ITER:
             # the floor only matters for entries whose target weight is
             # rounding dust; it keeps incremental cancellation from feeding
             # an exact zero into the ratio
@@ -350,12 +349,12 @@ class _FrankWolfeRun:
             fw = int(back.argmax())
             gap = float(back[fw] - np.dot(lam, back)) / LN2
             if marking and gap <= self.mark:
-                self.stops[self.mark] = self._solution(gap, it)
+                self.stops[self.mark] = self._solution(gap, steps + 1)
                 marking = False
             if gap <= gap_tol:
-                self.stopped = True
                 break
-            if it % PAIRWISE_EVERY == 0:
+            steps += 1
+            if steps % PAIRWISE_EVERY == 0:
                 support = (lam > 1e-15).nonzero()[0]
                 aw = int(support[back[support].argmin()])
                 if aw != fw:
@@ -371,9 +370,11 @@ class _FrankWolfeRun:
             lam *= back
             lam /= np.add.reduce(lam)
             np.dot(lam, VE, qE)
-        self.gap, self.it, self.floor = gap, it, gap_tol
+        self.gap, self.steps = gap, steps
         if gap_tol not in self.stops:  # else the mark, kept at this iterate
-            self.stops[gap_tol] = self._solution(gap, it)
+            # a stop's gap is read at the iterate after its steps; a run
+            # that ran out of steps reports the last gap it read
+            self.stops[gap_tol] = self._solution(gap, steps + 1 if gap <= gap_tol else steps)
         return self.stops[gap_tol]
 
 
@@ -390,49 +391,39 @@ def _fw_minimize(
 
 
 # ---------------------------------------------------------------------------
-# The record of the most recent box
+# The tables of the most recent box
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _BoxRecord:
-    """What the module keeps of the most recent box and tol, keyed by
-    `(_box_key(p), tol)`: the cold Frank-Wolfe run that the box's cold
-    inner minimizations share, and `s_c`'s result of the saddle problem
-    of `s_nl` and `s_c`. Either may be absent."""
-
-    key: tuple
-    run: _FrankWolfeRun | None = None
-    maximin: MonotoneResult | None = None
+#: The tables of the most recent box, with its shared run and results.
+_box: _DivergenceTables | None = None
 
 
-#: The record of the most recent box; replaced, never edited.
-_box: _BoxRecord | None = None
-
-
-def _record_of(key: tuple) -> _BoxRecord:
-    """The module's record when it is of `key`, else an empty one."""
-    box = _box  # one read
-    return box if box is not None and box.key == key else _BoxRecord(key)
+def _tables_of(p: Behavior) -> _DivergenceTables:
+    """The module's tables when they are of p's box, else new ones, which
+    replace them; the old tables are dropped before the new are built."""
+    global _box
+    if _box is None or _box.key != _box_key(p):
+        _box = None
+        _box = _DivergenceTables(p)
+    return _box
 
 
 def _cold_solve(
     tables: _DivergenceTables, setting_weights: np.ndarray, tol: float, gap_tol: float
 ) -> _InnerSolution:
     """`_fw_minimize(tables, setting_weights, gap_tol=gap_tol)` on the
-    box's shared cold run: the record's run when it has these setting
-    weights and serves gap_tol, else a fresh run that replaces it. The
-    run is marked at tol, where `s_u` stops. It is taken out of the
-    record while it advances, so a run cut short is never kept."""
-    global _box
-    box = _record_of((tables.key, tol))
-    run = box.run
-    if (run is None or run.weights != setting_weights.tobytes()
+    tables' shared cold run: their run when it has these setting weights
+    and its mark at tol (where `s_u` stops) and serves gap_tol, else a
+    fresh run so marked that replaces it. The run is taken off the tables
+    while it advances, so a run cut short is never kept."""
+    run = tables.run
+    if (run is None or (run.weights, run.mark) != (setting_weights.tobytes(), tol)
             or not run.serves(gap_tol)):
         run = _FrankWolfeRun(tables, setting_weights, mark=tol)
-    _box = replace(box, run=None)
+    tables.run = None
     inner = run.advance(gap_tol)
-    _box = replace(box, run=run)
+    tables.run = run
     return inner
 
 
@@ -545,7 +536,7 @@ class _MinimaxSolver:
     vertex-weight iterate. `result` reports the closed bracket. The
     box's tables are built by the caller and may be shared by several
     solvers; `lam_warm` starts the first inner minimization, which
-    without it runs on the box's shared cold run."""
+    without it runs on the tables' shared cold run."""
 
     def __init__(
         self, tables: _DivergenceTables, tol: float, M: np.ndarray | None = None,
@@ -578,7 +569,7 @@ class _MinimaxSolver:
 
     def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
         """Inner minimization at input weights d, from `lam_warm` or, when
-        there is none, on the box's shared cold run; returns its value
+        there is none, on the tables' shared cold run; returns its value
         and the row values at its minimizer."""
         w = d @ self.M
         if self.lam_warm is None:
@@ -648,27 +639,23 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     an `s_nl`, `s_c` or `s_c_alternating` call on the box and tol it is
     read off that call's run, and a later `s_nl` resumes it."""
     m = p.scenario.sA * p.scenario.sB
-    solver = _MinimaxSolver(_DivergenceTables(p), tol, np.full((1, m), 1.0 / m))
+    solver = _MinimaxSolver(_tables_of(p), tol, np.full((1, m), 1.0 / m))
     solver.solve_at(np.ones(1), tol)
     return solver.result(None)
 
 
 def _minimax_solve(p: Behavior, tol: float) -> MonotoneResult:
     """`s_c`'s result for the saddle problem of `s_nl` and `s_c` at p and
-    tol. The solve is deterministic, so when the module's record is of
-    this box and tol and holds a result, that result is returned: its
-    arrays are read-only, and it is exactly what a fresh solve returns.
-    A solve that raises leaves no result behind."""
-    global _box
-    key = (_box_key(p), tol)
-    maximin = _record_of(key).maximin
-    if maximin is not None:
-        return maximin
-    solver = _MinimaxSolver(_DivergenceTables(p), tol)
-    solver.run()
-    maximin = _maximin_result(solver)
-    _box = replace(_record_of(key), maximin=maximin)
-    return maximin
+    tol. The solve is deterministic, so the box's tables keep it per tol,
+    and a later call on the box and tol returns it: its arrays are
+    read-only, and it is exactly what a fresh solve returns. A solve that
+    raises leaves no result behind."""
+    tables = _tables_of(p)
+    if tol not in tables.maximin:
+        solver = _MinimaxSolver(tables, tol)
+        solver.run()
+        tables.maximin[tol] = _maximin_result(solver)
+    return tables.maximin[tol]
 
 
 def _maximin_result(solver: _MinimaxSolver) -> MonotoneResult:
@@ -682,9 +669,9 @@ def _maximin_result(solver: _MinimaxSolver) -> MonotoneResult:
 def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Input-maximized divergence from the local set (the relative
     entropy of nonlocality), certified by the saddle-point bracket. A
-    call on the box and tol of the last `s_nl` or `s_c` call reuses that
-    call's solve; after an `s_u` call on them, its uniform start resumes
-    `s_u`'s Frank-Wolfe run."""
+    call on the most recent box reuses an `s_nl` or `s_c` solve made on
+    it at this tol; after an `s_u` call on the box and tol, its uniform
+    start resumes `s_u`'s Frank-Wolfe run."""
     return replace(_minimax_solve(p, tol), optimizer_inputs=None)
 
 
@@ -693,8 +680,8 @@ def s_c(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     distributions; equals `s_nl` by the minimax theorem. The reported
     optimizer input is a maximin input distribution: an inner
     minimization at it certifies at least value - gap_estimate. A call
-    on the box and tol of the last `s_nl` or `s_c` call reuses that
-    call's solve."""
+    on the most recent box reuses an `s_nl` or `s_c` solve made on it at
+    this tol."""
     return _minimax_solve(p, tol)
 
 
@@ -714,7 +701,7 @@ def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     select the equalizing minimizer. Reports the same maximin input
     certificate as `s_c`.
     """
-    solver = _MinimaxSolver(_DivergenceTables(p), tol)
+    solver = _MinimaxSolver(_tables_of(p), tol)
     m = solver.k
     inner_tol = tol / (2.0 * m)
     D = np.full(m, 1.0 / m)
@@ -801,7 +788,7 @@ def s_uc(
             (rng.dirichlet(np.ones(sc.sA)), rng.dirichlet(np.ones(sc.sB)))
         )
 
-    tables = _DivergenceTables(p)
+    tables = _tables_of(p)
     best_val = -math.inf
     best_pair: tuple[np.ndarray, np.ndarray] | None = None
     best_lam: np.ndarray | None = None

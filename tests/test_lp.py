@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -222,6 +224,36 @@ def test_drift_in_the_inverse_cannot_choose_a_pivot(monkeypatch):
         for pivot in ("bland", "dantzig"):
             # the certificate is re-checked on construction
             assert bw.is_local(p, pivot=pivot).is_local == expected
+
+
+def test_drift_in_the_inverse_cannot_choose_a_drive_out_pivot(monkeypatch):
+    # A box inside a face of the 3333 local polytope leaves artificials
+    # basic at zero after phase 1. Noise of 1e-9 added to the inverse after
+    # every pivot that drives one out lifts zeros of the next artificial's
+    # row past PIV_TOL; pivoting on the first such entry made the next
+    # refactorization singular in all 12 of these solves. Each row is read
+    # on a fresh factorization and pivoted on its largest entry instead.
+    sc = bw.Scenario(3, 3, 3, 3)
+    V = bw.local_vertex_matrix(sc)
+    rng = np.random.default_rng(0)
+    drive_outs = []
+
+    class Drifting(lp._Basis):
+        def pivot(self, r, j, alpha):
+            super().pivot(r, j, alpha)
+            if sys._getframe(1).f_code.co_name == "solve_lp":
+                drive_outs.append(j)
+                self.inv += 1e-9 * rng.standard_normal(self.inv.shape)
+
+    monkeypatch.setattr(lp, "_Basis", Drifting)
+    for seed in range(6):
+        box_rng = np.random.default_rng([5, 8, seed])
+        vertices = box_rng.choice(V.shape[0], 8, replace=False)
+        p = bw.Behavior(sc, (box_rng.dirichlet(np.ones(8)) @ V[vertices]).reshape(sc.shape))
+        for pivot in ("bland", "dantzig"):
+            # the local model is re-checked on construction
+            assert bw.is_local(p, pivot=pivot).is_local
+    assert len(drive_outs) > 12
 
 
 def test_bland_terminates_on_beales_cycling_example():

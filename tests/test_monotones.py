@@ -84,9 +84,9 @@ def assert_maximin_certificate(p: bw.Behavior, r) -> None:
 
 
 def fresh(quantifier, p: bw.Behavior, tol: float = TOL):
-    """quantifier(p, tol) from solves of its own: the module's record of
-    the most recent box (its shared cold run and `s_c`'s result) is
-    cleared first."""
+    """quantifier(p, tol) from solves of its own: the module's tables of
+    the most recent box (with its shared cold run and `s_c`'s results)
+    are dropped first."""
     monotones._box = None
     return quantifier(p, tol)
 
@@ -399,6 +399,7 @@ def test_s_uc_builds_the_tables_once(monkeypatch):
 
     monkeypatch.setattr(monotones._DivergenceTables, "__init__", counting_init)
     monkeypatch.setattr(monotones._FrankWolfeRun, "advance", counting_advance)
+    monkeypatch.setattr(monotones, "_box", None)
     r = bw.s_uc(noisy_pr(0.8), TOL)
     assert len(builds) == 1
     assert len(inner_iterations) > 100
@@ -763,8 +764,8 @@ def assert_same_result(a, b) -> None:
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts `_MinimaxSolver.run` and `solve_at` calls, starting from an
-    empty record of the most recent box."""
+    """Counts `_MinimaxSolver.run` and `solve_at` calls, starting from a
+    module that keeps no tables of a recent box."""
     counts = {"run": 0, "solve_at": 0}
     for name in counts:
         real = getattr(monotones._MinimaxSolver, name)
@@ -805,6 +806,25 @@ def test_a_new_box_or_tol_solves_again(solves):
     assert solves["run"] == 4
 
 
+def test_calls_on_one_box_build_its_tables_once(solves, monkeypatch):
+    # every quantifier reads the box's tables through one lookup, so s_c,
+    # s_u and s_nl on one box build them once and solve the saddle
+    # problem once
+    real_init = monotones._DivergenceTables.__init__
+    builds = []
+
+    def counting_init(self, p):
+        builds.append(p)
+        real_init(self, p)
+
+    monkeypatch.setattr(monotones._DivergenceTables, "__init__", counting_init)
+    p = noisy_pr(0.8)
+    for quantifier in (bw.s_c, bw.s_u, bw.s_nl):
+        quantifier(p, TOL)
+    assert len(builds) == 1
+    assert solves["run"] == 1
+
+
 def test_independent_routes_do_not_share_the_solve(solves):
     p = pr_relabeling_mixture(7, 0.8, 1)
     bw.s_nl(p, TOL)
@@ -814,7 +834,7 @@ def test_independent_routes_do_not_share_the_solve(solves):
     runs = solves["run"]
     bw.s_uc(p, TOL, restarts=1, seed=0)
     assert solves["run"] > runs
-    # neither replaced the record of the last s_nl solve
+    # neither dropped the result of the last s_nl solve
     runs = solves["run"]
     bw.s_c(p, TOL)
     assert solves["run"] == runs
@@ -827,7 +847,7 @@ def test_a_failed_solve_is_not_kept(solves, monkeypatch):
         m.setattr(monotones, "POLISH_ROUNDS", 0)
         with pytest.raises(NoConvergence):
             bw.s_nl(p, TOL)
-    assert monotones._box.maximin is None
+    assert TOL not in monotones._box.maximin
     bw.s_c(p, TOL)
     assert solves["run"] == 3
 
@@ -857,7 +877,7 @@ def test_s_u_weights_survive_a_resume():
     p = tsirelson_4222(0)
     monotones._box = None
     m = p.scenario.sA * p.scenario.sB
-    solver = monotones._MinimaxSolver(monotones._DivergenceTables(p), TOL,
+    solver = monotones._MinimaxSolver(monotones._tables_of(p), TOL,
                                       np.full((1, m), 1.0 / m))
     solver.solve_at(np.ones(1), TOL)
     lam, kept = solver.lam_best, solver.lam_best.copy()
@@ -866,6 +886,27 @@ def test_s_u_weights_survive_a_resume():
     assert np.array_equal(lam, kept)
     assert_same_result(bw.s_u(p, TOL), first)
     assert_same_result(first, fresh(bw.s_u, p))
+
+
+def test_a_solver_on_its_own_tables_makes_its_own_cold_run(monkeypatch):
+    # the shared run lives on the module's tables of the box: a solver on
+    # tables its caller built, here the per-setting oracle's, does not
+    # resume the run that s_nl left there, though the box is the same
+    p = noisy_pr(0.8)
+    monkeypatch.setattr(monotones, "_box", None)
+    bw.s_nl(p, TOL)
+    real_init = monotones._FrankWolfeRun.__init__
+    runs = []
+
+    def counting_init(self, tables, *args, **kwargs):
+        runs.append(tables)
+        real_init(self, tables, *args, **kwargs)
+
+    monkeypatch.setattr(monotones._FrankWolfeRun, "__init__", counting_init)
+    solver = monotones._MinimaxSolver(_OracleTables(p), TOL)
+    solver.solve_at(np.full(solver.k, 1.0 / solver.k), TOL / (2.0 * solver.k))
+    assert runs == [solver.tables]
+    assert solver.tables.run is not monotones._box.run
 
 
 def test_a_new_box_or_tol_gets_a_new_run():
