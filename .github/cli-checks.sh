@@ -3,18 +3,19 @@
 # CI job (with and without SciPy): `eval sc` on the four-setting Tsirelson
 # box (the epigraph polish, the maximin input and its JSON), the paper's two
 # reproductions, `eval su` on the same box (which `s_u` after `s_c` in one
-# process must equal bit for bit), `eval snl` on it (which `s_nl` after
-# `s_u` in one process must equal bit for bit), `eval local_check` on the PR
-# box (the membership LP and its Bell certificate, whose bound is re-checked
-# by the best-response maximum), the same eval as CSV, whose certificate
-# cell must load through `jsonio.certificate_from_json`, `eval local_check`
-# on a random local 4343 box written by `jsonio.behavior_to_json` (Bland's
-# rule over the best-fit vertex order; the local model's weights must load
-# through `jsonio.local_model_from_json` and, in canonical vertex order,
-# reconstruct the box), `eval apply` of a
-# seeded WPICC wiring file
-# to the PR box, and exit status 2 for a truncated wiring file, an apply
-# with no --in2 and `eval snl` on a behavior file with a non-numeric entry.
+# process, reading the uniform start that `s_c` solved, must equal bit for
+# bit), `eval snl` on it (which `s_nl` after `s_u` in one process, reading
+# the start that `s_u` solved, must equal bit for bit), `eval local_check`
+# on the PR box (the membership LP and its Bell certificate, whose bound is
+# re-checked by the best-response maximum), the same eval as CSV, whose
+# certificate cell must load through `jsonio.certificate_from_json`, `eval
+# local_check` on a random local 4343 box written by
+# `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order;
+# the local model's weights must load through `jsonio.local_model_from_json`
+# and, in canonical vertex order, reconstruct the box), `eval apply` of a
+# seeded WPICC wiring file to the PR box, and exit status 2 for a truncated
+# wiring file, an apply with no --in2, `eval snl` on a behavior file with a
+# non-numeric entry, a negative --tol and a negative `eval suc` seed.
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
@@ -22,8 +23,8 @@ bellwire eval sc --in tsirelson-four > /dev/null
 bellwire reproduce-thm2 --epsilon 0.125 > /dev/null
 bellwire reproduce-thm5 > /dev/null
 bellwire eval su --in tsirelson-four > "$tmp/su.json"
-# s_u after s_c in one process is read off the Frank-Wolfe run that s_c's
-# uniform start left; it must equal the fresh `eval su` above bit for bit
+# s_u after s_c in one process is the uniform start that s_c solved and
+# the box's tables kept; it must equal the fresh `eval su` above bit for bit
 python - "$tmp/su.json" <<'EOF_PY'
 import json
 import sys
@@ -40,9 +41,9 @@ for key in ("value", "gap_estimate", "iterations", "optimizer_local"):
     assert shared[key] == fresh[key], f"s_u after s_c differs from eval su in {key}"
 EOF_PY
 bellwire eval snl --in tsirelson-four > "$tmp/snl.json"
-# s_nl after s_u in one process resumes the Frank-Wolfe run that s_u
-# stopped on the box's tables; it must equal the fresh `eval snl` above
-# bit for bit
+# s_nl after s_u in one process starts from the uniform start that s_u
+# solved and the box's tables kept; it must equal the fresh `eval snl`
+# above bit for bit
 python - "$tmp/snl.json" <<'EOF_PY'
 import json
 import sys
@@ -91,4 +92,10 @@ test "$code" -eq 2
 python -c "import json; print(json.dumps({'sA': 2, 'sB': 2, 'rA': 2, 'rB': 2, 'p': ['x'] + [0.25] * 15}))" > "$tmp/bad_behavior.json"
 code=0
 bellwire eval snl --in "$tmp/bad_behavior.json" || code=$?
+test "$code" -eq 2
+code=0
+bellwire --tol -1 eval snl --in pr-box || code=$?
+test "$code" -eq 2
+code=0
+bellwire eval suc --in pr-box --seed -1 || code=$?
 test "$code" -eq 2

@@ -319,8 +319,11 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     per row and needs no mapping. Either certificate is re-verified
     independently of the solver before being returned: a local model
     against the dense vertex matrix, a Bell certificate's bound by
-    `Vertices.best`.
+    `Vertices.best`. tol, the LP's feasibility tolerance, must be
+    positive and finite.
     """
+    if not 0.0 < tol < np.inf:
+        raise ParameterOutOfRange(f"tol must be positive and finite, got {tol}")
     vertices = Vertices.of(p.scenario)
     b = np.concatenate([p.flat(), [1.0]])
     order = np.argsort(-vertices.price(np.concatenate([p.flat(), [0.0]])), kind="stable")

@@ -36,20 +36,15 @@ and every engine instance read them; `s_uc`'s block solves and its
 final solve share them. Their `rows(lam, M)` is the one rule for the row
 values, +inf included, which both bracket ends and the barrier read.
 
-The tables also keep what the box's quantifier calls share. Every cold
-inner minimization on the box (one without a warm start: `s_u`'s and the
-uniform start of `s_nl`, `s_c` and `s_c_alternating`) at one tol shares
-one Frank-Wolfe run: at the same setting weights they follow the same
-deterministic iterates and differ only in the gap at which they stop,
-tol for `s_u` and tol/(2k) for the engine. The run resumes from its
-last stop and keeps the solution at each stop and at its first iterate
-within tol, so `s_u` then `s_nl` steps through it once, and `s_c` then
-`s_u` reads `s_u`'s stop off it. The tables also keep `s_c`'s result of
-the saddle problem of `s_nl` and `s_c` per tol, so a later call on the
-box and tol returns it without solving again. Whatever is read off the
-tables is bit-identical to a fresh solve, iteration counts included;
-other setting weights or another tol start a fresh run, and another
-box new tables.
+The tables also keep what the box's quantifier calls share. `s_u` and
+the uniform start of `s_nl`, `s_c` and `s_c_alternating` are one inner
+minimization: at uniform setting weights, from the barycenter, to the
+engine's start gap tol/(2m), where m = sA*sB is the number of settings,
+so `s_u`'s gap is at most tol/(2m), not tol. The tables keep that solve per tol (`uniform_start`), and
+`s_c`'s result of the saddle problem of `s_nl` and `s_c` per tol, so a
+later call on the box and tol reads them without solving again. What is
+read off the tables is bit-identical to a fresh solve, iteration counts
+included; another box gets new tables.
 
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
@@ -147,9 +142,10 @@ class _DivergenceTables:
     V on the support of P indexed once, each with its setting.
     Frank-Wolfe reads the support block at its setting weights, and
     every `_MinimaxSolver` on the box shares one instance. The tables
-    also keep what the box's quantifier calls share: `run`, the cold
-    Frank-Wolfe run (see `_cold_solve`), and `maximin`, `s_c`'s result of
-    the saddle problem of `s_nl` and `s_c` per tol.
+    also keep what the box's quantifier calls share, per tol: `start`,
+    the inner minimization at uniform setting weights (`uniform_start`),
+    and `maximin`, `s_c`'s result of the saddle problem of `s_nl` and
+    `s_c`.
 
     `kls` gives the per-setting divergences KL(P_s || (V.lam)_s) in bits:
     one mat-vec and one pass of `divergence._kl_rows`, so it is +inf for
@@ -177,8 +173,17 @@ class _DivergenceTables:
         # the columns of every setting
         self.setting = support // k
         self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
-        self.run: _FrankWolfeRun | None = None
+        self.start: dict[float, _InnerSolution] = {}
         self.maximin: dict[float, MonotoneResult] = {}
+
+    def uniform_start(self, tol: float) -> _InnerSolution:
+        """The inner minimization at uniform setting weights, from the
+        barycenter to gap tol/(2m): `s_u` at tol, and the uniform start of
+        the engine at tol with one row per setting."""
+        if tol not in self.start:
+            m = self.shape[0]
+            self.start[tol] = _fw_minimize(self, np.full(m, 1.0 / m), gap_tol=tol / (2.0 * m))
+        return self.start[tol]
 
     def kls(self, lam: np.ndarray) -> np.ndarray:
         return _kl_rows(self.P_rows, (lam @ self.V).reshape(self.shape))
@@ -209,7 +214,7 @@ class _DivergenceTables:
 
 @dataclass(frozen=True)
 class _InnerSolution:
-    lam: np.ndarray  # a read-only copy, never the run's live weights
+    lam: np.ndarray  # read-only
     value: float
     gap: float
     iterations: int
@@ -266,118 +271,6 @@ def _exchange_step(
     return lo, evals
 
 
-class _FrankWolfeRun:
-    """Minimize sum_s w_s KL(P_s || (V.lam)_s) over the weight simplex,
-    resumably.
-
-    Steps are multiplicative (expectation-maximization form); every
-    PAIRWISE_EVERY-th step a pairwise vertex exchange with exact line
-    search prunes or revives vertices. Progress is certified by the
-    Frank-Wolfe gap, whose linear subproblem is exact enumeration over
-    the vertices. Only the support columns of settings with positive
-    weight enter.
-
-    `advance(gap_tol)` runs to the first iterate whose gap is at most
-    gap_tol, or to MAX_INNER_ITER steps, and returns the solution there.
-    The run counts the steps it has taken. A stop reads the gap at its
-    iterate without stepping and reports steps + 1 iterations, so a later
-    advance to a tighter gap_tol reads that gap again and carries on
-    exactly as a straight run at the tighter gap_tol would. On the way the
-    run keeps the solution of every stop asked for, and of its first
-    iterate with gap at most `mark`. It stands at the first iterate within
-    the tightest kept stop, so an advance to gap_tol returns what a
-    straight run to gap_tol would (`serves(gap_tol)`) when gap_tol is a
-    kept stop or at most the tightest.
-    """
-
-    def __init__(
-        self,
-        tables: _DivergenceTables,
-        setting_weights: np.ndarray,
-        lam0: np.ndarray | None = None,
-        mark: float | None = None,
-    ):
-        n = tables.n
-        self.weights = setting_weights.tobytes()
-        c = setting_weights[tables.setting] * tables.P_support
-        active = c > 0.0
-        self.cE = c[active]
-        self.VE = tables.VS[:, active]
-        self.const = float(np.sum(self.cE * np.log2(tables.P_support[active])))
-        if lam0 is None:
-            lam = np.full(n, 1.0 / n)
-        else:
-            # floor the warm start: multiplicative steps cannot revive an
-            # exactly-zero coordinate on their own
-            lam = np.clip(np.asarray(lam0, dtype=float), 0.0, None)
-            lam = lam / lam.sum()
-            lam = (1.0 - 1e-6) * lam + 1e-6 / n
-        self.lam = lam
-        self.qE = lam @ self.VE
-        self.ratio = np.empty_like(self.qE)
-        self.back = np.empty(n)
-        self.gap = math.inf
-        self.steps = 0
-        self.mark = mark
-        self.stops: dict[float, _InnerSolution] = {}
-
-    def serves(self, gap_tol: float) -> bool:
-        return gap_tol in self.stops or gap_tol <= min(self.stops, default=math.inf)
-
-    def _solution(self, gap: float, it: int) -> _InnerSolution:
-        value = self.const - float(np.sum(self.cE * np.log2(np.maximum(self.qE, 1e-300))))
-        lam = self.lam.copy()
-        lam.setflags(write=False)
-        return _InnerSolution(lam, value, max(gap, 0.0), it)
-
-    def advance(self, gap_tol: float) -> _InnerSolution:
-        """The solution of a straight run to gap_tol; only when
-        `serves(gap_tol)`."""
-        if gap_tol in self.stops:
-            return self.stops[gap_tol]
-        lam, qE, cE, VE = self.lam, self.qE, self.cE, self.VE
-        ratio, back = self.ratio, self.back
-        marking = self.mark is not None and self.mark not in self.stops
-        gap, steps = self.gap, self.steps
-        while steps < MAX_INNER_ITER:
-            # the floor only matters for entries whose target weight is
-            # rounding dust; it keeps incremental cancellation from feeding
-            # an exact zero into the ratio
-            np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
-            # back is the vertex gradient, negated and scaled by ln 2
-            np.dot(VE, ratio, back)
-            fw = int(back.argmax())
-            gap = float(back[fw] - np.dot(lam, back)) / LN2
-            if marking and gap <= self.mark:
-                self.stops[self.mark] = self._solution(gap, steps + 1)
-                marking = False
-            if gap <= gap_tol:
-                break
-            steps += 1
-            if steps % PAIRWISE_EVERY == 0:
-                support = (lam > 1e-15).nonzero()[0]
-                aw = int(support[back[support].argmin()])
-                if aw != fw:
-                    d = VE[fw] - VE[aw]
-                    gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
-                    if gamma > 0.0:
-                        lam[fw] += gamma
-                        lam[aw] -= gamma
-                        if lam[aw] < 1e-15:
-                            lam[aw] = 0.0
-                        qE += gamma * d
-                        continue
-            lam *= back
-            lam /= np.add.reduce(lam)
-            np.dot(lam, VE, qE)
-        self.gap, self.steps = gap, steps
-        if gap_tol not in self.stops:  # else the mark, kept at this iterate
-            # a stop's gap is read at the iterate after its steps; a run
-            # that ran out of steps reports the last gap it read
-            self.stops[gap_tol] = self._solution(gap, steps + 1 if gap <= gap_tol else steps)
-        return self.stops[gap_tol]
-
-
 def _fw_minimize(
     tables: _DivergenceTables,
     setting_weights: np.ndarray,
@@ -385,9 +278,72 @@ def _fw_minimize(
     gap_tol: float,
     lam0: np.ndarray | None = None,
 ) -> _InnerSolution:
-    """One straight `_FrankWolfeRun` to gap_tol, from lam0 when given,
-    else from the barycenter."""
-    return _FrankWolfeRun(tables, setting_weights, lam0).advance(gap_tol)
+    """Minimize sum_s w_s KL(P_s || (V.lam)_s) over the weight simplex,
+    from lam0 when given, else from the barycenter.
+
+    Steps are multiplicative (expectation-maximization form); every
+    PAIRWISE_EVERY-th step a pairwise vertex exchange with exact line
+    search prunes or revives vertices. Progress is certified by the
+    Frank-Wolfe gap, whose linear subproblem is exact enumeration over
+    the vertices. Only the support columns of settings with positive
+    weight enter. The run stops at the first iterate whose gap is at
+    most gap_tol, counting that iterate's gap check as an iteration, or
+    after MAX_INNER_ITER iterations with the last gap it read.
+    """
+    n = tables.n
+    c = setting_weights[tables.setting] * tables.P_support
+    active = c > 0.0
+    cE = c[active]
+    VE = tables.VS[:, active]
+    const = float(np.sum(cE * np.log2(tables.P_support[active])))
+
+    if lam0 is None:
+        lam = np.full(n, 1.0 / n)
+    else:
+        # floor the warm start: multiplicative steps cannot revive an
+        # exactly-zero coordinate on their own
+        lam = np.clip(np.asarray(lam0, dtype=float), 0.0, None)
+        lam = lam / lam.sum()
+        lam = (1.0 - 1e-6) * lam + 1e-6 / n
+    qE = lam @ VE
+    ratio = np.empty_like(qE)
+    back = np.empty(n)
+
+    gap = math.inf
+    it = 0
+    while it < MAX_INNER_ITER:
+        it += 1
+        # the floor only matters for entries whose target weight is
+        # rounding dust; it keeps incremental cancellation from feeding
+        # an exact zero into the ratio
+        np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
+        # back is the vertex gradient, negated and scaled by ln 2
+        np.dot(VE, ratio, back)
+        fw = int(back.argmax())
+        gap = float(back[fw] - np.dot(lam, back)) / LN2
+        if gap <= gap_tol:
+            break
+        if it % PAIRWISE_EVERY == 0:
+            support = (lam > 1e-15).nonzero()[0]
+            aw = int(support[back[support].argmin()])
+            if aw != fw:
+                d = VE[fw] - VE[aw]
+                gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
+                if gamma > 0.0:
+                    lam[fw] += gamma
+                    lam[aw] -= gamma
+                    if lam[aw] < 1e-15:
+                        lam[aw] = 0.0
+                    qE += gamma * d
+                    continue
+        lam *= back
+        lam /= np.add.reduce(lam)
+        np.dot(lam, VE, qE)
+
+    value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
+    # the tables keep the uniform start, which several solvers read
+    lam.setflags(write=False)
+    return _InnerSolution(lam, value, max(gap, 0.0), it)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +351,7 @@ def _fw_minimize(
 # ---------------------------------------------------------------------------
 
 
-#: The tables of the most recent box, with its shared run and results.
+#: The tables of the most recent box, with its shared solves.
 _box: _DivergenceTables | None = None
 
 
@@ -407,24 +363,6 @@ def _tables_of(p: Behavior) -> _DivergenceTables:
         _box = None
         _box = _DivergenceTables(p)
     return _box
-
-
-def _cold_solve(
-    tables: _DivergenceTables, setting_weights: np.ndarray, tol: float, gap_tol: float
-) -> _InnerSolution:
-    """`_fw_minimize(tables, setting_weights, gap_tol=gap_tol)` on the
-    tables' shared cold run: their run when it has these setting weights
-    and its mark at tol (where `s_u` stops) and serves gap_tol, else a
-    fresh run so marked that replaces it. The run is taken off the tables
-    while it advances, so a run cut short is never kept."""
-    run = tables.run
-    if (run is None or (run.weights, run.mark) != (setting_weights.tobytes(), tol)
-            or not run.serves(gap_tol)):
-        run = _FrankWolfeRun(tables, setting_weights, mark=tol)
-    tables.run = None
-    inner = run.advance(gap_tol)
-    tables.run = run
-    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +474,15 @@ class _MinimaxSolver:
     vertex-weight iterate. `result` reports the closed bracket. The
     box's tables are built by the caller and may be shared by several
     solvers; `lam_warm` starts the first inner minimization, which
-    without it runs on the tables' shared cold run."""
+    without it starts at the barycenter. tol must be positive and
+    finite."""
 
     def __init__(
         self, tables: _DivergenceTables, tol: float, M: np.ndarray | None = None,
         lam_warm: np.ndarray | None = None,
     ):
+        if not 0.0 < tol < math.inf:
+            raise ParameterOutOfRange(f"tol must be positive and finite, got {tol}")
         self.tables = tables
         self.M = np.eye(tables.shape[0]) if M is None else M
         self.k = self.M.shape[0]
@@ -568,14 +509,16 @@ class _MinimaxSolver:
             self.lam_best = lam
 
     def solve_at(self, d: np.ndarray, gap_tol: float) -> tuple[float, np.ndarray]:
-        """Inner minimization at input weights d, from `lam_warm` or, when
-        there is none, on the tables' shared cold run; returns its value
-        and the row values at its minimizer."""
-        w = d @ self.M
-        if self.lam_warm is None:
-            inner = _cold_solve(self.tables, w, self.tol, gap_tol)
-        else:
-            inner = _fw_minimize(self.tables, w, gap_tol=gap_tol, lam0=self.lam_warm)
+        """Inner minimization at input weights d to gap_tol, from
+        `lam_warm` (the barycenter when it is None), taken into the
+        bracket; returns its value and the row values at its minimizer."""
+        inner = _fw_minimize(self.tables, d @ self.M, gap_tol=gap_tol, lam0=self.lam_warm)
+        return inner.value, self.take(d, inner)
+
+    def take(self, d: np.ndarray, inner: _InnerSolution) -> np.ndarray:
+        """Take an inner minimization at input weights d into the bracket
+        and make its weights the next warm start; returns the row values
+        at its minimizer."""
         self.iterations += inner.iterations
         self.lam_warm = inner.lam
         if self.d_lower is None or inner.value - inner.gap > self.lower:
@@ -583,7 +526,7 @@ class _MinimaxSolver:
             self.d_lower = d
         rows = self.tables.rows(inner.lam, self.M)
         self.observe_lam(inner.lam, rows)
-        return inner.value, rows
+        return rows
 
     def polish(self) -> None:
         """One barrier solve of the epigraph program from the best weights
@@ -602,9 +545,15 @@ class _MinimaxSolver:
         self.lam_warm = lam
         self.solve_at(D, self.tol / 8.0)
 
-    def run(self) -> None:
+    def run(self, start: _InnerSolution | None = None) -> None:
+        """Close the bracket: the inner minimization at uniform input
+        weights to gap tol/(2k), which is `start` when given, then up to
+        POLISH_ROUNDS polishes. Raises NoConvergence if it stays open."""
         uniform = np.full(self.k, 1.0 / self.k)
-        self.solve_at(uniform, self.tol / (2.0 * self.k))
+        if start is None:
+            self.solve_at(uniform, self.tol / (2.0 * self.k))
+        else:
+            self.take(uniform, start)
         for _ in range(POLISH_ROUNDS):
             if self.closed:
                 return
@@ -635,12 +584,14 @@ def s_u(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     setting weights, closed by a single inner minimization. The value is
     the exact uniform-weighted divergence at its minimizer; the bracket's
     lower end is the minimizer's value less its Frank-Wolfe gap. The
-    minimization is the box's shared cold run stopped at tol, so after
-    an `s_nl`, `s_c` or `s_c_alternating` call on the box and tol it is
-    read off that call's run, and a later `s_nl` resumes it."""
+    minimization is the box's `uniform_start(tol)`, which stops at the
+    engine's start gap tol/(2m) for m settings, not at tol. So `s_u` and
+    the start of an `s_nl`, `s_c` or `s_c_alternating` call on the box
+    and tol are one solve, made by whichever comes first."""
+    tables = _tables_of(p)
     m = p.scenario.sA * p.scenario.sB
-    solver = _MinimaxSolver(_tables_of(p), tol, np.full((1, m), 1.0 / m))
-    solver.solve_at(np.ones(1), tol)
+    solver = _MinimaxSolver(tables, tol, np.full((1, m), 1.0 / m))
+    solver.take(np.ones(1), tables.uniform_start(tol))
     return solver.result(None)
 
 
@@ -653,7 +604,7 @@ def _minimax_solve(p: Behavior, tol: float) -> MonotoneResult:
     tables = _tables_of(p)
     if tol not in tables.maximin:
         solver = _MinimaxSolver(tables, tol)
-        solver.run()
+        solver.run(tables.uniform_start(tol))
         tables.maximin[tol] = _maximin_result(solver)
     return tables.maximin[tol]
 
@@ -670,8 +621,8 @@ def s_nl(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     """Input-maximized divergence from the local set (the relative
     entropy of nonlocality), certified by the saddle-point bracket. A
     call on the most recent box reuses an `s_nl` or `s_c` solve made on
-    it at this tol; after an `s_u` call on the box and tol, its uniform
-    start resumes `s_u`'s Frank-Wolfe run."""
+    it at this tol; its uniform start is `s_u`'s solve, read off the
+    box's tables when an `s_u` call on the box and tol made it."""
     return replace(_minimax_solve(p, tol), optimizer_inputs=None)
 
 
@@ -701,11 +652,12 @@ def s_c_alternating(p: Behavior, tol: float = DEFAULT_TOL) -> MonotoneResult:
     select the equalizing minimizer. Reports the same maximin input
     certificate as `s_c`.
     """
-    solver = _MinimaxSolver(_tables_of(p), tol)
+    tables = _tables_of(p)
+    solver = _MinimaxSolver(tables, tol)
     m = solver.k
     inner_tol = tol / (2.0 * m)
     D = np.full(m, 1.0 / m)
-    _, rows = solver.solve_at(D, inner_tol)
+    rows = solver.take(D, tables.uniform_start(tol))
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(ALTERNATING_STEPS):
         if solver.closed:
@@ -771,12 +723,14 @@ def s_uc(
     one input row, as in `s_u`; a block's bracket or the final one that
     does not close raises NoConvergence. `restarts` is a floor on the
     number of starts: the uniform product and all sA*sB point-mass
-    products always run, and seeded random products fill up to
-    `restarts`. The product set is nonconvex, so global optimality is
+    products always run, and random products, drawn from the
+    nonnegative `seed`, fill up to `restarts`. The product set is nonconvex, so global optimality is
     not certified: the result reports the exact divergence at the best
     product, flagged as a lower bound; its gap_estimate is the width of
     the final bracket, which certifies only the inner minimization.
     """
+    if seed < 0:
+        raise ParameterOutOfRange(f"seed must be nonnegative, got {seed}")
     sc = p.scenario
     rng = np.random.default_rng(seed)
 

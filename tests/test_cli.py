@@ -229,6 +229,17 @@ def test_unreadable_or_missing_input_exits_2(argv, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tol", "-1", "eval", "snl", "--in", "pr-box"],
+    ["--tol", "nan", "eval", "su", "--in", "pr-box"],
+    ["eval", "suc", "--in", "pr-box", "--seed", "-1"],
+])
+def test_a_bad_tol_or_seed_exits_2(argv, capsys):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _malformed_input(case: str) -> tuple[str, str]:
     """An eval target and a damaged input file's text."""
     doc = json.loads(jsonio.wiring_to_json(bw.random_global_wiring(SC2222, SC2222, 3)))

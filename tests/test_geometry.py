@@ -375,3 +375,11 @@ def test_local_model_weights_are_in_canonical_vertex_order(pivot):
     expected = np.zeros(nA * nB)
     expected[[1 * nB + 2, 5 * nB + 3]] = [0.3, 0.7]
     assert np.allclose(bw.is_local(p, pivot=pivot).model.weights, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_is_local_refuses_a_bad_tol(tol):
+    from bellwire.errors import ParameterOutOfRange
+
+    with pytest.raises(ParameterOutOfRange):
+        bw.is_local(bw.white_noise(bw.Scenario(2, 2, 2, 2)), tol=tol)

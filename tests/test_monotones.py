@@ -6,7 +6,7 @@ import pytest
 
 import bellwire as bw
 from bellwire import monotones
-from bellwire.errors import NoConvergence
+from bellwire.errors import NoConvergence, ParameterOutOfRange
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 TOL = 1e-6
@@ -85,7 +85,7 @@ def assert_maximin_certificate(p: bw.Behavior, r) -> None:
 
 def fresh(quantifier, p: bw.Behavior, tol: float = TOL):
     """quantifier(p, tol) from solves of its own: the module's tables of
-    the most recent box (with its shared cold run and `s_c`'s results)
+    the most recent box (with its uniform starts and `s_c`'s results)
     are dropped first."""
     monotones._box = None
     return quantifier(p, tol)
@@ -383,22 +383,21 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
 def test_s_uc_builds_the_tables_once(monkeypatch):
     # every block solve and the final solve read one set of the box's
     # tables, and the result counts the inner iterations of all of them:
-    # every inner minimization, one-shot or on the shared cold run, is an
-    # advance of a Frank-Wolfe run
-    real_init, real_advance = monotones._DivergenceTables.__init__, monotones._FrankWolfeRun.advance
+    # every inner minimization is a `_fw_minimize` call
+    real_init, real_fw = monotones._DivergenceTables.__init__, monotones._fw_minimize
     builds, inner_iterations = [], []
 
     def counting_init(self, p):
         builds.append(p)
         real_init(self, p)
 
-    def counting_advance(self, gap_tol):
-        inner = real_advance(self, gap_tol)
+    def counting_fw(*args, **kwargs):
+        inner = real_fw(*args, **kwargs)
         inner_iterations.append(inner.iterations)
         return inner
 
     monkeypatch.setattr(monotones._DivergenceTables, "__init__", counting_init)
-    monkeypatch.setattr(monotones._FrankWolfeRun, "advance", counting_advance)
+    monkeypatch.setattr(monotones, "_fw_minimize", counting_fw)
     monkeypatch.setattr(monotones, "_box", None)
     r = bw.s_uc(noisy_pr(0.8), TOL)
     assert len(builds) == 1
@@ -853,7 +852,7 @@ def test_a_failed_solve_is_not_kept(solves, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The shared cold Frank-Wolfe run
+# The shared uniform start
 # ---------------------------------------------------------------------------
 
 
@@ -861,8 +860,9 @@ COLD_START_QUANTIFIERS = (bw.s_u, bw.s_c, bw.s_nl, bw.s_c_alternating)
 
 
 def test_shared_cold_run_is_bit_identical_in_every_order():
-    # s_u stops on the run that the engine's uniform start resumes or has
-    # passed; every call order gives what fresh solves give
+    # s_u is the engine's uniform start, which the first of them solves
+    # and the box's tables keep; every call order gives what fresh solves
+    # give
     for p in (noisy_pr(0.8), tsirelson_4222(0)):
         want = {q: fresh(q, p) for q in COLD_START_QUANTIFIERS}
         for order in itertools.permutations(COLD_START_QUANTIFIERS):
@@ -872,15 +872,17 @@ def test_shared_cold_run_is_bit_identical_in_every_order():
 
 
 def test_s_u_weights_survive_a_resume():
-    # a stop's weights are a copy: the resume that s_nl makes leaves the
-    # weights s_u read, and the stop that a later s_u reads, as they were
+    # the kept start's weights are read-only: s_nl, which goes on from
+    # them, leaves the weights s_u read, and the start that a later s_u
+    # reads, as they were
     p = tsirelson_4222(0)
     monotones._box = None
+    tables = monotones._tables_of(p)
     m = p.scenario.sA * p.scenario.sB
-    solver = monotones._MinimaxSolver(monotones._tables_of(p), TOL,
-                                      np.full((1, m), 1.0 / m))
-    solver.solve_at(np.ones(1), TOL)
+    solver = monotones._MinimaxSolver(tables, TOL, np.full((1, m), 1.0 / m))
+    solver.take(np.ones(1), tables.uniform_start(TOL))
     lam, kept = solver.lam_best, solver.lam_best.copy()
+    assert not lam.flags.writeable
     first = bw.s_u(p, TOL)
     bw.s_nl(p, TOL)
     assert np.array_equal(lam, kept)
@@ -889,41 +891,62 @@ def test_s_u_weights_survive_a_resume():
 
 
 def test_a_solver_on_its_own_tables_makes_its_own_cold_run(monkeypatch):
-    # the shared run lives on the module's tables of the box: a solver on
-    # tables its caller built, here the per-setting oracle's, does not
-    # resume the run that s_nl left there, though the box is the same
+    # the shared start lives on the module's tables of the box: tables a
+    # caller built, here the per-setting oracle's, solve a start of their
+    # own, though the box is the same and s_nl left one on the module's
     p = noisy_pr(0.8)
     monkeypatch.setattr(monotones, "_box", None)
     bw.s_nl(p, TOL)
-    real_init = monotones._FrankWolfeRun.__init__
+    real = monotones._fw_minimize
     runs = []
 
-    def counting_init(self, tables, *args, **kwargs):
+    def counting(tables, *args, **kwargs):
         runs.append(tables)
-        real_init(self, tables, *args, **kwargs)
+        return real(tables, *args, **kwargs)
 
-    monkeypatch.setattr(monotones._FrankWolfeRun, "__init__", counting_init)
+    monkeypatch.setattr(monotones, "_fw_minimize", counting)
     solver = monotones._MinimaxSolver(_OracleTables(p), TOL)
-    solver.solve_at(np.full(solver.k, 1.0 / solver.k), TOL / (2.0 * solver.k))
-    assert runs == [solver.tables]
-    assert solver.tables.run is not monotones._box.run
+    assert solver.tables.start == {}
+    solver.run(solver.tables.uniform_start(TOL))
+    assert runs and all(t is solver.tables for t in runs)
+    assert solver.tables.start[TOL] is not monotones._box.start[TOL]
 
 
 def test_a_new_box_or_tol_gets_a_new_run():
     p, q = noisy_pr(0.8), pr_relabeling_mixture(7, 0.8, 1)
     monotones._box = None
     bw.s_u(p, TOL)
-    for box, tol in ((p, TOL / 2), (q, TOL)):
-        run = monotones._box.run
-        r = bw.s_nl(box, tol)
-        assert monotones._box.run is not run
-        assert_same_result(r, fresh(bw.s_nl, box, tol))
+    first = monotones._box.start[TOL]
+    by_tol = bw.s_nl(p, TOL / 2)
+    assert set(monotones._box.start) == {TOL, TOL / 2}
+    assert monotones._box.start[TOL] is first
+    by_box = bw.s_nl(q, TOL)
+    assert set(monotones._box.start) == {TOL}
+    assert monotones._box.start[TOL] is not first
+    assert_same_result(by_tol, fresh(bw.s_nl, p, TOL / 2))
+    assert_same_result(by_box, fresh(bw.s_nl, q, TOL))
+
+
+@pytest.mark.parametrize("box", ["tsirelson_four", "noisy_pr"])
+def test_s_u_stops_at_the_engine_start_gap(box):
+    # s_u is the engine's start at uniform setting weights: its gap is at
+    # most tol/(2m) for m settings, and its local model and iterations
+    # are those of a solver's inner minimization there
+    p = bw.tsirelson_four_setting() if box == "tsirelson_four" else noisy_pr(0.8)
+    m = p.scenario.sA * p.scenario.sB
+    r = fresh(bw.s_u, p)
+    assert r.gap_estimate <= TOL / (2.0 * m)
+    solver = monotones._MinimaxSolver(monotones._DivergenceTables(p), TOL)
+    solver.solve_at(np.full(m, 1.0 / m), TOL / (2.0 * m))
+    assert np.array_equal(r.optimizer_local.weights, solver.lam_best / solver.lam_best.sum())
+    assert r.iterations == solver.iterations
 
 
 def test_shared_run_saves_the_steps_of_s_u(monkeypatch):
     # the steps actually taken, counted by the pairwise exchanges' line
-    # searches: s_nl resumes s_u's run, so it repeats none of its steps,
-    # and s_u after s_c reads its stop off s_c's run without a step
+    # searches: s_nl reads the start that s_u solved, so it repeats none
+    # of its steps, and s_u after s_c reads the start s_c solved without
+    # a step
     real = monotones._exchange_step
     steps = []
 
@@ -945,3 +968,16 @@ def test_shared_run_saves_the_steps_of_s_u(monkeypatch):
     before = len(steps)
     bw.s_u(p, TOL)
     assert len(steps) == before
+
+
+@pytest.mark.parametrize("tol", [-1e-6, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("quantifier", [bw.s_u, bw.s_nl, bw.s_c, bw.s_c_alternating, bw.s_uc])
+def test_a_bad_tol_raises_parameter_out_of_range(quantifier, tol):
+    # a tol that is not positive and finite is refused before any solve
+    with pytest.raises(ParameterOutOfRange):
+        fresh(quantifier, bw.pr_box(), tol)
+
+
+def test_a_negative_s_uc_seed_raises_parameter_out_of_range():
+    with pytest.raises(ParameterOutOfRange):
+        bw.s_uc(bw.pr_box(), TOL, restarts=1, seed=-1)
