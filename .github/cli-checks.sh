@@ -12,10 +12,13 @@
 # local_check` on a random local 4343 box written by
 # `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order;
 # the local model's weights must load through `jsonio.local_model_from_json`
-# and, in canonical vertex order, reconstruct the box), `eval apply` of a
-# seeded WPICC wiring file to the PR box, and exit status 2 for a truncated
-# wiring file, an apply with no --in2, `eval snl` on a behavior file with a
-# non-numeric entry, a negative --tol and a negative `eval suc` seed.
+# and, in canonical vertex order, reconstruct the box), `eval snl` on a
+# nonlocal 3333 generalized PR mixture written by `jsonio.behavior_to_json`
+# (the epigraph polish on 729 vertices; its gap must be at most 1e-6),
+# `eval apply` of a seeded WPICC wiring file to the PR box, and exit status
+# 2 for a truncated wiring file, an apply with no --in2, `eval snl` on a
+# behavior file with a non-numeric entry, a negative --tol and a negative
+# `eval suc` seed.
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
@@ -78,6 +81,30 @@ assert report["is_local"] is True, "the random 4343 box is local"
 model = jsonio.local_model_from_json(json.dumps(report["model"]))
 assert model.matches(p), "the local model does not reconstruct the 4343 box"
 EOF_PY
+
+python - > "$tmp/box3333.json" <<'EOF_PY'
+import itertools
+
+import numpy as np
+
+import bellwire as bw
+
+# a generalized PR mixture: b - a = px(x) py(y) + shift (mod 3) at weight
+# 0.696, plus a Dirichlet mixture of 32 random deterministic boxes
+sc, w = bw.Scenario(3, 3, 3, 3), 0.696
+rng = np.random.default_rng([73, 1])
+px, py = rng.permutation(3), rng.permutation(3)
+shift = int(rng.integers(3))
+t = np.zeros(sc.shape)
+for x, y, a in itertools.product(range(3), range(3), range(3)):
+    t[x, y, a, (a + px[x] * py[y] + shift) % 3] = 1.0 / 3
+V = bw.local_vertex_matrix(sc)
+idx = rng.choice(V.shape[0], size=32, replace=False)
+loc = (rng.dirichlet(np.ones(32)) @ V[idx]).reshape(sc.shape)
+print(bw.jsonio.behavior_to_json(bw.Behavior(sc, w * t + (1.0 - w) * loc)))
+EOF_PY
+bellwire eval snl --in "$tmp/box3333.json" > "$tmp/snl3333.json"
+python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-6, f'3333 s_nl gap {gap}'" "$tmp/snl3333.json"
 
 python -c "import bellwire as bw; sc = bw.Scenario(2, 2, 2, 2); print(bw.jsonio.wiring_to_json(bw.random_wpicc_wiring(sc, sc, 3)))" > "$tmp/w.json"
 bellwire eval apply --in "$tmp/w.json" --in2 pr-box > /dev/null

@@ -71,11 +71,19 @@ class SolverFailure(BellwireError, RuntimeError):
 
 class NoConvergence(BellwireError, RuntimeError):
     """An iterative solver hit its iteration cap before reaching the
-    requested optimality gap; carries the gap it did achieve."""
+    requested optimality gap; carries the gap it did achieve and, from a
+    solver that brackets its value, the bracket's ends `lower` and
+    `upper` (None otherwise). The bracket is certified though open."""
 
-    def __init__(self, iterations: int, gap: float):
+    def __init__(self, iterations: int, gap: float,
+                 lower: float | None = None, upper: float | None = None):
         self.iterations = iterations
         self.gap = gap
+        self.lower = lower
+        self.upper = upper
+        bracket = ""
+        if lower is not None and upper is not None:
+            bracket = f", bracket [{lower:.9g}, {upper:.9g}]"
         super().__init__(
-            f"no convergence after {iterations} iterations (gap {gap:.3e})"
+            f"no convergence after {iterations} iterations (gap {gap:.3e}{bracket})"
         )

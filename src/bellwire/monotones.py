@@ -54,14 +54,15 @@ is exact enumeration over the deterministic vertices. Iterates start at
 the barycenter.
 
 When an inner minimization at uniform input weights leaves a minimax
-bracket open, the engine polishes by a log-barrier Newton solve of the
-epigraph program (minimize t subject to every row's divergence being at
-most t, over the vertex-weight simplex), whose central path also yields
-input weights: the barrier's multipliers on the row constraints. The
-barrier's outputs are never trusted as such: the exact worst-row
-divergence at its vertex weights bounds the value from above, and an
-inner minimization at its multipliers bounds it from below, so the
-polish can only tighten the certified bracket.
+bracket open, the engine polishes by a primal-dual interior-point
+Newton solve of the epigraph program (minimize t subject to every row's
+divergence being at most t, over the vertex-weight simplex). Its
+iterates carry the multipliers of the row constraints, which are input
+weights, and it stops at the central point of the log barrier whose
+duality gap is tol/8. The polish's outputs are never trusted as such:
+the exact worst-row divergence at its vertex weights bounds the value
+from above, and an inner minimization at its multipliers bounds it from
+below, so the polish can only tighten the certified bracket.
 """
 
 from __future__ import annotations
@@ -370,97 +371,140 @@ def _tables_of(p: Behavior) -> _DivergenceTables:
 # ---------------------------------------------------------------------------
 
 
-#: Barrier parameter growth per centering stage.
-BARRIER_GROWTH = 8.0
+#: Smallest centering parameter sigma of a primal-dual Newton step.
+SIGMA_MIN = 0.01
 
-#: Newton steps allowed per centering stage.
-CENTERING_STEPS = 50
+#: Primal-dual Newton steps allowed per epigraph polish.
+NEWTON_STEPS = 200
 
 
 def _barrier_epigraph(
     tables: _DivergenceTables, M: np.ndarray, lam0: np.ndarray,
     gap0: float, tol: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Log-barrier solve of the epigraph program min t s.t. every row
-    value g_j of tables.rows(lam, M) is <= t, lam >= 0,
-    sum lam = 1: damped Newton centering of
-    tau t - sum_j log(t - g_j) - sum_i log lam_i on the simplex, tau
-    growing by BARRIER_GROWTH per stage from where the barrier's duality
-    gap (k + n) / tau is about gap0 to where it is tol / 8. The lam block
-    of each KKT system is in the relative step u of lam -> lam (1 + u),
-    the diag(lam) scaling that `tables.derivatives` returns, so the
-    barrier's own term is the identity however close lam comes to its
-    bounds. This is the tiebreaker for degenerate optimal faces, where
-    weighted-sum minimizers are not unique and plain exchanges stall.
+    """Primal-dual interior-point solve (Boyd & Vandenberghe, Convex
+    Optimization, 11.7) of the epigraph program min t s.t. every row
+    value g_j of tables.rows(lam, M) is <= t, lam >= 0, sum lam = 1.
 
-    Returns the final weights and the central-path input weights
-    D_j = 1 / (tau (t - g_j)), normalized, or None when a KKT system is
-    singular or a step is not finite. Neither output is trusted: the
-    caller re-evaluates the rows at the weights and runs its own inner
-    minimization at D.
+    The iterates carry the row multipliers D, the bound multipliers z
+    and the simplex multiplier nu beside (lam, t), with the slacks
+    s = t - g kept positive. The start mixes uniform weights into lam0
+    at the bracket's gap gap0, puts t k gap0 / (k + n) above the worst
+    row, and takes D and z central for the mu that puts D on the
+    simplex. Each Newton step targets the central point
+    D_j s_j = z_i lam_i = mu, where mu is sigma times the current
+    duality gap (D.s + z.lam) / (k + n), floored at
+    mu_end = tol / (8 (k + n)): the point of the log barrier whose
+    duality gap is tol / 8. sigma is the cube of how far the previous
+    step fell short of a full one, at least SIGMA_MIN, so a step cut
+    short is followed by one that recenters.
+
+    With the step of z eliminated, each step solves one
+    (n + k + 2) x (n + k + 2) KKT system in (u, dt, dD, dnu), where u is
+    the relative step of lam -> lam (1 + u), the diag(lam) scaling that
+    `tables.derivatives` returns, so the bound's own term is z lam,
+    about mu, however close lam comes to its bounds. dD stays in the
+    system, whose slack rows carry -s / D on the diagonal: eliminating
+    it would add G^T diag(D / s) G to the lam block, with row weights
+    D / s that grow like 1 / mu beside the bound's term of about mu, a
+    condition number near 1 / mu^2 (1e17 on a 4222 box), and the
+    rounding of that solve costs the last steps their quadratic
+    convergence. The step goes at most a fraction 1 - min(0.01, (k + n) mu)
+    of the way to the boundary of lam, D, z and the linearized slacks,
+    then backtracks until the slacks are positive and the norm of the
+    KKT residual falls. The solve stops at the central point of mu_end,
+    once that norm is at most 1e-3 mu_end, where the steps converge
+    quadratically; or after NEWTON_STEPS steps, or when no step lowers
+    the residual. The central path is the tiebreaker for degenerate
+    optimal faces, where weighted-sum minimizers are not unique and
+    plain exchanges stall.
+
+    Returns the final weights and D, normalized, or None when a KKT
+    system is singular or a step is not finite. Neither output is
+    trusted: the caller re-evaluates the rows at the weights and runs
+    its own inner minimization at D.
     """
     n, k = lam0.size, M.shape[0]
     gap0 = min(gap0, 1.0)
     # mixing in uniform weights at the scale of the bracket's gap puts
-    # every weight near where the first stage's central path has it
+    # every weight near where the central point of that gap has it
     lam = (1.0 - gap0) * np.clip(lam0, 0.0, None) + gap0 / n
     lam = lam / lam.sum()
+    mu_end = tol / (8.0 * (k + n))
     g = tables.rows(lam, M)
-    # the last stage sits exactly at the stopping gap; earlier stages
-    # start one growth factor apart, from the bracket's gap
-    tau_end = 8.0 * (k + n) / tol
-    tau = tau_end
-    while (k + n) / tau < gap0:
-        tau /= BARRIER_GROWTH
-    t = float(np.max(g)) + k / tau
-    kkt = np.zeros((n + 2, n + 2))
-    block, diagonal = kkt[:n, :n], kkt.reshape(-1)[:n * (n + 3):n + 3]
-    while True:
-        for _ in range(CENTERING_STEPS):
-            w = 1.0 / (t - g)
-            w2 = w * w
-            grads, H = tables.derivatives(lam, M.T @ w)
-            GL = M @ grads  # row gradients, scaled
-            grad = np.concatenate([GL.T @ w - 1.0, [tau - w.sum(), 0.0]])
-            np.add(H, (GL.T * w2) @ GL, out=block)
-            diagonal += 1.0
-            kkt[:n, n] = kkt[n, :n] = -(w2 @ GL)
-            kkt[n, n] = w2.sum()
-            kkt[:n, n + 1] = kkt[n + 1, :n] = lam
-            try:
-                step = np.linalg.solve(kkt, -grad)
-            except np.linalg.LinAlgError:
-                return None
-            u, dt = step[:n], step[n]
-            decrement = -float(grad[:n + 1] @ step[:n + 1])
-            if not (np.all(np.isfinite(step)) and math.isfinite(decrement)):
-                return None
-            # only the last stage's multipliers are used, so earlier
-            # stages stop well short of the quadratic phase's end
-            if decrement <= (2e-9 if tau >= tau_end else 0.1):
-                break
-            # at most halve any weight, then backtrack on the barrier's
-            # change, evaluated as a difference so that tau t does not
-            # swamp it
-            s = 1.0 if u.min() >= 0.0 else min(1.0, 0.5 / -float(u.min()))
-            while s >= 1e-12:
-                g_new = tables.rows(lam * (1.0 + s * u), M)
-                slack_ratio = (t + s * dt - g_new) * w
-                if np.all(slack_ratio > 0.0):
-                    change = (tau * s * dt - float(np.sum(np.log(slack_ratio)))
-                              - float(np.sum(np.log1p(s * u))))
-                    if change <= -0.25 * s * decrement:
-                        break
-                s *= 0.5
-            else:
-                # the barrier's change is rounding noise: this stage is
-                # centered as far as the divergences resolve
-                break
-            lam, t, g = lam * (1.0 + s * u), t + s * dt, g_new
-        if tau >= tau_end:
+    # the start is central for the mu that puts D on the simplex, every
+    # slack at least k gap0 / (k + n)
+    t = float(np.max(g)) + k * gap0 / (k + n)
+    mu = 1.0 / float(np.sum(1.0 / (t - g)))
+    D, z = mu / (t - g), mu / lam
+    grads, H = tables.derivatives(lam, M.T @ D)
+    G = M @ grads  # row gradients, scaled by lam
+    # the simplex multiplier that makes the dual residual sum to zero
+    nu = float(z @ lam - D @ G.sum(1))
+
+    def residual(lam, t, g, D, z, nu, G):
+        """The KKT residual at mu = 0: the dual residual (scaled by lam),
+        t's stationarity, the products D s and z lam, and the simplex."""
+        return np.concatenate([G.T @ D + (nu - z) * lam, [1.0 - D.sum()],
+                               D * (t - g), z * lam, [lam.sum() - 1.0]])
+
+    # r - mu * centering is the residual at mu: the products less mu
+    centering = np.zeros(2 * n + k + 2)
+    centering[n + 1:-1] = 1.0
+    # the KKT system in (u, dt, dD, dnu)
+    kkt = np.zeros((n + k + 2, n + k + 2))
+    diagonal = kkt.reshape(-1)[::n + k + 3]
+    kkt[n, n + 1:-1] = kkt[n + 1:-1, n] = -1.0
+    r = residual(lam, t, g, D, z, nu, G)
+    alpha = 0.0  # the first step centers
+    for _ in range(NEWTON_STEPS):
+        s = t - g
+        sigma = max((1.0 - alpha) ** 3, SIGMA_MIN)
+        mu = max(sigma * float(r[n + 1:-1].sum()) / (k + n), mu_end)
+        r = r - mu * centering
+        norm = float(np.linalg.norm(r))
+        if mu == mu_end and norm <= 1e-3 * mu_end:
             break
-        tau *= BARRIER_GROWTH
-    D = 1.0 / (tau * (t - g))
+        kkt[:n, :n] = H
+        diagonal[:n] += z * lam
+        diagonal[n + 1:-1] = -s / D
+        kkt[n + 1:-1, :n] = G
+        kkt[:n, n + 1:-1] = G.T
+        kkt[:n, -1] = kkt[-1, :n] = lam
+        # minus the residual at mu, with dz eliminated from the dual rows
+        # and the slack rows divided by -D, as the matrix has them
+        rhs = np.concatenate([-(r[:n] + r[n + k + 1:-1]), -r[n:n + 1], r[n + 1:n + k + 1] / D,
+                              -r[-1:]])
+        try:
+            step = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        u, dt, dD, dnu = step[:n], step[n], step[n + 1:-1], step[-1]
+        ds = dt - G @ u  # the slacks' linearized step
+        dz = mu / lam - z - z * u
+        x, dx = np.concatenate([np.ones(n), s, D, z]), np.concatenate([u, ds, dD, dz])
+        shrinking = dx < 0.0
+        alpha = 1.0
+        if np.any(shrinking):
+            alpha = min(1.0, (1.0 - min(0.01, (k + n) * mu))
+                        * float(np.min(x[shrinking] / -dx[shrinking])))
+        while alpha >= 1e-12:
+            lam_new, t_new = lam * (1.0 + alpha * u), t + alpha * dt
+            g_new = tables.rows(lam_new, M)
+            if np.all(t_new - g_new > 0.0):
+                D_new, z_new, nu_new = D + alpha * dD, z + alpha * dz, nu + alpha * dnu
+                grads, H_new = tables.derivatives(lam_new, M.T @ D_new)
+                G_new = M @ grads
+                r_new = residual(lam_new, t_new, g_new, D_new, z_new, nu_new, G_new)
+                if np.linalg.norm(r_new - mu * centering) <= (1.0 - 0.01 * alpha) * norm:
+                    break
+            alpha *= 0.5
+        else:
+            break
+        lam, t, g, D, z, nu, G, H = lam_new, t_new, g_new, D_new, z_new, nu_new, G_new, H_new
+        r = r_new
     return lam / lam.sum(), D / D.sum()
 
 
@@ -529,10 +573,12 @@ class _MinimaxSolver:
         return rows
 
     def polish(self) -> None:
-        """One barrier solve of the epigraph program from the best weights
-        so far. The exact row values at its weights bound the value from
-        above; an inner minimization at its central-path input weights,
-        warm-started there, bounds it from below."""
+        """One primal-dual barrier solve of the epigraph program
+        (`_barrier_epigraph`) from the best weights so far, to its
+        central point of duality gap tol/8. The exact row values at its
+        weights bound the value from above; an inner minimization at its
+        row multipliers D, warm-started at its weights, bounds it from
+        below."""
         n = self.tables.n
         lam0 = self.lam_best if self.lam_best is not None else np.full(n, 1.0 / n)
         polished = _barrier_epigraph(self.tables, self.M, lam0, self.gap, self.tol)
@@ -559,7 +605,7 @@ class _MinimaxSolver:
                 return
             self.polish()
         if not self.closed:
-            raise NoConvergence(self.iterations, float(self.gap))
+            raise NoConvergence(self.iterations, float(self.gap), self.lower, self.upper)
 
     def result(
         self, inputs: InputDistribution | None, lower_bound: bool = False
@@ -567,7 +613,7 @@ class _MinimaxSolver:
         """The closed bracket as a result: its upper end, the weights that
         set it and its width. Raises NoConvergence while it is open."""
         if not self.closed:
-            raise NoConvergence(self.iterations, float(self.gap))
+            raise NoConvergence(self.iterations, float(self.gap), self.lower, self.upper)
         lam = self.lam_best
         return MonotoneResult(self.upper, LocalModel(self.tables.scenario, lam / lam.sum()),
                               inputs, self.gap, self.iterations, lower_bound)

@@ -651,6 +651,33 @@ def test_epigraph_polish_matches_per_setting_loop():
     assert max(a.lower, b.lower) <= min(a.upper, b.upper)
 
 
+def generalized_pr_mixture(sc: bw.Scenario, rng: np.random.Generator, w: float) -> bw.Behavior:
+    """b - a = px(x) py(y) + shift (mod d) at weight w, plus a Dirichlet
+    mixture of 32 random deterministic boxes: the generalized PR mixture
+    of the perfbench pools, with the same draws from rng."""
+    d = sc.rA
+    px, py = rng.permutation(sc.sA), rng.permutation(sc.sB)
+    shift = int(rng.integers(d))
+    t = np.zeros(sc.shape)
+    for x, y, a in itertools.product(range(sc.sA), range(sc.sB), range(d)):
+        t[x, y, a, (a + px[x] * py[y] + shift) % d] = 1.0 / d
+    V = bw.local_vertex_matrix(sc)
+    idx = rng.choice(V.shape[0], size=min(32, V.shape[0]), replace=False)
+    loc = (rng.dirichlet(np.ones(idx.size)) @ V[idx]).reshape(sc.shape)
+    return bw.Behavior(sc, w * t + (1.0 - w) * loc)
+
+
+def test_s_nl_closes_a_nonlocal_3333_box():
+    # 729 vertices: the staged log-barrier polish left this box's bracket
+    # open by 4.2e-2, and s_nl raised NoConvergence after about 8 s
+    p = generalized_pr_mixture(bw.Scenario(3, 3, 3, 3), np.random.default_rng([73, 1]), 0.696)
+    r = fresh(bw.s_nl, p)
+    assert r.gap_estimate <= TOL
+    assert r.value > 0.1
+    assert bw.behavior_re(p, r.optimizer_local.reconstruct()).bits == pytest.approx(
+        r.value, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # The pairwise-exchange line search of the inner Frank-Wolfe solver
 # ---------------------------------------------------------------------------
@@ -837,6 +864,24 @@ def test_independent_routes_do_not_share_the_solve(solves):
     runs = solves["run"]
     bw.s_c(p, TOL)
     assert solves["run"] == runs
+
+
+def test_no_convergence_carries_the_open_bracket(monkeypatch):
+    # without a polish the uniform start leaves this box's bracket open;
+    # the error reports both of its ends, and they bracket the value
+    p = pr_relabeling_mixture(7, 0.8, 1)
+    value = fresh(bw.s_nl, p).value
+    monkeypatch.setattr(monotones, "POLISH_ROUNDS", 0)
+    with pytest.raises(NoConvergence) as err:
+        fresh(bw.s_nl, p)
+    e = err.value
+    assert e.lower <= value <= e.upper
+    assert e.upper - e.lower == e.gap > TOL
+    assert f"[{e.lower:.9g}, {e.upper:.9g}]" in str(e)
+    # a solver that does not bracket its value reports no ends
+    plain = NoConvergence(10, 1e-3)
+    assert plain.lower is None and plain.upper is None
+    assert "bracket" not in str(plain)
 
 
 def test_a_failed_solve_is_not_kept(solves, monkeypatch):
