@@ -20,6 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import lp
 from .behaviors import (
     Behavior,
     Scenario,
@@ -30,7 +31,6 @@ from .behaviors import (
     _stochastic,
 )
 from .errors import LengthMismatch, ParameterOutOfRange, SolverFailure
-from .lp import lp_feasible
 
 ALICE = "alice"
 BOB = "bob"
@@ -306,7 +306,9 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     """Decide membership of `p` in the local polytope.
 
     Feasibility of {weights >= 0, sum = 1, V.weights = p} is decided by
-    the in-repo revised simplex, which reads the constraints through
+    phase 1 of the in-repo revised simplex (`lp.solve_lp`): a feasible
+    exit basis gives the weights, an infeasible one the Farkas dual that
+    becomes the Bell functional. The simplex reads the constraints through
     `Vertices`: vertices are priced by the factorized best-response
     product and built one column at a time, so the LP never forms
     [V^T; 1]. The LP sees the vertices ranked once per call, from best
@@ -319,15 +321,16 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     per row and needs no mapping. Either certificate is re-verified
     independently of the solver before being returned: a local model
     against the dense vertex matrix, a Bell certificate's bound by
-    `Vertices.best`. tol, the LP's feasibility tolerance, must be
-    positive and finite.
+    `Vertices.best`. tol is the LP's feasibility tolerance; `solve_lp`
+    refuses one that is not positive and finite.
     """
-    if not 0.0 < tol < np.inf:
-        raise ParameterOutOfRange(f"tol must be positive and finite, got {tol}")
     vertices = Vertices.of(p.scenario)
     b = np.concatenate([p.flat(), [1.0]])
     order = np.argsort(-vertices.price(np.concatenate([p.flat(), [0.0]])), kind="stable")
-    res = lp_feasible(_Ranked(vertices, order), b, pivot=pivot, feas_tol=tol)
+    # by keyword: perfbench/tracing.py wraps lp.solve_lp and reads A from
+    # the `A` keyword, else from the second positional argument, which a
+    # positional (A, b) call would fill with b
+    res = lp.solve_lp(A=_Ranked(vertices, order), b=b, pivot=pivot, feas_tol=tol)
     if res.feasible:
         w = np.empty_like(res.x)
         w[order] = np.clip(res.x, 0.0, None)

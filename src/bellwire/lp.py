@@ -1,12 +1,20 @@
-"""Revised two-phase simplex for equality-form linear programs.
+"""Revised phase-1 simplex: feasibility of {x >= 0 : A x = b}.
 
-Solves  min c.x  s.t.  A x = b, x >= 0. The solver keeps an explicit
-m x m basis inverse, updates it by one rank-1 step per pivot and
-refactorizes it every REFACTOR_EVERY pivots. Reduced costs are priced
-through the constraint matrix, so a pivot costs O(m^2) plus one pricing
-pass, never a rewrite of an m x n tableau. Membership LPs have one row
-per behavior entry and one column per deterministic vertex (145 rows
-and 6561 columns at 4343), which is the shape this suits.
+Rows with b_i < 0 are sign-flipped, one artificial unit column is added
+per row, and the simplex minimizes the artificial total from the
+artificial basis. The system is feasible when that total ends at most
+feas_tol; x is then read off the exit basis. Otherwise the phase-1
+multipliers y, mapped back through the sign flip, satisfy y.A <= 0
+(componentwise over columns) and y.b > 0: a Farkas certificate of
+infeasibility.
+
+The solver keeps an explicit m x m basis inverse, updates it by one
+rank-1 step per pivot and refactorizes it every REFACTOR_EVERY pivots.
+Reduced costs are priced through the constraint matrix, so a pivot costs
+O(m^2) plus one pricing pass, never a rewrite of an m x n tableau.
+Membership LPs have one row per behavior entry and one column per
+deterministic vertex (145 rows and 6561 columns at 4343), which is the
+shape this suits.
 
 `A` is a dense array or a column source: an object with a `.shape`
 (m, n), a `price(y)` that returns y @ A and a `columns(idx)` that
@@ -23,17 +31,13 @@ whose columns are ranked: the smallest improving index is then the
 best-ranked improving column. `geometry.is_local` ranks the vertices by
 their fit to the behavior this way.
 
-Every verdict (optimal, unbounded, infeasible) and every returned x and
-y is read on a fresh factorization of the final basis: a phase ends only
-after a pricing pass on a refactorized inverse, so drift from the rank-1
-updates cannot decide it. Nor can it pick a pivot. In the ratio test, an
-element below 1e-6 of its column's largest entry is re-read on a fresh
-factorization before it is accepted. After phase 1, each basic
-artificial's row is read on a fresh factorization, and the artificial is
-driven out on the row's largest entry when that exceeds PIV_TOL. On
-infeasible instances the phase-1 dual vector y is returned; it satisfies
-y.A <= 0 (componentwise over columns) and y.b > 0, i.e. it is a Farkas
-certificate of infeasibility.
+The verdict, x and y are read on a fresh factorization of the exit
+basis: the solve ends only after a pricing pass on a refactorized
+inverse, so drift from the rank-1 updates cannot decide it. Nor can it
+pick a pivot: in the ratio test, an element below 1e-6 of its column's
+largest entry is re-read on a fresh factorization before it is accepted.
+Artificials may stay basic at the exit, on redundant rows or where the
+system is degenerate, with a total of at most feas_tol; x drops them.
 """
 
 from __future__ import annotations
@@ -54,21 +58,23 @@ PIV_TOL = 1e-10
 #: The basis inverse is recomputed from scratch after this many pivots.
 REFACTOR_EVERY = 100
 
+#: A solve that needs more pivots than this raises `SolverFailure`.
+MAX_PIVOTS = 200000
+
 PIVOT_RULES = ("bland", "dantzig")
 
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    objective: float
-    dual: np.ndarray | None
+    status: str  # "feasible" | "infeasible"
+    x: np.ndarray | None  # when feasible
+    dual: np.ndarray | None  # the Farkas certificate, when infeasible
     phase1_objective: float
     iterations: int
 
     @property
     def feasible(self) -> bool:
-        return self.status == "optimal"
+        return self.status == "feasible"
 
 
 class _DenseColumns:
@@ -100,6 +106,8 @@ class _Basis:
         self.xB = b.copy()
         self.stale = 0  # pivots since the last factorization
         self._outer = np.empty((self.m, self.m))
+        # the phase-1 objective: the artificial total
+        self.cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
 
     def column(self, j: int) -> np.ndarray:
         if j < self.n:
@@ -136,15 +144,15 @@ class _Basis:
         self.xB = inv @ self.b
         self.stale = 0
 
-    def duals(self, cost: np.ndarray) -> np.ndarray:
+    def duals(self) -> np.ndarray:
         """Simplex multipliers of the sign-flipped rows: c_B B^-1."""
-        return cost[self.basis] @ self.inv
+        return self.cost[self.basis] @ self.inv
 
-    def reduced_costs(self, cost: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    def reduced_costs(self, pi: np.ndarray) -> np.ndarray:
         y = pi if self.sign is None else pi * self.sign
         d = np.empty(self.n + self.m)
-        np.subtract(cost[: self.n], self.cols.price(y), out=d[: self.n])
-        np.subtract(cost[self.n :], pi, out=d[self.n :])
+        np.subtract(self.cost[: self.n], self.cols.price(y), out=d[: self.n])
+        np.subtract(self.cost[self.n :], pi, out=d[self.n :])
         return d
 
     def pivot(self, r: int, j: int, alpha: np.ndarray) -> None:
@@ -187,24 +195,18 @@ def _choose_leaving(
     return int(ties[0])
 
 
-def _iterate(
-    B: _Basis,
-    cost: np.ndarray,
-    allowed: np.ndarray,
-    pivot: str,
-    max_iter: int,
-    iterations: int,
-    phase1: bool = False,
-) -> tuple[str, int]:
+def _phase1(B: _Basis, pivot: str) -> int:
+    """Minimize the artificial total from B; the number of pivots."""
+    allowed = np.ones(B.n + B.m, dtype=bool)
+    iterations = 0
     while True:
-        d = B.reduced_costs(cost, B.duals(cost))
-        col = _choose_entering(d, allowed, pivot)
+        col = _choose_entering(B.reduced_costs(B.duals()), allowed, pivot)
         if col is None:
             if B.stale:
                 # confirm optimality on a fresh factorization
                 B.refactor()
                 continue
-            return "optimal", iterations
+            return iterations
         alpha = B.inv @ B.column(col)
         row = _choose_leaving(alpha, B.xB, B.basis, pivot)
         if B.stale and (row is None or alpha[row] < 1e-6 * np.abs(alpha).max()):
@@ -214,96 +216,49 @@ def _iterate(
             B.refactor()
             continue
         if row is None:
-            if phase1:
-                # a ray cannot lower the phase-1 objective below zero, so
-                # this column is numerical dust; bar it and move on
-                allowed[col] = False
-                continue
-            return "unbounded", iterations
+            # a ray cannot lower the artificial total below zero, so this
+            # column is numerical dust; bar it and move on
+            allowed[col] = False
+            continue
         B.pivot(row, col, alpha)
         iterations += 1
-        if iterations > max_iter:
+        if iterations > MAX_PIVOTS:
             raise SolverFailure(
-                f"simplex exceeded {max_iter} pivots (rule={pivot})"
+                f"simplex exceeded {MAX_PIVOTS} pivots (rule={pivot})"
             )
 
 
-def solve_lp(
-    c: np.ndarray,
-    A,
-    b: np.ndarray,
-    *,
-    pivot: str = "bland",
-    feas_tol: float = 1e-9,
-    max_iter: int = 200000,
-) -> LpResult:
-    """Minimize c.x subject to A x = b, x >= 0.
+def solve_lp(A, b: np.ndarray, *, pivot: str = "bland", feas_tol: float = 1e-9) -> LpResult:
+    """Feasibility of {x >= 0 : A x = b} by phase 1 of the simplex.
 
     `A` is a dense (m, n) array or a column source (see the module
-    docstring); `ParameterOutOfRange` when an argument is not numeric,
-    `LengthMismatch` when b does not have m entries or c n.
-    Returns duals of the equality rows: the phase-2 multipliers when
-    optimal, the Farkas certificate when infeasible.
+    docstring). Feasible when the artificial total ends at most
+    feas_tol, with x read off the exit basis; otherwise infeasible,
+    with the Farkas dual y (y.A <= 0, y.b > 0) of the equality rows.
+    `ParameterOutOfRange` when an argument is not numeric, the pivot
+    rule is unknown or feas_tol is not positive and finite;
+    `LengthMismatch` when b does not have m entries.
     """
     if pivot not in PIVOT_RULES:
         raise ParameterOutOfRange(f"unknown pivot rule {pivot!r}")
+    if not 0.0 < feas_tol < np.inf:
+        raise ParameterOutOfRange(f"feas_tol must be positive and finite, got {feas_tol}")
     cols = A if hasattr(A, "price") else _DenseColumns(_float_array(A, "A"))
     b = _float_array(b, "b").reshape(-1)
-    c = _float_array(c, "c").reshape(-1)
     m, n = cols.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise LengthMismatch(f"LP dimensions disagree: A is {m} x {n}, b has "
-                             f"{b.size} entries and c {c.size}")
+    if b.shape != (m,):
+        raise LengthMismatch(f"LP dimensions disagree: A is {m} x {n} and b has "
+                             f"{b.size} entries")
 
     sign = np.where(b < 0, -1.0, 1.0)
     B = _Basis(cols, sign, b * sign)
-
-    # Phase 1: minimize the artificial total from the artificial basis.
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    allowed = np.ones(n + m, dtype=bool)
-    _, iterations = _iterate(B, cost, allowed, pivot, max_iter, 0, phase1=True)
+    iterations = _phase1(B, pivot)
     z1 = float(B.xB[B.basis >= n].sum())
     if z1 > feas_tol:
         # Farkas dual of the sign-flipped system, mapped back.
-        y = B.duals(cost) * sign
-        return LpResult("infeasible", None, float("nan"), y, z1, iterations)
-
-    # Drive artificials out of the basis where possible, each row read on
-    # a fresh factorization and pivoted on its largest entry; rows that
-    # cannot be pivoted are redundant and stay inert (their structural
-    # entries are all ~0, so later ratio tests never pick them).
-    for i in range(m):
-        if B.basis[i] >= n:
-            if B.stale:
-                B.refactor()
-            row = np.abs(cols.price(B.inv[i] * sign))
-            j = int(np.argmax(row))
-            if row[j] > PIV_TOL:
-                B.pivot(i, j, B.inv @ B.column(j))
-
-    # Phase 2: artificial columns keep cost zero but are barred from
-    # entering.
-    cost = np.concatenate([c, np.zeros(m)])
-    allowed = np.concatenate([np.ones(n, dtype=bool), np.zeros(m, dtype=bool)])
-    status, iterations = _iterate(B, cost, allowed, pivot, max_iter, iterations)
-    if status == "unbounded":
-        return LpResult("unbounded", None, float("-inf"), None, z1, iterations)
+        return LpResult("infeasible", None, B.duals() * sign, z1, iterations)
 
     x = np.zeros(n)
     structural = B.basis < n
     x[B.basis[structural]] = B.xB[structural]
-    y = B.duals(cost) * sign
-    return LpResult("optimal", x, float(cost[B.basis] @ B.xB), y, z1, iterations)
-
-
-def lp_feasible(
-    A,
-    b: np.ndarray,
-    *,
-    pivot: str = "bland",
-    feas_tol: float = 1e-9,
-    max_iter: int = 200000,
-) -> LpResult:
-    """Phase-1 feasibility of {x >= 0 : A x = b} with a zero objective."""
-    return solve_lp(np.zeros(A.shape[1]), A, b, pivot=pivot, feas_tol=feas_tol,
-                    max_iter=max_iter)
+    return LpResult("feasible", x, None, z1, iterations)
