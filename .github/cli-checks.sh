@@ -19,7 +19,16 @@
 # 2 for a truncated wiring file, an apply with no --in2, `eval snl` on a
 # behavior file with a non-numeric entry, a negative --tol and a negative
 # `eval suc` seed.
+#
+# Outside CI (CI unset), a source checkout with no `bellwire` on PATH runs
+# the CLI module from src/ instead: `bash .github/cli-checks.sh` from any
+# directory. CI sets CI=true and so always tests the installed script.
 set -euo pipefail
+if [ -z "${CI:-}" ] && ! command -v bellwire > /dev/null; then
+  PYTHONPATH="$(cd "$(dirname "$0")/.." && pwd)/src${PYTHONPATH:+:$PYTHONPATH}"
+  export PYTHONPATH
+  bellwire() { python -m bellwire.cli "$@"; }
+fi
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 
 bellwire eval sc --in tsirelson-four > /dev/null

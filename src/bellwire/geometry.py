@@ -28,6 +28,7 @@ from .behaviors import (
     _float_array,
     _index,
     _random_stochastic,
+    _require_same_scenario,
     _stochastic,
 )
 from .errors import LengthMismatch, ParameterOutOfRange, SolverFailure
@@ -199,6 +200,7 @@ class LocalModel:
         return Behavior(self.scenario, table / sums)
 
     def matches(self, p: Behavior, tol: float = 1e-8) -> bool:
+        _require_same_scenario(p.scenario, self.scenario, "behavior scenario")
         flat = self.weights @ local_vertex_matrix(self.scenario)
         return bool(np.max(np.abs(flat - p.flat())) <= tol)
 
@@ -244,6 +246,7 @@ class BellCertificate:
         object.__setattr__(self, "coefficients", coeff)
 
     def value_on(self, p: Behavior) -> float:
+        _require_same_scenario(p.scenario, self.scenario, "behavior scenario")
         return float(self.coefficients.reshape(-1) @ p.flat())
 
 

@@ -48,7 +48,8 @@ included; another box gets new tables.
 
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
-walk into the +inf boundary, interleaved with pairwise vertex exchanges;
+walk into the +inf boundary, interleaved with pairwise vertex exchanges,
+each a damped Newton step that takes at least half the linear decrease;
 its stopping certificate is the Frank-Wolfe gap, whose linear subproblem
 is exact enumeration over the deterministic vertices. Iterates start at
 the barycenter.
@@ -72,7 +73,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .behaviors import Behavior, InputDistribution
+from .behaviors import Behavior, InputDistribution, _require_same_scenario
 from .divergence import _kl_rows, _weighted_rows
 from .errors import NoConvergence, ParameterOutOfRange
 from .geometry import LocalModel, local_vertex_matrix
@@ -97,10 +98,6 @@ MAX_INNER_ITER = 100000
 
 #: Every PAIRWISE_EVERY-th inner step is a pairwise vertex exchange.
 PAIRWISE_EVERY = 8
-
-#: Cap on derivative evaluations in one exchange line search; a search
-#: that reaches it returns the left end of its bracket.
-LINE_SEARCH_EVALS = 64
 
 #: Epigraph polishes `_MinimaxSolver.run` tries after its uniform start.
 POLISH_ROUNDS = 3
@@ -223,53 +220,36 @@ class _InnerSolution:
 
 def _exchange_step(
     cE: np.ndarray, qE: np.ndarray, d: np.ndarray, gamma_max: float
-) -> tuple[float, int]:
-    """Exact line search of a pairwise exchange: minimize the convex
-    phi(g) = -sum cE log(qE + g d) over [0, gamma_max].
+) -> float:
+    """Step of a pairwise exchange on the convex
+    phi(g) = -sum cE log(qE + g d) over [0, gamma_max], for qE > 0.
 
-    Safeguarded Newton on phi' inside a sign bracket [lo, hi] with
-    phi'(lo) < 0; a Newton step that leaves the bracket is replaced by
-    bisection. It stops once |phi'| is 1e-12 of |phi'(0)| or the bracket
-    is narrower than 1e-15 of gamma_max. phi' is +inf where a
-    denominator is not positive, so the returned step keeps every entry
-    of qE + g d positive unless it is the full step. When phi' is
-    rounding noise before either test is met (a search that starts next
-    to the minimizer with a small gamma_max), Newton steps can stall
-    below the resolution of the denominators; LINE_SEARCH_EVALS bounds
-    such a search.
-    Returns (step, number of derivative evaluations).
+    The full step gamma_max is taken when every qE + gamma_max d is
+    positive and phi'(gamma_max) <= 0, so drop steps are exact. Else the
+    step is the damped Newton step for a sum of logs (Boyd & Vandenberghe,
+    Convex Optimization, sec. 9.6): with r = d / qE, the Newton step
+    gN = sum cE r / sum cE r^2 and R = max(0, max(-r)),
+    g = min(gN / (1 + gN R), gamma_max).
+
+    It halves the linear decrease: phi(g) <= phi(0) + g phi'(0) / 2.
+    Let rho = g R < 1, so every x = g r_i is at least -rho. For x >= 0,
+    -log(1 + x) <= -x + x^2/2; for x = -y in [-rho, 0), the series
+    -log(1 - y) = y + y^2/2 + y^3/3 + ... is at most y + y^2 / (2(1 - y)).
+    So -log(1 + x) <= -x + x^2 / (2(1 - rho)) for x >= -rho, and with
+    S1 = sum cE r = -phi'(0) and S2 = sum cE r^2,
+        phi(g) - phi(0) <= -g S1 + g^2 S2 / (2(1 - rho)).
+    g / (1 - g R) grows with g and equals gN at g = gN / (1 + gN R), so
+    g / (1 - rho) <= gN = S1 / S2, and the right side is at most
+    -g S1 / 2. Every denominator qE (1 + g r) stays >= (1 - rho) qE > 0.
     """
-
-    def derivs(g: float) -> tuple[float, float]:
-        denom = qE + g * d
-        if denom.min() <= 0.0:
-            return math.inf, math.nan
-        r = d / denom
-        cr = cE * r
-        return -float(cr.sum()), float(cr @ r)
-
-    d1, _ = derivs(gamma_max)
-    if d1 <= 0.0:
-        return gamma_max, 1
-    lo, hi = 0.0, gamma_max
-    g = 0.0
-    d1, d2 = derivs(g)
-    tol = 1e-12 * abs(d1)
-    evals = 2
-    while evals < LINE_SEARCH_EVALS:
-        if abs(d1) <= tol:
-            return g, evals
-        if d1 < 0.0:
-            lo = g
-        else:
-            hi = g
-        if hi - lo <= 1e-15 * gamma_max:
-            break
-        step = g - d1 / d2 if d2 > 0.0 else math.nan
-        g = step if lo < step < hi else 0.5 * (lo + hi)
-        d1, d2 = derivs(g)
-        evals += 1
-    return lo, evals
+    denom = qE + gamma_max * d
+    if denom.min() > 0.0 and np.dot(cE, d / denom) >= 0.0:
+        return gamma_max
+    r = d / qE
+    cr = cE * r
+    # S1 < 0 is rounding noise of an exchange that cannot descend
+    newton = max(float(cr.sum()), 0.0) / float(cr @ r)
+    return min(newton / (1.0 + newton * max(0.0, -float(r.min()))), gamma_max)
 
 
 def _fw_minimize(
@@ -283,13 +263,14 @@ def _fw_minimize(
     from lam0 when given, else from the barycenter.
 
     Steps are multiplicative (expectation-maximization form); every
-    PAIRWISE_EVERY-th step a pairwise vertex exchange with exact line
-    search prunes or revives vertices. Progress is certified by the
-    Frank-Wolfe gap, whose linear subproblem is exact enumeration over
-    the vertices. Only the support columns of settings with positive
-    weight enter. The run stops at the first iterate whose gap is at
-    most gap_tol, counting that iterate's gap check as an iteration, or
-    after MAX_INNER_ITER iterations with the last gap it read.
+    PAIRWISE_EVERY-th step a pairwise vertex exchange, one damped Newton
+    step (`_exchange_step`), prunes or revives vertices. Progress is
+    certified by the Frank-Wolfe gap, whose linear subproblem is exact
+    enumeration over the vertices. Only the support columns of settings
+    with positive weight enter. The run stops at the first iterate whose
+    gap is at most gap_tol, counting that iterate's gap check as an
+    iteration, or after MAX_INNER_ITER iterations with the last gap it
+    read.
     """
     n = tables.n
     c = setting_weights[tables.setting] * tables.P_support
@@ -329,7 +310,7 @@ def _fw_minimize(
             aw = int(support[back[support].argmin()])
             if aw != fw:
                 d = VE[fw] - VE[aw]
-                gamma, _ = _exchange_step(cE, qE, d, float(lam[aw]))
+                gamma = _exchange_step(cE, qE, d, float(lam[aw]))
                 if gamma > 0.0:
                     lam[fw] += gamma
                     lam[aw] -= gamma
@@ -925,7 +906,12 @@ def convexity_audit(
     tol: float = DEFAULT_TOL,
     **kwargs,
 ) -> AuditReport:
-    """Check f(mu p + (1-mu) p') <= mu f(p) + (1-mu) f(p') + slack."""
+    """Check f(mu p + (1-mu) p') <= mu f(p) + (1-mu) f(p') + slack, for
+    p and p' of one scenario and every mu in [0, 1]."""
+    _require_same_scenario(p_prime.scenario, p.scenario, "p_prime scenario")
+    for mu in mus:
+        if not 0.0 <= mu <= 1.0:
+            raise ParameterOutOfRange(f"mu must lie in [0, 1], got {mu}")
     f_p = evaluate_quantifier(quantifier, p, tol, **kwargs)
     f_pp = evaluate_quantifier(quantifier, p_prime, tol, **kwargs)
     rows = []

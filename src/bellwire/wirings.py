@@ -28,7 +28,6 @@ random generators and `jsonio` all read that declaration.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -120,21 +119,6 @@ def _validate_fields(obj, si: Scenario, sf: Scenario) -> None:
         object.__setattr__(obj, f.name, _stochastic(arr, shapes[f.name], f.trailing, f.name))
 
 
-@functools.lru_cache(maxsize=256)
-def _contraction_path(subscripts: str, *shapes: tuple[int, ...]) -> tuple:
-    """The path `np.einsum(..., optimize=True)` takes for operands of
-    these shapes; the search reads shapes only."""
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subscripts, *operands, optimize=True)[0])
-
-
-def _contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """`np.einsum(subscripts, *operands, optimize=True)`, searching the
-    contraction path once per subscripts and operand shapes."""
-    path = _contraction_path(subscripts, *(op.shape for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
-
-
 # ---------------------------------------------------------------------------
 # Global wirings
 # ---------------------------------------------------------------------------
@@ -183,7 +167,7 @@ def apply_gw(w: GlobalWiring, p: Behavior) -> Behavior:
     produce signaling behaviors.
     """
     _require_same_scenario(p.scenario, w.initial, "behavior scenario")
-    out = _contract("abxycsAB,xyab,csxy->csAB", w.o_box, p.p, w.i_box)
+    out = np.einsum("abxycsAB,xyab,csxy->csAB", w.o_box, p.p, w.i_box)
     return Behavior(w.final, out)
 
 
@@ -251,7 +235,7 @@ class LosrWiring:
 def apply_losr(w: LosrWiring, p: Behavior) -> Behavior:
     """Average over lambda of the product-form processing of `p`."""
     _require_same_scenario(p.scenario, w.initial, "behavior scenario")
-    out = _contract(
+    out = np.einsum(
         "l,laxcA,lbysB,xyab,lcx,lsy->csAB",
         w.weights, w.out_a, w.out_b, p.p, w.in_a, w.in_b,
     )
@@ -323,7 +307,7 @@ def losr_to_gw(w: LosrWiring) -> GlobalWiring:
     i_lambda = np.einsum("lcx,lsy->lcsxy", w.in_a, w.in_b)
     i_box = np.einsum("l,lcsxy->csxy", w.weights, i_lambda)
     o_lambda = np.einsum("laxcA,lbysB->labxycsAB", w.out_a, w.out_b)
-    numer = _contract("l,lcsxy,labxycsAB->abxycsAB", w.weights, i_lambda, o_lambda)
+    numer = np.einsum("l,lcsxy,labxycsAB->abxycsAB", w.weights, i_lambda, o_lambda)
     denom = i_box.transpose(2, 3, 0, 1)[None, None, :, :, :, :, None, None]
     flat = 1.0 / (sf.rA * sf.rB)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -366,7 +350,7 @@ class BothMeasureBranch:
             joint = np.einsum("xyab,y,byx->abxy", p.p, self.d_first, self.d_second)
         else:
             joint = np.einsum("xyab,x,axy->abxy", p.p, self.d_first, self.d_second)
-        out = _contract(
+        out = np.einsum(
             "m,mabxycA,mabxysB,abxy->csAB",
             self.weights, self.out_a, self.out_b, joint,
         )
@@ -398,13 +382,13 @@ class OneMeasuresBranch:
 
     def apply(self, p: Behavior, final: Scenario) -> Behavior:
         if self.measurer == BOB_FIRST:
-            out = _contract(
+            out = np.einsum(
                 "m,mbyaxcA,mbysB,y,xyab,bycx->csAB",
                 self.weights, self.out_other, self.out_meas,
                 self.d_meas, p.p, self.in_other,
             )
         else:
-            out = _contract(
+            out = np.einsum(
                 "m,maxbysB,maxcA,x,xyab,axsy->csAB",
                 self.weights, self.out_other, self.out_meas,
                 self.d_meas, p.p, self.in_other,
@@ -469,15 +453,8 @@ class WpiccWiring:
 
 
 def _measuring_terms(w: WpiccWiring, p: Behavior) -> list[tuple[float, Behavior]]:
-    return [
-        (float(weight), getattr(w, name).apply(p, w.final))
-        for weight, (name, _, party) in zip(w.branch_probabilities, w.BRANCHES)
-        if weight > 0 and party is not None
-    ]
-
-
-def apply_wpicc(w: WpiccWiring, p: Behavior) -> Behavior:
-    """Apply the five-branch mixture to a no-signaling behavior.
+    """Each measuring branch with weight, applied to `p`, after the intake
+    both `apply_wpicc` and `wpicc_local_part` share.
 
     Signaling inputs are refused outright: the preparation phase feeds
     outputs of one box into inputs of the other, which is circular
@@ -490,6 +467,15 @@ def apply_wpicc(w: WpiccWiring, p: Behavior) -> Behavior:
             f"communication wiring applied to a signaling behavior "
             f"(residual {report.max_residual:.3e} at {report.worst})"
         )
+    return [
+        (float(weight), getattr(w, name).apply(p, w.final))
+        for weight, (name, _, party) in zip(w.branch_probabilities, w.BRANCHES)
+        if weight > 0 and party is not None
+    ]
+
+
+def apply_wpicc(w: WpiccWiring, p: Behavior) -> Behavior:
+    """Apply the five-branch mixture to a no-signaling behavior."""
     table = np.zeros(w.final.shape)
     for weight, beh in _measuring_terms(w, p):
         table = table + weight * beh.p

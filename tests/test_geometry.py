@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellwire as bw
-from bellwire.errors import NegativeEntry, NotNormalized, SolverFailure, VertexCapExceeded
+from bellwire.errors import (
+    NegativeEntry,
+    NotNormalized,
+    ScenarioMismatch,
+    SolverFailure,
+    VertexCapExceeded,
+)
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 SC_PAIR = bw.Scenario(2, 2, 1, 2)
@@ -97,6 +103,20 @@ def test_pr_box_nonlocal_with_verified_certificate():
                          (nan, cert.local_bound)):
         with pytest.raises(SolverFailure):
             bw.BellCertificate(SC2222, coeff, bound, cert.value_on_behavior)
+
+
+def test_certificates_refuse_a_box_of_another_scenario():
+    # 4222 and 2242 tables both have 32 entries and 64 vertices, so a
+    # plain product would read one box through the other's layout
+    sc, other = bw.Scenario(4, 2, 2, 2), bw.Scenario(2, 2, 4, 2)
+    pr = bw.pr_box().p
+    cert = bw.is_local(bw.Behavior(sc, pr[[0, 1, 0, 1]])).certificate
+    model = bw.random_local_behavior(sc, 0)[1]
+    q = bw.random_ns_behavior(other, 0)
+    with pytest.raises(ScenarioMismatch):
+        cert.value_on(q)
+    with pytest.raises(ScenarioMismatch):
+        model.matches(q)
 
 
 def test_every_vertex_is_local_with_unit_weight():

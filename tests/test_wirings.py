@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bellwire.errors import (
     ParameterOutOfRange,
     ScenarioMismatch,
 )
+from bellwire.wirings import ALICE_FIRST
 
 SC2222 = bw.Scenario(2, 2, 2, 2)
 SC_PAIR = bw.Scenario(2, 2, 1, 2)
@@ -264,8 +266,9 @@ def test_wpicc_refuses_signaling_input():
             table[x, y, y, 0] = 1.0
     signaling = bw.Behavior(SC2222, table)
     w = bw.random_wpicc_wiring(SC2222, SC2222, 0)
-    with pytest.raises(DomainViolation):
-        bw.apply_wpicc(w, signaling)
+    for f in (bw.apply_wpicc, bw.wpicc_local_part):
+        with pytest.raises(DomainViolation):
+            f(w, signaling)
 
 
 def test_wpicc_none_branch_only_equals_losr():
@@ -441,3 +444,92 @@ def test_wpicc_branch_party_is_checked(slot, other):
                                     **{party: getattr(getattr(w, slot), party)})
     with pytest.raises(LengthMismatch):
         dataclasses.replace(w, **{slot: relabeled})
+
+
+# ---------------------------------------------------------------------------
+# Loop oracles: every class's application, written index by index from the
+# field layouts
+# ---------------------------------------------------------------------------
+
+
+def _gw_oracle(w, p):
+    si, sf = w.initial, w.final
+    out = np.zeros(sf.shape)
+    for c, s, A, B in np.ndindex(*sf.shape):
+        for x, y, a, b in np.ndindex(*si.shape):
+            out[c, s, A, B] += w.o_box[a, b, x, y, c, s, A, B] * p.p[x, y, a, b] * w.i_box[c, s, x, y]
+    return out
+
+
+def _losr_oracle(w, p):
+    si, sf = w.initial, w.final
+    out = np.zeros(sf.shape)
+    for l, (c, s, A, B), (x, y, a, b) in itertools.product(
+            range(w.n_lambda), np.ndindex(*sf.shape), np.ndindex(*si.shape)):
+        out[c, s, A, B] += (w.weights[l] * w.in_a[l, c, x] * w.in_b[l, s, y] * p.p[x, y, a, b]
+                            * w.out_a[l, a, x, c, A] * w.out_b[l, b, y, s, B])
+    return out
+
+
+def _both_measure_oracle(br, p, si, sf):
+    # the first party measures at its own setting and sends (outcome,
+    # setting); the second picks its setting from them; both then know
+    # all four dits
+    out = np.zeros(sf.shape)
+    for m, (c, s, A, B), (x, y, a, b) in itertools.product(
+            range(br.weights.size), np.ndindex(*sf.shape), np.ndindex(*si.shape)):
+        if br.first == ALICE_FIRST:
+            prep = br.d_first[x] * br.d_second[a, x, y]
+        else:
+            prep = br.d_first[y] * br.d_second[b, y, x]
+        out[c, s, A, B] += (br.weights[m] * prep * p.p[x, y, a, b]
+                            * br.out_a[m, a, b, x, y, c, A] * br.out_b[m, a, b, x, y, s, B])
+    return out
+
+
+def _one_measures_oracle(br, p, si, sf):
+    # the measurer's dits and the other party's final setting choose the
+    # other party's initial setting; each side then processes what it knows
+    out = np.zeros(sf.shape)
+    for m, (c, s, A, B), (x, y, a, b) in itertools.product(
+            range(br.weights.size), np.ndindex(*sf.shape), np.ndindex(*si.shape)):
+        if br.measurer == ALICE_FIRST:
+            term = (br.d_meas[x] * br.in_other[a, x, s, y] * br.out_meas[m, a, x, c, A]
+                    * br.out_other[m, a, x, b, y, s, B])
+        else:
+            term = (br.d_meas[y] * br.in_other[b, y, c, x] * br.out_meas[m, b, y, s, B]
+                    * br.out_other[m, b, y, a, x, c, A])
+        out[c, s, A, B] += br.weights[m] * term * p.p[x, y, a, b]
+    return out
+
+
+@pytest.mark.parametrize("si,sf", [(SI_ODD, SF_ODD), (SF_ODD, SI_ODD)])
+def test_apply_matches_loop_oracle(si, sf):
+    p = bw.random_ns_behavior(si, 5)
+    gw = bw.random_global_wiring(si, sf, 1)
+    assert np.allclose(bw.apply_gw(gw, p).p, _gw_oracle(gw, p), rtol=0, atol=1e-14)
+    losr = bw.random_losr_wiring(si, sf, 2, n_lambda=3)
+    assert np.allclose(bw.apply_losr(losr, p).p, _losr_oracle(losr, p), rtol=0, atol=1e-14)
+    uclosr = bw.random_uclosr_wiring(si, sf, 3)
+    assert np.allclose(bw.apply_uclosr(uclosr, p).p, _losr_oracle(uclosr.as_losr(), p),
+                       rtol=0, atol=1e-14)
+    assert np.allclose(bw.apply_gw(bw.losr_to_gw(losr), p).p, _losr_oracle(losr, p),
+                       rtol=0, atol=1e-14)
+    w = bw.random_wpicc_wiring(si, sf, 4)
+    oracles = [_both_measure_oracle, _both_measure_oracle, _one_measures_oracle,
+               _one_measures_oracle]
+    table = w.branch_probabilities[4] * _losr_oracle(w.none_branch, p)
+    for weight, slot, oracle in zip(w.branch_probabilities, WPICC_SLOTS, oracles):
+        branch = getattr(w, slot)
+        assert np.allclose(branch.apply(p, sf).p, oracle(branch, p, si, sf),
+                           rtol=0, atol=1e-14)
+        table += weight * oracle(branch, p, si, sf)
+    assert np.allclose(bw.apply_wpicc(w, p).p, table, rtol=0, atol=1e-14)
+
+
+def test_wpicc_refuses_a_box_of_another_scenario():
+    w = bw.random_wpicc_wiring(SC2222, SC2222, 0)
+    other = bw.random_ns_behavior(bw.Scenario(2, 2, 2, 3), 0)
+    for f in (bw.apply_wpicc, bw.wpicc_local_part):
+        with pytest.raises(ScenarioMismatch):
+            f(w, other)
