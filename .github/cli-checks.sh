@@ -5,7 +5,9 @@
 # reproductions, `eval su` on the same box (which `s_u` after `s_c` in one
 # process, reading the uniform start that `s_c` solved, must equal bit for
 # bit), `eval snl` on it (which `s_nl` after `s_u` in one process, reading
-# the start that `s_u` solved, must equal bit for bit), `eval local_check`
+# the start that `s_u` solved, must equal bit for bit), `eval snl` on the
+# PR box (half of its outcomes have probability zero; its certified
+# bracket must hold the closed form log2(4/3)), `eval local_check`
 # on the PR box (the membership LP and its Bell certificate, whose bound is
 # re-checked by the best-response maximum), the same eval as CSV, whose
 # certificate cell must load through `jsonio.certificate_from_json`, `eval
@@ -71,6 +73,8 @@ with open(sys.argv[1]) as f:
 for key in ("value", "gap_estimate", "iterations", "optimizer_local"):
     assert shared[key] == fresh[key], f"s_nl after s_u differs from eval snl in {key}"
 EOF_PY
+bellwire eval snl --in pr-box > "$tmp/snl_pr.json"
+python -c "import json, math, sys; r = json.load(open(sys.argv[1])); v, g = r['value'], r['gap_estimate']; assert v - g <= math.log2(4 / 3) <= v, f'PR box s_nl bracket [{v - g}, {v}]'" "$tmp/snl_pr.json"
 bellwire eval local_check --in pr-box | grep -q '"is_local":false'
 bellwire eval local_check --in pr-box --format csv > "$tmp/local_check.csv"
 python -c "import csv, sys; from bellwire import jsonio; cells = dict(csv.reader(open(sys.argv[1]))); jsonio.certificate_from_json(cells['certificate'])" "$tmp/local_check.csv"

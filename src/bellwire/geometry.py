@@ -72,7 +72,8 @@ class Vertices:
     instance per scenario. It serves
 
     * `dense`, the read-only (n, sA*sB*rA*rB) 0/1 vertex matrix V, built
-      on first use;
+      on first use and column-major: every reader, the quantifier engine
+      included, reads this one copy in place;
     * the membership constraints [V^T; 1] as an `lp` column source
       (`shape`, `price`, `columns`). A dual y prices every vertex at once
       by the factorized product (VA @ Y) @ VB^T of the one-hot response
@@ -114,11 +115,12 @@ class Vertices:
     @cached_property
     def dense(self) -> np.ndarray:
         sA, sB, rA, rB = self.table_shape
-        # written in place: no transient copy of V
-        V = np.empty((len(self.alice), self.nB) + self.table_shape)
-        np.einsum("sxa,ybt->stxyab", self._VA.reshape(-1, sA, rA),
-                  self._VBt.reshape(sB, rB, -1), out=V)
-        V = V.reshape(self.shape[1], -1)
+        # written in place, no transient copy, as V^T: V is its column-major
+        # view, whose columns are the contiguous runs the engine reads
+        Vt = np.empty(self.table_shape + (len(self.alice), self.nB))
+        np.einsum("sxa,ybt->xyabst", self._VA.reshape(-1, sA, rA),
+                  self._VBt.reshape(sB, rB, -1), out=Vt)
+        V = Vt.reshape(-1, self.shape[1]).T
         V.flags.writeable = False
         return V
 
@@ -164,7 +166,8 @@ class _Ranked:
 
 def local_vertex_matrix(scenario: Scenario) -> np.ndarray:
     """All deterministic vertex behaviors as rows of an (n, sA*sB*rA*rB)
-    0/1 matrix, in canonical lexicographic order (Alice-major)."""
+    0/1 matrix, in canonical lexicographic order (Alice-major): the
+    scenario's shared, read-only, column-major `Vertices.dense`."""
     return Vertices.of(scenario).dense
 
 

@@ -20,10 +20,10 @@ Malformed input raises `LengthMismatch` (an array of the wrong size) or
 `ParameterOutOfRange` (text that is not JSON, a missing key, an entry
 that is not a number, a scenario size or local-model strategy index that
 is not an integer in range, another JSON type where an object or a list
-belongs). `_arr` leaves the check that an array holds numbers only, the
-conversion and the entry count to `behaviors._flat_table`. Every
-array then passes its container's check, so a table that is not a
-distribution raises `NegativeEntry` (a negative, NaN or infinite entry)
+belongs). Every array is read by `behaviors._flat_table`, which checks
+that it holds numbers only in a regular nesting, converts it and counts
+its entries; it then passes its container's check, so a table that is
+not a distribution raises `NegativeEntry` (a negative, NaN or infinite entry)
 or `NotNormalized`. `wiring_from_json` also takes an already parsed
 document as a dict, held to the same checks.
 
@@ -110,17 +110,6 @@ def _load(text: str) -> _Doc:
     return _object(data, "document")
 
 
-def _arr(data, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """`data` (flat or nested, row-major) as a float array of `shape`
-    (`behaviors._flat_table`, which refuses strings, booleans, nulls and
-    objects)."""
-    try:
-        out = np.asarray(data)
-    except ValueError as err:  # ragged nesting
-        raise ParameterOutOfRange(f"{name} is not an array of numbers: {err}") from None
-    return _flat_table(out, shape, name)
-
-
 def _scenario_fields(sc: Scenario) -> dict:
     return {"sA": sc.sA, "sB": sc.sB, "rA": sc.rA, "rB": sc.rB}
 
@@ -145,7 +134,7 @@ def behavior_to_json(p: Behavior) -> str:
 def behavior_from_json(text: str, vertex_cap: int | None = None) -> Behavior:
     data = _load(text)
     sc = _scenario_from(data, vertex_cap)
-    return Behavior(sc, _arr(data["p"], sc.shape, "p"))
+    return Behavior(sc, _flat_table(data["p"], sc.shape, "p"))
 
 
 # -- input distributions -----------------------------------------------------
@@ -169,9 +158,9 @@ def input_distribution_from_json(text: str) -> InputDistribution:
     if kind == KIND_UNIFORM:
         return InputDistribution.uniform(sc)
     if kind == KIND_PRODUCT:
-        return InputDistribution.product(sc, _arr(data["dX"], (sc.sA,), "dX"),
-                                         _arr(data["dY"], (sc.sB,), "dY"))
-    return InputDistribution.general(sc, _arr(data["d"], (sc.sA, sc.sB), "d"))
+        return InputDistribution.product(sc, _flat_table(data["dX"], (sc.sA,), "dX"),
+                                         _flat_table(data["dY"], (sc.sB,), "dY"))
+    return InputDistribution.general(sc, _flat_table(data["d"], (sc.sA, sc.sB), "d"))
 
 
 # -- divergence and certificates ---------------------------------------------
@@ -204,7 +193,7 @@ def local_model_from_json(text: str) -> LocalModel:
         raise ParameterOutOfRange("local-model weights must be [alice, bob, weight] lists")
     for a, b, w in triples:
         k = _index(a, nA, "alice strategy") * nB + _index(b, nB, "bob strategy")
-        weights[k] = _arr(w, (), "local-model weight")
+        weights[k] = _flat_table(w, (), "local-model weight")
     return LocalModel(sc, weights)
 
 
@@ -219,7 +208,7 @@ def certificate_to_json(cert: BellCertificate) -> str:
 def certificate_from_json(text: str) -> BellCertificate:
     data = _load(text)
     sc = _scenario_from(data)
-    return BellCertificate(sc, _arr(data["coefficients"], sc.shape, "coefficients"),
+    return BellCertificate(sc, _flat_table(data["coefficients"], sc.shape, "coefficients"),
                            data["local_bound"], data["value_on_behavior"])
 
 
@@ -279,9 +268,9 @@ def _fields_from(cls, doc: dict, si: Scenario, sf: Scenario):
         raise LengthMismatch(f"{cls.__name__} needs at least one component")
     shapes = layout.shapes(si, sf, len(comps), party)
     arrays = {
-        f.name: np.stack([_arr(c[f.key or f.name], shapes[f.name][1:], f.name)
+        f.name: np.stack([_flat_table(c[f.key or f.name], shapes[f.name][1:], f.name)
                           for c in comps])
-        if f.per_component else _arr(doc[f.name], shapes[f.name], f.name)
+        if f.per_component else _flat_table(doc[f.name], shapes[f.name], f.name)
         for f in layout.fields
     }
     return cls(party, **arrays) if layout.party else cls(si, sf, **arrays)
@@ -334,5 +323,5 @@ def _wiring_from(data: _Doc, vertex_cap: int | None):
         else _fields_from(branch_cls, data[name], si, sf)
         for name, branch_cls, party in WpiccWiring.BRANCHES
     ]
-    probs = _arr(data["probabilities"], (len(branches),), "probabilities")
+    probs = _flat_table(data["probabilities"], (len(branches),), "probabilities")
     return WpiccWiring(si, sf, probs, *branches)

@@ -30,21 +30,23 @@ width, so value - gap_estimate is a certified lower bound, never below 0.
 
 The module keeps the `_DivergenceTables` of the most recent box, and
 every quantifier reads them through `_tables_of`, so calls on one box
-build them once: the vertex matrix and the columns on the box's
-support, each with its setting. The inner minimizations, the barrier
-and every engine instance read them; `s_uc`'s block solves and its
-final solve share them. Their `rows(lam, M)` is the one rule for the row
+build them once: the box's table P and the scenario's vertex matrix,
+which they read in place. The inner minimizations, the barrier and
+every engine instance read them; `s_uc`'s block solves and its final
+solve share them. Their `rows(lam, M)` is the one rule for the row
 values, +inf included, which both bracket ends and the barrier read.
+Quantifier calls may run in threads: each call reads the module's
+tables once, so it returns its own box's result.
 
 The tables also keep what the box's quantifier calls share. `s_u` and
 the uniform start of `s_nl`, `s_c` and `s_c_alternating` are one inner
 minimization: at uniform setting weights, from the barycenter, to the
 engine's start gap tol/(2m), where m = sA*sB is the number of settings,
-so `s_u`'s gap is at most tol/(2m), not tol. The tables keep that solve per tol (`uniform_start`), and
-`s_c`'s result of the saddle problem of `s_nl` and `s_c` per tol, so a
-later call on the box and tol reads them without solving again. What is
-read off the tables is bit-identical to a fresh solve, iteration counts
-included; another box gets new tables.
+so `s_u`'s gap is at most tol/(2m), not tol. The tables keep that solve
+per tol (`uniform_start`), and `s_c`'s result of the saddle problem of
+`s_nl` and `s_c` per tol, so a later call on the box and tol reads them
+without solving again. What is read off the tables is bit-identical to
+a fresh solve, iteration counts included; another box gets new tables.
 
 The inner minimization over vertex weights uses multiplicative
 (expectation-maximization form) steps, which keep full support and never
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .behaviors import Behavior, InputDistribution, _require_same_scenario
+from .behaviors import Behavior, InputDistribution, _index, _require_same_scenario
 from .divergence import _kl_rows, _weighted_rows
 from .errors import NoConvergence, ParameterOutOfRange
 from .geometry import LocalModel, local_vertex_matrix
@@ -136,22 +138,23 @@ def _box_key(p: Behavior) -> tuple:
 
 class _DivergenceTables:
     """A box's data as the engine reads it, built once per box: its
-    scenario, the vertex matrix V (n vertices) and P, with the columns of
-    V on the support of P indexed once, each with its setting.
-    Frank-Wolfe reads the support block at its setting weights, and
-    every `_MinimaxSolver` on the box shares one instance. The tables
-    also keep what the box's quantifier calls share, per tol: `start`,
-    the inner minimization at uniform setting weights (`uniform_start`),
-    and `maximin`, `s_c`'s result of the saddle problem of `s_nl` and
-    `s_c`.
+    scenario, the vertex matrix V (n vertices), read in place as the
+    scenario's one shared, column-major copy, and P, flat and per
+    setting. Frank-Wolfe reads the columns of V where P and its setting
+    weights are positive, and every `_MinimaxSolver` on the box shares
+    one instance. The tables also keep what the box's quantifier calls
+    share, per tol: `start`, the inner minimization at uniform setting
+    weights (`uniform_start`), and `maximin`, `s_c`'s result of the
+    saddle problem of `s_nl` and `s_c`.
 
     `kls` gives the per-setting divergences KL(P_s || (V.lam)_s) in bits:
     one mat-vec and one pass of `divergence._kl_rows`, so it is +inf for
     a setting where lam leaves a supported outcome uncovered.
-    `derivatives` scales the support block by lam once and reads q, every
-    setting's gradient (one product, summed per setting by the 0/1
-    setting matrix) and the weighted Hessian (one Gram product) off it,
-    with q floored at 1e-300 so that the gradients stay finite."""
+    `derivatives` scales V by lam once and reads q, every setting's
+    gradient (one product, summed per setting by the 0/1 setting matrix)
+    and the weighted Hessian (one Gram product) off it, with q floored at
+    1e-300 so that the gradients stay finite; the ratio P / q is 0 off
+    the support, so those columns add nothing."""
 
     def __init__(self, p: Behavior):
         self.scenario = sc = p.scenario
@@ -159,18 +162,12 @@ class _DivergenceTables:
         # the module-level name, which perfbench/tracing.py wraps
         self.V = V = local_vertex_matrix(sc)
         self.n = V.shape[0]
-        P = p.flat()
+        self.P = p.flat()
         m = sc.sA * sc.sB
-        k = V.shape[1] // m
-        self.shape = (m, k)
-        self.P_rows = P.reshape(m, k)
-        support = np.flatnonzero(P > 0.0)
-        self.P_support = P[support]
-        self.VS = V[:, support]
-        # each support column's setting, and the 0/1 matrix that sums
-        # the columns of every setting
-        self.setting = support // k
-        self.groups = np.equal.outer(self.setting, np.arange(m)).astype(float)
+        self.shape = (m, V.shape[1] // m)
+        self.P_rows = self.P.reshape(self.shape)
+        # the 0/1 matrix that sums the columns of every setting
+        self.groups = np.kron(np.eye(m), np.ones((self.shape[1], 1)))
         self.start: dict[float, _InnerSolution] = {}
         self.maximin: dict[float, MonotoneResult] = {}
 
@@ -197,11 +194,11 @@ class _DivergenceTables:
         divergence in the relative step u of lam -> lam (1 + u), at u = 0:
         row s of the first is lam * grad_s, the second diag(lam) H diag(lam)
         with H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
-        VL = self.VS * lam[:, None]
+        VL = self.V * lam[:, None]
         q = np.maximum(np.add.reduce(VL, 0), 1e-300)
-        ratio = self.P_support / q
+        ratio = self.P / q
         grads = ((VL * ratio) @ self.groups).T / -LN2
-        w = c[self.setting] * (ratio / (q * LN2))
+        w = np.repeat(c, self.shape[1]) * (ratio / (q * LN2))
         return grads, (VL * w) @ VL.T
 
 
@@ -266,18 +263,19 @@ def _fw_minimize(
     PAIRWISE_EVERY-th step a pairwise vertex exchange, one damped Newton
     step (`_exchange_step`), prunes or revives vertices. Progress is
     certified by the Frank-Wolfe gap, whose linear subproblem is exact
-    enumeration over the vertices. Only the support columns of settings
-    with positive weight enter. The run stops at the first iterate whose
-    gap is at most gap_tol, counting that iterate's gap check as an
-    iteration, or after MAX_INNER_ITER iterations with the last gap it
-    read.
+    enumeration over the vertices. Only the columns of V where c, the
+    setting weights times P, is positive enter. The run stops at the
+    first iterate whose gap is at most gap_tol, counting that iterate's
+    gap check as an iteration, or after MAX_INNER_ITER iterations with
+    the last gap it read.
     """
     n = tables.n
-    c = setting_weights[tables.setting] * tables.P_support
+    c = np.repeat(setting_weights, tables.shape[1]) * tables.P
     active = c > 0.0
     cE = c[active]
-    VE = tables.VS[:, active]
-    const = float(np.sum(cE * np.log2(tables.P_support[active])))
+    # a full support reads V itself, not a copy of it
+    VE = tables.V if active.all() else tables.V[:, active]
+    const = float(np.sum(cE * np.log2(tables.P[active])))
 
     if lam0 is None:
         lam = np.full(n, 1.0 / n)
@@ -339,12 +337,15 @@ _box: _DivergenceTables | None = None
 
 def _tables_of(p: Behavior) -> _DivergenceTables:
     """The module's tables when they are of p's box, else new ones, which
-    replace them; the old tables are dropped before the new are built."""
+    replace them; the old tables are dropped before the new are built.
+    The module's tables are read once, so a call returns tables of p's
+    box even when another thread replaces them meanwhile."""
     global _box
-    if _box is None or _box.key != _box_key(p):
-        _box = None
-        _box = _DivergenceTables(p)
-    return _box
+    tables = _box
+    if tables is None or tables.key != _box_key(p):
+        _box = tables = None
+        _box = tables = _DivergenceTables(p)
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -750,21 +751,22 @@ def s_uc(
     one input row, as in `s_u`; a block's bracket or the final one that
     does not close raises NoConvergence. `restarts` is a floor on the
     number of starts: the uniform product and all sA*sB point-mass
-    products always run, and random products, drawn from the
-    nonnegative `seed`, fill up to `restarts`. The product set is nonconvex, so global optimality is
-    not certified: the result reports the exact divergence at the best
-    product, flagged as a lower bound; its gap_estimate is the width of
-    the final bracket, which certifies only the inner minimization.
+    products always run, and random products, drawn from `seed`, fill
+    up to `restarts`; both must be nonnegative integers, else
+    ParameterOutOfRange. The product set is nonconvex, so global
+    optimality is not certified: the result reports the exact divergence
+    at the best product, flagged as a lower bound; its gap_estimate is
+    the width of the final bracket, which certifies only the inner
+    minimization.
     """
-    if seed < 0:
-        raise ParameterOutOfRange(f"seed must be nonnegative, got {seed}")
+    restarts = _index(restarts, math.inf, "restarts")
     sc = p.scenario
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_index(seed, math.inf, "seed"))
 
     eye_A, eye_B = np.eye(sc.sA), np.eye(sc.sB)
     starts = [(np.full(sc.sA, 1.0 / sc.sA), np.full(sc.sB, 1.0 / sc.sB))]
     starts += [(eye_A[x], eye_B[y]) for x in range(sc.sA) for y in range(sc.sB)]
-    while len(starts) < max(restarts, 1):
+    while len(starts) < restarts:
         starts.append(
             (rng.dirichlet(np.ones(sc.sA)), rng.dirichlet(np.ones(sc.sB)))
         )

@@ -29,6 +29,28 @@ def test_vertices_are_deterministic_and_distinct():
     assert len({tuple(row) for row in V}) == 16
 
 
+@pytest.mark.parametrize("key", [(3, 2, 2, 3), (2, 3, 4, 2), (1, 2, 3, 1)])
+def test_vertex_matrix_is_one_read_only_column_major_array(key):
+    # every reader, the quantifier engine included, reads this one array
+    # in place: the same object on every call, read-only, with contiguous
+    # columns, and entries equal to a loop over the strategy digits
+    sc = bw.Scenario(*key)
+    V = bw.local_vertex_matrix(sc)
+    assert V is bw.local_vertex_matrix(sc)
+    assert V.flags.f_contiguous and not V.flags.writeable
+    with pytest.raises(ValueError):
+        V[0, 0] = 1.0
+    want = np.zeros((sc.vertex_count,) + sc.shape)
+    for alpha in range(sc.rA**sc.sA):
+        for beta in range(sc.rB**sc.sB):
+            for x in range(sc.sA):
+                a = alpha // sc.rA ** (sc.sA - 1 - x) % sc.rA
+                for y in range(sc.sB):
+                    b = beta // sc.rB ** (sc.sB - 1 - y) % sc.rB
+                    want[alpha * sc.rB**sc.sB + beta, x, y, a, b] = 1.0
+    assert np.array_equal(V, want.reshape(sc.vertex_count, -1))
+
+
 def test_vertex_order_is_lexicographic():
     # vertex 0: both parties output 0 everywhere
     verts = bw.enumerate_local_vertices(SC2222)

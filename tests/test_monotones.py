@@ -1030,3 +1030,102 @@ def test_a_bad_tol_raises_parameter_out_of_range(quantifier, tol):
 def test_a_negative_s_uc_seed_raises_parameter_out_of_range():
     with pytest.raises(ParameterOutOfRange):
         bw.s_uc(bw.pr_box(), TOL, restarts=1, seed=-1)
+
+
+def test_a_non_integer_s_uc_seed_or_restarts_raises_parameter_out_of_range():
+    for kwargs in ({"seed": 1.5}, {"seed": True}, {"seed": "1"}, {"restarts": "x"},
+                   {"restarts": 2.0}, {"restarts": False}, {"restarts": -1}):
+        with pytest.raises(ParameterOutOfRange):
+            bw.s_uc(bw.pr_box(), TOL, **{"restarts": 1, "seed": 0, **kwargs})
+    # numpy integers are integers
+    r = bw.s_uc(bw.pr_box(), TOL, restarts=np.int64(1), seed=np.uint8(3))
+    assert r.lower_bound
+
+
+# ---------------------------------------------------------------------------
+# The tables read the shared vertex matrix
+# ---------------------------------------------------------------------------
+
+
+def pr_box_with_an_unused_outcome() -> bw.Behavior:
+    """The PR box with a third outcome for Alice that never occurs."""
+    sc = bw.Scenario(2, 3, 2, 2)
+    t = np.zeros(sc.shape)
+    t[:, :, :2, :] = bw.pr_box().p
+    return bw.Behavior(sc, t)
+
+
+@pytest.mark.parametrize("box", ["unused_outcome", "tsirelson_4222"])
+def test_tables_read_the_shared_vertex_matrix_in_place(box):
+    # the one array with a row per vertex that the tables hold is the
+    # scenario's vertex matrix itself, zero-probability outcomes or not
+    p = pr_box_with_an_unused_outcome() if box == "unused_outcome" else tsirelson_4222(0)
+    tables = monotones._DivergenceTables(p)
+    assert tables.V is bw.local_vertex_matrix(p.scenario)
+    # more vertices than table entries, so no other table has n rows
+    assert tables.n > tables.V.shape[1]
+    with_a_row_per_vertex = [name for name, value in vars(tables).items()
+                             if isinstance(value, np.ndarray) and value.ndim
+                             and value.shape[0] == tables.n]
+    assert with_a_row_per_vertex == ["V"]
+
+
+def test_tables_of_returns_its_own_box_when_another_thread_swaps_them():
+    # another thread's call may replace the module's tables between the
+    # lookup and the return; a trace hook does so at the return line, and
+    # the call still reads its own box
+    import linecache
+    import sys
+
+    p, other = noisy_pr(0.95), noisy_pr(0.8)
+    want = fresh(bw.s_u, p, 1e-3)
+    other_tables = monotones._DivergenceTables(other)
+
+    def swap(frame, event, arg):
+        line = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+        if event == "line" and line.strip().startswith("return"):
+            monotones._box = other_tables
+        return swap
+
+    def hook(frame, event, arg):
+        return swap if frame.f_code is monotones._tables_of.__code__ else None
+
+    monotones._box = None
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        got = bw.s_u(p, 1e-3)
+    finally:
+        sys.settrace(previous)
+    assert monotones._box is other_tables
+    assert_same_result(got, want)
+
+
+def test_quantifier_calls_in_threads_return_their_own_boxes_results():
+    # more threads than cores, each calling s_u on its own box, with a
+    # short switch interval so that threads swap the module's tables
+    # between each other's lookups and returns
+    import sys
+    import threading
+
+    boxes = [noisy_pr(w) for w in (0.8, 0.85, 0.9, 0.95)]
+    want = [fresh(bw.s_u, p, 1e-3).value for p in boxes]
+    got = [[] for _ in boxes]
+
+    def work(i):
+        for _ in range(150):
+            got[i].append(bw.s_u(boxes[i], 1e-3).value)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(boxes))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [set(values) for values in got] == [{v} for v in want]
+    assert all(len(values) == 150 for values in got)
