@@ -14,7 +14,10 @@
 # local_check` on a random local 4343 box written by
 # `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order;
 # the local model's weights must load through `jsonio.local_model_from_json`
-# and, in canonical vertex order, reconstruct the box), `eval snl` on a
+# and, in canonical vertex order, reconstruct the box), `eval su` on the
+# same box (a cold inner minimization by Newton's method on the dual over
+# 6561 vertices; its value must be at most 1e-6 and its gap at most the
+# engine's start gap 1e-6/32 for 16 settings), `eval snl` on a
 # nonlocal 3333 generalized PR mixture written by `jsonio.behavior_to_json`
 # (the epigraph polish on 729 vertices; its gap must be at most 1e-6),
 # `eval apply` of a seeded WPICC wiring file to the PR box, and exit status
@@ -94,6 +97,8 @@ assert report["is_local"] is True, "the random 4343 box is local"
 model = jsonio.local_model_from_json(json.dumps(report["model"]))
 assert model.matches(p), "the local model does not reconstruct the 4343 box"
 EOF_PY
+bellwire eval su --in "$tmp/box4343.json" > "$tmp/su4343.json"
+python -c "import json, sys; r = json.load(open(sys.argv[1])); v, g = r['value'], r['gap_estimate']; assert v <= 1e-6 and g <= 1e-6 / 32, f'4343 s_u value {v}, gap {g}'" "$tmp/su4343.json"
 
 python - > "$tmp/box3333.json" <<'EOF_PY'
 import itertools

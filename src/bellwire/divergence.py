@@ -10,7 +10,8 @@ One row-wise evaluator, `_kl_rows`, applies both conventions; `kl`,
 read it. It sums each row with zeros in place of the terms off Q's
 support, which equals the sum over the support alone bit for bit while
 a row has fewer than 8 entries (numpy adds rows that short in order);
-at 8 or more the two can differ in the last digit.
+at 8 or more the two can differ in the last digit. A row sum that
+rounding takes below 0 is 0.
 
 One rule, `_weighted_rows`, weighs such divergences: a zero weight drops
 its term even where it is +inf, and a positive weight on +inf makes the
@@ -51,10 +52,11 @@ class DivergenceValue:
 
 def _kl_rows(q: np.ndarray, q_prime: np.ndarray) -> np.ndarray:
     """Row sums of q*log2(q/q') over two 2-D tables: 0 off q's support,
-    +inf in a row where q' is 0 on it."""
+    +inf in a row where q' is 0 on it. A sum that rounding takes below 0,
+    for rows equal up to rounding, is 0: a divergence is never negative."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > 0.0, q * np.log2(q / q_prime), 0.0)
-    return terms.sum(axis=1)
+    return np.maximum(terms.sum(axis=1), 0.0)
 
 
 def _weighted_rows(M: np.ndarray, table: np.ndarray) -> np.ndarray:

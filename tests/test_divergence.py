@@ -49,6 +49,25 @@ def test_kl_zero_numerator_convention():
     assert bw.kl(np.array([0.0, 1.0]), np.array([0.0, 1.0])).bits == 0.0
 
 
+def test_divergence_of_distributions_equal_up_to_rounding_is_zero():
+    # two distributions equal up to rounding: the third draw's terms sum
+    # to about -5e-17, which kl, conditional_re and behavior_re take as
+    # 0 instead of raising NotNormalized
+    rng = np.random.default_rng(0)
+    sc = bw.Scenario(1, 2, 1, 2)
+    uniform = bw.InputDistribution.uniform(sc)
+    for draw in range(6):
+        q = rng.dirichlet(np.ones(4))
+        q_prime = q * (1.0 + rng.normal(0.0, 1e-15, 4))
+        q_prime /= q_prime.sum()
+        if draw == 2:
+            assert float(np.sum(q * np.log2(q / q_prime))) < 0.0
+        p, p_prime = (bw.Behavior(sc, t.reshape(sc.shape)) for t in (q, q_prime))
+        for value in (bw.kl(q, q_prime), bw.conditional_re(p, p_prime, uniform),
+                      bw.behavior_re(p, p_prime)):
+            assert 0.0 <= value.bits < 1e-15
+
+
 def test_kl_index_mismatch():
     with pytest.raises(IndexMismatch):
         bw.kl(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))

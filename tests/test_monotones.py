@@ -73,12 +73,12 @@ def assert_maximin_certificate(p: bw.Behavior, r) -> None:
     local models at D, re-solved from the reported local model, is
     within the bracket of the value. (A cold start at D can run into
     MAX_INNER_ITER on 4222 boxes.)"""
-    from bellwire.monotones import _DivergenceTables, _fw_minimize
+    from bellwire.monotones import _DivergenceTables, _inner_minimize
 
     assert r.optimizer_inputs is not None
     assert r.optimizer_inputs.kind == "general"
-    inner = _fw_minimize(_DivergenceTables(p), r.optimizer_inputs.d.reshape(-1),
-                         gap_tol=TOL, lam0=r.optimizer_local.weights)
+    inner = _inner_minimize(_DivergenceTables(p), r.optimizer_inputs.d.reshape(-1),
+                            gap_tol=TOL, lam0=r.optimizer_local.weights)
     assert inner.gap <= TOL
     assert inner.value - inner.gap >= r.value - r.gap_estimate - TOL
 
@@ -156,7 +156,7 @@ def test_s_uc_grid_cross_check():
     # dense grid over product distributions on the 2x2 setting simplex;
     # the PR-relabeling mixture is setting-asymmetric, so its best
     # product input is not the uniform one
-    from bellwire.monotones import _DivergenceTables, _fw_minimize
+    from bellwire.monotones import _DivergenceTables, _inner_minimize
 
     for p in (noisy_pr(0.8), pr_relabeling_mixture(7, 0.8, 1)):
         tables = _DivergenceTables(p)
@@ -164,7 +164,7 @@ def test_s_uc_grid_cross_check():
         for ax in np.linspace(0, 1, 21):
             for by in np.linspace(0, 1, 21):
                 D = np.outer([ax, 1 - ax], [by, 1 - by]).reshape(-1)
-                inner = _fw_minimize(tables, D, gap_tol=1e-7)
+                inner = _inner_minimize(tables, D, gap_tol=1e-7)
                 best = max(best, max(0.0, inner.value - inner.gap))
         r = bw.s_uc(p, TOL, restarts=8, seed=0)
         assert best > 1e-3
@@ -361,14 +361,14 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
 
     from bellwire import monotones
 
-    real = monotones._fw_minimize
+    real = monotones._inner_minimize
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(None)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(monotones, "_fw_minimize", counting)
+    monkeypatch.setattr(monotones, "_inner_minimize", counting)
     p = noisy_pr(0.8)
     r = bw.s_uc(p, TOL, restarts=1, seed=0)
     assert r.value > 1e-3 and r.gap_estimate <= TOL
@@ -381,7 +381,7 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
             return replace(inner, gap=1e-3)
         return inner
 
-    monkeypatch.setattr(monotones, "_fw_minimize", stalled_last)
+    monkeypatch.setattr(monotones, "_inner_minimize", stalled_last)
     with pytest.raises(NoConvergence) as err:
         bw.s_uc(p, TOL, restarts=1, seed=0)
     assert len(calls) == 2 * last
@@ -393,8 +393,8 @@ def test_s_uc_final_resolve_must_converge(monkeypatch):
 def test_s_uc_builds_the_tables_once(monkeypatch):
     # every block solve and the final solve read one set of the box's
     # tables, and the result counts the inner iterations of all of them:
-    # every inner minimization is a `_fw_minimize` call
-    real_init, real_fw = monotones._DivergenceTables.__init__, monotones._fw_minimize
+    # every inner minimization is a `_inner_minimize` call
+    real_init, real_fw = monotones._DivergenceTables.__init__, monotones._inner_minimize
     builds, inner_iterations = [], []
 
     def counting_init(self, p):
@@ -407,7 +407,7 @@ def test_s_uc_builds_the_tables_once(monkeypatch):
         return inner
 
     monkeypatch.setattr(monotones._DivergenceTables, "__init__", counting_init)
-    monkeypatch.setattr(monotones, "_fw_minimize", counting_fw)
+    monkeypatch.setattr(monotones, "_inner_minimize", counting_fw)
     monkeypatch.setattr(monotones, "_box", None)
     r = bw.s_uc(noisy_pr(0.8), TOL)
     assert len(builds) == 1
@@ -471,13 +471,13 @@ class _OracleTables(monotones._DivergenceTables):
         self.args = (p.flat(), self.V, self.shape[0])
         self.clamp_kls = clamp_kls
 
-    def kls(self, lam):
+    def kls(self, lam, q=None):
         return _kls_grads_hessian_oracle(*self.args, lam, clamp_kls=self.clamp_kls)[0]
 
     def grads(self, lam):
         return _kls_grads_hessian_oracle(*self.args, lam)[1]
 
-    def derivatives(self, lam, c):
+    def derivatives(self, lam, c, q=None):
         _, grads, hess = _kls_grads_hessian_oracle(*self.args, lam, c)
         return grads * lam, lam[:, None] * hess * lam
 
@@ -633,7 +633,7 @@ def test_barrier_epigraph_matches_slsqp_oracle():
         upper = float(np.max(solver.tables.rows(lam, M)))
         oracle = _slsqp_epigraph_oracle(p, M, solver.lam_best)
         assert abs(upper - oracle) <= TOL / 8.0
-        inner = monotones._fw_minimize(solver.tables, D @ M, gap_tol=TOL / 8.0, lam0=lam)
+        inner = monotones._inner_minimize(solver.tables, D @ M, gap_tol=TOL / 8.0, lam0=lam)
         assert inner.gap <= TOL / 8.0
         assert upper - (inner.value - inner.gap) <= TOL
 
@@ -648,7 +648,7 @@ def test_epigraph_polish_matches_per_setting_loop():
     tables = monotones._DivergenceTables(p)
     solvers = [monotones._MinimaxSolver(t, TOL) for t in (tables, _OracleTables(p))]
     m = solvers[0].k
-    lam0 = monotones._fw_minimize(tables, np.full(m, 1.0 / m), gap_tol=1e-4).lam
+    lam0 = monotones._inner_minimize(tables, np.full(m, 1.0 / m), gap_tol=1e-4).lam
     got, want = (monotones._barrier_epigraph(s.tables, np.eye(m), lam0, 1e-3, TOL)
                  for s in solvers)
     M = solvers[0].M
@@ -686,6 +686,85 @@ def test_s_nl_closes_a_nonlocal_3333_box():
     assert r.value > 0.1
     assert bw.behavior_re(p, r.optimizer_local.reconstruct()).bits == pytest.approx(
         r.value, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Cold inner minimizations: Newton on the dual
+# ---------------------------------------------------------------------------
+
+
+def _brackets_overlap(a, b) -> bool:
+    return max(a.value - a.gap, b.value - b.gap) <= min(a.value, b.value)
+
+
+@pytest.mark.parametrize("box", [0, 1, 2, 3, "noisy_pr"])
+def test_cold_inner_minimization_agrees_with_frank_wolfe(box):
+    # a cold solve runs Newton on the dual; the barycenter given as a
+    # warm start runs the Frank-Wolfe steps. Each value is exact at its
+    # weights and certified within its gap, so the brackets overlap
+    p = noisy_pr(0.8) if box == "noisy_pr" else tsirelson_4222(box)
+    tables = monotones._DivergenceTables(p)
+    m = tables.shape[0]
+    uniform, gap_tol = np.full(m, 1.0 / m), TOL / (2.0 * m)
+    newton = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
+    fw = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol,
+                                   lam0=np.full(tables.n, 1.0 / tables.n))
+    for inner in (newton, fw):
+        assert inner.gap <= gap_tol
+        assert inner.value == pytest.approx(float(uniform @ tables.kls(inner.lam)), abs=1e-12)
+    assert _brackets_overlap(newton, fw)
+    assert newton.iterations < fw.iterations
+
+
+def test_cold_inner_minimization_closes_a_degenerate_dual(monkeypatch):
+    # s_uc's first block on this local box in criterion 6: at the dual
+    # optimum nu = c / q is 1/4 on every entry, so C - V nu cancels to 0
+    # up to rounding (to -1.3e-14) at 12 of the 16 vertices, and a slack
+    # recomputed from nu is not positive there. Carried as an iterate, s
+    # stays positive, and Newton closes the gap without the Frank-Wolfe
+    # steps
+    def no_fw(*args):
+        raise AssertionError("the Newton method left the gap open")
+
+    monkeypatch.setattr(monotones, "_fw_steps", no_fw)
+    p = bw.random_ns_behavior(SC2222, 6_200_198)
+    inner = monotones._inner_minimize(monotones._DivergenceTables(p), np.full(4, 0.25),
+                                      gap_tol=TOL / 8.0)
+    assert inner.gap <= TOL / 8.0
+    assert np.all(np.isfinite(inner.lam)) and inner.lam.min() >= 0.0
+    assert inner.value <= TOL / 8.0
+
+
+@pytest.mark.parametrize("cut", [0, 3, "singular"])
+def test_a_newton_run_left_open_continues_with_frank_wolfe(monkeypatch, cut):
+    # the NEWTON_STEPS cap or a singular system ends the Newton run above
+    # the gap; the Frank-Wolfe steps close it from its best weights
+    p = tsirelson_4222(0)
+    tables = monotones._DivergenceTables(p)
+    m = tables.shape[0]
+    uniform, gap_tol = np.full(m, 1.0 / m), TOL / (2.0 * m)
+    full = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
+    if cut == "singular":
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+    else:
+        monkeypatch.setattr(monotones, "NEWTON_STEPS", cut)
+    inner = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
+    assert inner.gap <= gap_tol
+    assert inner.iterations > full.iterations
+    assert _brackets_overlap(inner, full)
+
+
+def test_s_u_closes_a_local_4343_box_in_few_newton_steps():
+    # 6561 vertices and 144 entries: the Frank-Wolfe steps from the
+    # barycenter took 965 iterations here, the Newton method 26 steps
+    p = bw.random_ns_behavior(bw.Scenario(4, 3, 4, 3), 5)
+    r = fresh(bw.s_u, p)
+    assert r.value <= TOL
+    assert r.gap_estimate <= TOL / 32.0
+    assert r.iterations <= 60
 
 
 # ---------------------------------------------------------------------------
@@ -946,14 +1025,14 @@ def test_a_solver_on_its_own_tables_makes_its_own_cold_run(monkeypatch):
     p = noisy_pr(0.8)
     monkeypatch.setattr(monotones, "_box", None)
     bw.s_nl(p, TOL)
-    real = monotones._fw_minimize
+    real = monotones._inner_minimize
     runs = []
 
     def counting(tables, *args, **kwargs):
         runs.append(tables)
         return real(tables, *args, **kwargs)
 
-    monkeypatch.setattr(monotones, "_fw_minimize", counting)
+    monkeypatch.setattr(monotones, "_inner_minimize", counting)
     solver = monotones._MinimaxSolver(_OracleTables(p), TOL)
     assert solver.tables.start == {}
     solver.run(solver.tables.uniform_start(TOL))
@@ -992,31 +1071,32 @@ def test_s_u_stops_at_the_engine_start_gap(box):
 
 
 def test_shared_run_saves_the_steps_of_s_u(monkeypatch):
-    # the steps actually taken, counted by the pairwise exchanges' line
-    # searches: s_nl reads the start that s_u solved, so it repeats none
+    # the steps actually taken, counted by the iterations of the inner
+    # solves: s_nl reads the start that s_u solved, so it repeats none
     # of its steps, and s_u after s_c reads the start s_c solved without
     # a step
-    real = monotones._exchange_step
+    real = monotones._inner_minimize
     steps = []
 
-    def counting(*args):
-        steps.append(None)
-        return real(*args)
+    def counting(*args, **kwargs):
+        inner = real(*args, **kwargs)
+        steps.append(inner.iterations)
+        return inner
 
-    monkeypatch.setattr(monotones, "_exchange_step", counting)
+    monkeypatch.setattr(monotones, "_inner_minimize", counting)
     p = tsirelson_4222(0)
     fresh(bw.s_u, p)
-    s_u_steps = len(steps)
+    s_u_steps = sum(steps)
     fresh(bw.s_nl, p)
-    cold = len(steps)
+    cold = sum(steps)
     fresh(bw.s_u, p)
     bw.s_nl(p, TOL)
     assert s_u_steps > 0
-    assert len(steps) - cold == cold - s_u_steps
+    assert sum(steps) - cold == cold - s_u_steps
     fresh(bw.s_c, p)
-    before = len(steps)
+    before = sum(steps)
     bw.s_u(p, TOL)
-    assert len(steps) == before
+    assert sum(steps) == before
 
 
 @pytest.mark.parametrize("tol", [-1e-6, 0.0, math.nan, math.inf])
