@@ -5,11 +5,13 @@
 # reproductions, `eval su` on the same box (which `s_u` after `s_c` in one
 # process, reading the uniform start that `s_c` solved, must equal bit for
 # bit), `eval snl` on it (which `s_nl` after `s_u` in one process, reading
-# the start that `s_u` solved, must equal bit for bit), `eval snl` on the
-# PR box (half of its outcomes have probability zero; its certified
-# bracket must hold the closed form log2(4/3)), `eval local_check`
-# on the PR box (the membership LP and its Bell certificate, whose bound is
-# re-checked by the best-response maximum), the same eval as CSV, whose
+# the start that `s_u` solved, must equal bit for bit), `eval suc` on it
+# (product inputs are a subset of all inputs, so its value, less its gap,
+# must be at most the `s_nl` value), `eval snl` on the PR box (half of
+# its outcomes have probability zero; its certified bracket must hold the
+# closed form log2(4/3)), `eval local_check` on the PR box (the
+# membership LP and its Bell certificate, whose bound is re-checked by
+# the best-response maximum), the same eval as CSV, whose
 # certificate cell must load through `jsonio.certificate_from_json`, `eval
 # local_check` on a random local 4343 box written by
 # `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order;
@@ -22,8 +24,8 @@
 # (the epigraph polish on 729 vertices; its gap must be at most 1e-6),
 # `eval apply` of a seeded WPICC wiring file to the PR box, and exit status
 # 2 for a truncated wiring file, an apply with no --in2, `eval snl` on a
-# behavior file with a non-numeric entry, a negative --tol and a negative
-# `eval suc` seed.
+# behavior file with a non-numeric entry, a negative --tol, a negative
+# `eval suc` seed and a `campaign` with a negative --trials or --seed.
 #
 # Outside CI (CI unset), a source checkout with no `bellwire` on PATH runs
 # the CLI module from src/ instead: `bash .github/cli-checks.sh` from any
@@ -76,6 +78,8 @@ with open(sys.argv[1]) as f:
 for key in ("value", "gap_estimate", "iterations", "optimizer_local"):
     assert shared[key] == fresh[key], f"s_nl after s_u differs from eval snl in {key}"
 EOF_PY
+bellwire eval suc --in tsirelson-four > "$tmp/suc.json"
+python -c "import json, sys; uc, nl = (json.load(open(f)) for f in sys.argv[1:]); assert uc['value'] <= nl['value'] + uc['gap_estimate'], f\"s_uc {uc['value']} above s_nl {nl['value']}\"" "$tmp/suc.json" "$tmp/snl.json"
 bellwire eval snl --in pr-box > "$tmp/snl_pr.json"
 python -c "import json, math, sys; r = json.load(open(sys.argv[1])); v, g = r['value'], r['gap_estimate']; assert v - g <= math.log2(4 / 3) <= v, f'PR box s_nl bracket [{v - g}, {v}]'" "$tmp/snl_pr.json"
 bellwire eval local_check --in pr-box | grep -q '"is_local":false'
@@ -143,4 +147,10 @@ bellwire --tol -1 eval snl --in pr-box || code=$?
 test "$code" -eq 2
 code=0
 bellwire eval suc --in pr-box --seed -1 || code=$?
+test "$code" -eq 2
+code=0
+bellwire campaign --suite losr_closure --trials -3 || code=$?
+test "$code" -eq 2
+code=0
+bellwire campaign --suite losr_closure --trials 2 --seed -1 || code=$?
 test "$code" -eq 2

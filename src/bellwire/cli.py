@@ -26,6 +26,7 @@ from .behaviors import (
     DEFAULT_VERTEX_CAP,
     Behavior,
     Scenario,
+    _index,
     doubling_pair_first,
     doubling_pair_second,
     pr_box,
@@ -266,10 +267,12 @@ TRIAL_RUNNERS = {
 
 def cmd_campaign(args) -> int:
     runner = TRIAL_RUNNERS[args.suite]
+    trials = _index(args.trials, math.inf, "--trials")
+    seed = _index(args.seed, math.inf, "--seed")
 
     def run_trial(trial: int) -> tuple[AuditRow, str]:
         try:
-            return runner(args.seed, trial, args.tol), ""
+            return runner(seed, trial, args.tol), ""
         except BellwireError as err:
             nan = float("nan")
             return AuditRow("error", nan, nan, nan, nan), str(err)
@@ -280,7 +283,7 @@ def cmd_campaign(args) -> int:
                      "violation", "error"])
     n_viol = 0
     n_err = 0
-    for trial in range(args.trials):
+    for trial in range(trials):
         row, error = run_trial(trial)
         if math.isnan(row.violation):
             n_err += 1
@@ -292,7 +295,7 @@ def cmd_campaign(args) -> int:
             f"{row.slack:.17g}", f"{row.violation:.17g}", error,
         ])
     _emit(buf.getvalue(), args.out)
-    print(f"suite={args.suite} trials={args.trials} violations={n_viol} "
+    print(f"suite={args.suite} trials={trials} violations={n_viol} "
           f"errors={n_err}", file=sys.stderr)
     return 0 if (n_viol == 0 and n_err == 0) else 1
 

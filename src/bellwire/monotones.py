@@ -56,13 +56,14 @@ primal-dual interior-point Newton method on the problem's dual, whose
 unknowns are one per active entry of the box, not one per vertex, and
 whose slack multipliers are the vertex weights: it closes the uniform
 start of a 4222 box in about 12 steps where the first-order steps below
-take about 430. A warm solve, from weights an earlier solve left, closes
-in a few first-order steps, each cheaper than a Newton step: it runs
-multiplicative (expectation-maximization form) steps, which keep full
-support and never walk into the +inf boundary, interleaved with pairwise
-vertex exchanges, each a damped Newton step that takes at least half the
-linear decrease. So does a cold solve that Newton leaves above its gap,
-from Newton's best weights.
+take about 430. A warm solve, from weights an earlier solve left, first
+makes up to WARM_STEPS multiplicative (expectation-maximization form)
+steps, which keep full support and never walk into the +inf boundary.
+They close the engine's warm starts in a few steps, each cheaper than a
+Newton step; a warm solve they leave open hands over to the Newton
+method from the barycenter. A Newton run that stops above its gap (its
+step cap or a singular system) is finished by multiplicative steps from
+its best weights.
 
 When an inner minimization at uniform input weights leaves a minimax
 bracket open, the engine polishes by a primal-dual interior-point
@@ -104,10 +105,13 @@ LN2 = math.log(2.0)
 #: Default optimality gap, in bits.
 DEFAULT_TOL = 1e-6
 
+#: Gap checks allowed to the multiplicative steps that follow a Newton
+#: run left open.
 MAX_INNER_ITER = 100000
 
-#: Every PAIRWISE_EVERY-th inner step is a pairwise vertex exchange.
-PAIRWISE_EVERY = 8
+#: Multiplicative steps a warm inner minimization makes before it hands
+#: over to `_dual_newton`.
+WARM_STEPS = 128
 
 #: Smallest centering parameter sigma of a primal-dual Newton step.
 SIGMA_MIN = 0.01
@@ -132,8 +136,8 @@ class MonotoneResult:
     `lower_bound` is set, the bracket certifies only the minimization
     over vertex weights; the outer maximization is heuristic.
     `iterations` sums the gap checks of the inner minimizations behind
-    the result: a Newton step of a cold solve and a Frank-Wolfe
-    iteration of a warm one count one each.
+    the result: a Newton step and a multiplicative step count one each,
+    and a warm solve may take both.
     """
 
     value: float
@@ -239,40 +243,6 @@ class _InnerSolution:
     iterations: int
 
 
-def _exchange_step(
-    cE: np.ndarray, qE: np.ndarray, d: np.ndarray, gamma_max: float
-) -> float:
-    """Step of a pairwise exchange on the convex
-    phi(g) = -sum cE log(qE + g d) over [0, gamma_max], for qE > 0.
-
-    The full step gamma_max is taken when every qE + gamma_max d is
-    positive and phi'(gamma_max) <= 0, so drop steps are exact. Else the
-    step is the damped Newton step for a sum of logs (Boyd & Vandenberghe,
-    Convex Optimization, sec. 9.6): with r = d / qE, the Newton step
-    gN = sum cE r / sum cE r^2 and R = max(0, max(-r)),
-    g = min(gN / (1 + gN R), gamma_max).
-
-    It halves the linear decrease: phi(g) <= phi(0) + g phi'(0) / 2.
-    Let rho = g R < 1, so every x = g r_i is at least -rho. For x >= 0,
-    -log(1 + x) <= -x + x^2/2; for x = -y in [-rho, 0), the series
-    -log(1 - y) = y + y^2/2 + y^3/3 + ... is at most y + y^2 / (2(1 - y)).
-    So -log(1 + x) <= -x + x^2 / (2(1 - rho)) for x >= -rho, and with
-    S1 = sum cE r = -phi'(0) and S2 = sum cE r^2,
-        phi(g) - phi(0) <= -g S1 + g^2 S2 / (2(1 - rho)).
-    g / (1 - g R) grows with g and equals gN at g = gN / (1 + gN R), so
-    g / (1 - rho) <= gN = S1 / S2, and the right side is at most
-    -g S1 / 2. Every denominator qE (1 + g r) stays >= (1 - rho) qE > 0.
-    """
-    denom = qE + gamma_max * d
-    if denom.min() > 0.0 and np.dot(cE, d / denom) >= 0.0:
-        return gamma_max
-    r = d / qE
-    cr = cE * r
-    # S1 < 0 is rounding noise of an exchange that cannot descend
-    newton = max(float(cr.sum()), 0.0) / float(cr @ r)
-    return min(newton / (1.0 + newton * max(0.0, -float(r.min()))), gamma_max)
-
-
 def _inner_minimize(
     tables: _DivergenceTables,
     setting_weights: np.ndarray,
@@ -284,14 +254,16 @@ def _inner_minimize(
     from lam0 when given, else from the barycenter. Only the columns of
     V where c, the setting weights times P, is positive enter.
 
-    A cold solve (no lam0) runs `_dual_newton`, which reads the gap at
-    the barycenter first. A warm solve, and a cold one that Newton
-    leaves above gap_tol, runs `_fw_steps` from lam0 or from Newton's
-    best weights. The value is exact at the returned weights and the
-    gap is their Frank-Wolfe gap; `iterations` counts the gap checks of
-    both methods, one at each start and one after every step.
+    A warm solve (from lam0) makes up to WARM_STEPS multiplicative steps
+    (`_fw_steps`) from lam0, which close the gaps the engine's warm
+    starts leave in a few steps. A cold solve, and a warm one those steps
+    leave above gap_tol, runs `_dual_newton` from the barycenter. Should
+    Newton stop above gap_tol (its step cap or a singular system), the
+    multiplicative steps continue from its best weights, up to
+    MAX_INNER_ITER gap checks. The value is exact at the returned weights
+    and the gap is their Frank-Wolfe gap; `iterations` counts the gap
+    checks of every run, one at each start and one after every step.
     """
-    n = tables.n
     c = np.repeat(setting_weights, tables.shape[1]) * tables.P
     active = c > 0.0
     cE = c[active]
@@ -299,23 +271,30 @@ def _inner_minimize(
     VE = tables.V if active.all() else tables.V[:, active]
     const = float(np.sum(cE * np.log2(tables.P[active])))
 
-    if lam0 is None:
-        lam, qE, gap, it = _dual_newton(cE, VE, gap_tol)
-    else:
-        lam, gap, it = lam0, math.inf, 0
+    it = 0
+    gap = math.inf
+    if lam0 is not None:
+        lam, qE, gap, it = _fw_steps(cE, VE, _floored(lam0), gap_tol, WARM_STEPS)
     if gap > gap_tol:
-        # floor the start: multiplicative steps cannot revive an
-        # exactly-zero coordinate on their own
-        lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
-        lam = lam / lam.sum()
-        lam = (1.0 - 1e-6) * lam + 1e-6 / n
-        lam, qE, gap, steps = _fw_steps(cE, VE, lam, gap_tol)
+        lam, qE, gap, steps = _dual_newton(cE, VE, gap_tol)
+        it += steps
+    if gap > gap_tol:
+        lam, qE, gap, steps = _fw_steps(cE, VE, _floored(lam), gap_tol, MAX_INNER_ITER)
         it += steps
 
     value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
     # the tables keep the uniform start, which several solvers read
     lam.setflags(write=False)
     return _InnerSolution(lam, value, max(gap, 0.0), it)
+
+
+def _floored(lam: np.ndarray) -> np.ndarray:
+    """lam, clipped at 0, normalized and mixed with 1e-6 of the
+    barycenter: multiplicative steps cannot revive an exactly-zero
+    coordinate on their own."""
+    lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
+    lam = lam / lam.sum()
+    return (1.0 - 1e-6) * lam + 1e-6 / lam.size
 
 
 def _dual_newton(
@@ -404,29 +383,22 @@ def _dual_newton(
 
 
 def _fw_steps(
-    cE: np.ndarray, VE: np.ndarray, lam: np.ndarray, gap_tol: float
+    cE: np.ndarray, VE: np.ndarray, lam: np.ndarray, gap_tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Frank-Wolfe-certified steps from lam, which must be positive and
-    is updated in place.
-
-    Steps are multiplicative (expectation-maximization form), which keep
-    full support and never walk into the +inf boundary; every
-    PAIRWISE_EVERY-th step a pairwise vertex exchange, one damped Newton
-    step (`_exchange_step`), prunes or revives vertices. Progress is
-    certified by the Frank-Wolfe gap, whose linear subproblem is exact
-    enumeration over the vertices. The run stops at the first iterate
-    whose gap is at most gap_tol, counting that iterate's gap check as
-    an iteration, or after MAX_INNER_ITER iterations with the last gap
-    it read. Returns lam, its q, the gap and the iteration count.
+    """Multiplicative (expectation-maximization) steps from lam, which
+    must be positive and is updated in place. They keep full support and
+    never walk into the +inf boundary. Progress is certified by the
+    Frank-Wolfe gap, whose linear subproblem is exact enumeration over
+    the vertices. The run stops at the first iterate whose gap is at most
+    gap_tol, or at the max_iter-th, counting each iterate's gap check as
+    an iteration. Returns lam, its q, its gap and the iteration count.
     """
-    n = VE.shape[0]
     qE = lam @ VE
     ratio = np.empty_like(qE)
-    back = np.empty(n)
+    back = np.empty(VE.shape[0])
 
-    gap = math.inf
     it = 0
-    while it < MAX_INNER_ITER:
+    while True:
         it += 1
         # the floor only matters for entries whose target weight is
         # rounding dust; it keeps incremental cancellation from feeding
@@ -434,27 +406,12 @@ def _fw_steps(
         np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
         # back is the vertex gradient, negated and scaled by ln 2
         np.dot(VE, ratio, back)
-        fw = int(back.argmax())
-        gap = float(back[fw] - np.dot(lam, back)) / LN2
-        if gap <= gap_tol:
-            break
-        if it % PAIRWISE_EVERY == 0:
-            support = (lam > 1e-15).nonzero()[0]
-            aw = int(support[back[support].argmin()])
-            if aw != fw:
-                d = VE[fw] - VE[aw]
-                gamma = _exchange_step(cE, qE, d, float(lam[aw]))
-                if gamma > 0.0:
-                    lam[fw] += gamma
-                    lam[aw] -= gamma
-                    if lam[aw] < 1e-15:
-                        lam[aw] = 0.0
-                    qE += gamma * d
-                    continue
+        gap = float(back.max() - np.dot(lam, back)) / LN2
+        if gap <= gap_tol or it >= max_iter:
+            return lam, qE, gap, it
         lam *= back
         lam /= np.add.reduce(lam)
         np.dot(lam, VE, qE)
-    return lam, qE, gap, it
 
 
 # ---------------------------------------------------------------------------

@@ -233,10 +233,14 @@ def test_unreadable_or_missing_input_exits_2(argv, tmp_path, capsys):
     ["--tol", "-1", "eval", "snl", "--in", "pr-box"],
     ["--tol", "nan", "eval", "su", "--in", "pr-box"],
     ["eval", "suc", "--in", "pr-box", "--seed", "-1"],
+    ["campaign", "--suite", "losr_closure", "--trials", "-3"],
+    ["campaign", "--suite", "losr_closure", "--trials", "2", "--seed", "-1"],
 ])
 def test_a_bad_tol_or_seed_exits_2(argv, capsys):
+    # refused before any output: a campaign of -3 trials reports nothing
     assert run_cli(*argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

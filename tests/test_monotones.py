@@ -71,8 +71,7 @@ def test_s_nl_vanishes_below_visibility_threshold():
 def assert_maximin_certificate(p: bw.Behavior, r) -> None:
     """The reported input D is a max-min certificate: the minimum over
     local models at D, re-solved from the reported local model, is
-    within the bracket of the value. (A cold start at D can run into
-    MAX_INNER_ITER on 4222 boxes.)"""
+    within the bracket of the value."""
     from bellwire.monotones import _DivergenceTables, _inner_minimize
 
     assert r.optimizer_inputs is not None
@@ -483,8 +482,8 @@ class _OracleTables(monotones._DivergenceTables):
 
 
 def _random_lams(n: int, seed: int, count: int = 6) -> list[np.ndarray]:
-    # half of them with exact zeros, as the weights pairwise exchanges
-    # leave (and the barrier's warm starts) have
+    # half of them with exact zeros, which leave outcomes uncovered and
+    # so reach the +inf divergences and the floor on q
     rng = np.random.default_rng([41, seed])
     lams = []
     for j in range(count):
@@ -689,7 +688,7 @@ def test_s_nl_closes_a_nonlocal_3333_box():
 
 
 # ---------------------------------------------------------------------------
-# Cold inner minimizations: Newton on the dual
+# Inner minimizations: Newton on the dual and the multiplicative steps
 # ---------------------------------------------------------------------------
 
 
@@ -699,21 +698,61 @@ def _brackets_overlap(a, b) -> bool:
 
 @pytest.mark.parametrize("box", [0, 1, 2, 3, "noisy_pr"])
 def test_cold_inner_minimization_agrees_with_frank_wolfe(box):
-    # a cold solve runs Newton on the dual; the barycenter given as a
-    # warm start runs the Frank-Wolfe steps. Each value is exact at its
-    # weights and certified within its gap, so the brackets overlap
+    # a cold solve runs Newton on the dual; the multiplicative steps, run
+    # directly from the barycenter, are an independent solve. Each value
+    # is exact at its weights and certified within its gap, so the
+    # brackets overlap
     p = noisy_pr(0.8) if box == "noisy_pr" else tsirelson_4222(box)
     tables = monotones._DivergenceTables(p)
     m = tables.shape[0]
     uniform, gap_tol = np.full(m, 1.0 / m), TOL / (2.0 * m)
     newton = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
-    fw = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol,
-                                   lam0=np.full(tables.n, 1.0 / tables.n))
+    c = np.repeat(uniform, tables.shape[1]) * tables.P
+    active = c > 0.0
+    lam, qE, gap, it = monotones._fw_steps(c[active], tables.V[:, active],
+                                           np.full(tables.n, 1.0 / tables.n), gap_tol,
+                                           monotones.MAX_INNER_ITER)
+    value = float(np.sum(c[active] * np.log2(tables.P[active] / qE)))
+    fw = monotones._InnerSolution(lam, value, gap, it)
     for inner in (newton, fw):
         assert inner.gap <= gap_tol
         assert inner.value == pytest.approx(float(uniform @ tables.kls(inner.lam)), abs=1e-12)
     assert _brackets_overlap(newton, fw)
     assert newton.iterations < fw.iterations
+
+
+def test_a_warm_solve_left_open_hands_over_to_newton(monkeypatch):
+    # from a vertex far from the optimum, WARM_STEPS multiplicative steps
+    # leave the gap open; one Newton run from the barycenter closes it,
+    # with no multiplicative steps after it
+    runs = []
+    dual_newton = monotones._dual_newton
+
+    def counted(*args):
+        out = dual_newton(*args)
+        runs.append(out[3])
+        return out
+
+    monkeypatch.setattr(monotones, "_dual_newton", counted)
+    tables = monotones._DivergenceTables(tsirelson_4222(0))
+    m = tables.shape[0]
+    uniform, gap_tol = np.full(m, 1.0 / m), TOL / (2.0 * m)
+    lam0 = np.zeros(tables.n)
+    lam0[0] = 1.0
+    inner = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol, lam0=lam0)
+    assert len(runs) == 1
+    assert inner.gap <= gap_tol
+    assert inner.iterations == monotones.WARM_STEPS + runs[0]
+    assert inner.iterations <= monotones.WARM_STEPS + monotones.NEWTON_STEPS + 1
+
+
+def test_s_c_alternating_closes_the_four_setting_box_in_few_iterations():
+    # its probes are warm solves; before they handed over to Newton, the
+    # multiplicative steps took 7,475 iterations here
+    p = bw.tsirelson_four_setting()
+    alt = fresh(bw.s_c_alternating, p)
+    assert alt.iterations < 2000
+    assert abs(alt.value - fresh(bw.s_c, p).value) <= 2 * TOL
 
 
 def test_cold_inner_minimization_closes_a_degenerate_dual(monkeypatch):
@@ -738,7 +777,7 @@ def test_cold_inner_minimization_closes_a_degenerate_dual(monkeypatch):
 @pytest.mark.parametrize("cut", [0, 3, "singular"])
 def test_a_newton_run_left_open_continues_with_frank_wolfe(monkeypatch, cut):
     # the NEWTON_STEPS cap or a singular system ends the Newton run above
-    # the gap; the Frank-Wolfe steps close it from its best weights
+    # the gap; the multiplicative steps close it from its best weights
     p = tsirelson_4222(0)
     tables = monotones._DivergenceTables(p)
     m = tables.shape[0]
@@ -765,101 +804,6 @@ def test_s_u_closes_a_local_4343_box_in_few_newton_steps():
     assert r.value <= TOL
     assert r.gap_estimate <= TOL / 32.0
     assert r.iterations <= 60
-
-
-# ---------------------------------------------------------------------------
-# The pairwise-exchange step of the inner Frank-Wolfe solver
-# ---------------------------------------------------------------------------
-
-
-def _dphi(cE, qE, d, g):
-    denom = qE + g * d
-    return math.inf if denom.min() <= 0.0 else -float(np.sum(cE * d / denom))
-
-
-def _exchange_case(kind: str, seed: int):
-    """Random (cE, qE, d, gamma_max) shaped like a pairwise exchange
-    (d = toward vertex - away vertex, entries in {-1, 0, 1}), drawn until
-    the exchange falls in the named regime."""
-    rng = np.random.default_rng([31, seed])
-    k = 16
-    for _ in range(1000):
-        d = rng.choice([-1.0, 0.0, 1.0], size=k)
-        if not (np.any(d > 0) and np.any(d < 0)):
-            continue
-        gamma_max = float(rng.uniform(0.05, 0.5))
-        qE = rng.uniform(0.01, 0.5, size=k) + np.where(d < 0, gamma_max, 0.0)
-        if kind == "pole":
-            # an entry only the away vertex covers: its denominator
-            # reaches 0 exactly at the full step
-            qE[np.flatnonzero(d < 0)[0]] = gamma_max
-        cE = rng.uniform(0.01, 1.0, size=k)
-        at_max = _dphi(cE, qE, d, gamma_max)
-        regime = ("pole" if math.isinf(at_max)
-                  else "full" if at_max <= 0.0 else "interior")
-        if regime == kind and _dphi(cE, qE, d, 0.0) < 0.0:
-            return cE, qE, d, gamma_max
-    raise AssertionError(f"no {kind} case drawn")
-
-
-def _minimizer(cE, qE, d, gamma_max):
-    """Bisection on the sign of phi' over [0, gamma_max], to the last
-    representable midpoint."""
-    lo, hi = 0.0, gamma_max
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if _dphi(cE, qE, d, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def assert_valid_exchange(cE, qE, d, gamma_max, gamma):
-    """0 <= gamma <= gamma_max, every denominator stays positive, and
-    phi(gamma) - phi(0) <= gamma phi'(0) / 2, except for the full step,
-    which is the minimizer (phi' <= 0 on all of [0, gamma_max]) and must
-    only descend. The change is summed with log1p, which keeps it to a
-    few ulps of sum |cE log1p(gamma r)|: the noise windows put it at
-    rounding level."""
-    assert 0.0 <= gamma <= gamma_max
-    assert (qE + gamma * d).min() > 0.0
-    terms = cE * np.log1p(gamma * d / qE)
-    change = -float(terms.sum())
-    slack = 8.0 * np.finfo(float).eps * float(np.abs(terms).sum())
-    full = gamma == gamma_max and _dphi(cE, qE, d, gamma_max) <= 0.0
-    bound = 0.0 if full else 0.5 * gamma * _dphi(cE, qE, d, 0.0)
-    assert change <= bound + slack
-
-
-@pytest.mark.parametrize("kind", ["interior", "full", "pole"])
-def test_exchange_step_halves_the_linear_decrease(kind):
-    from bellwire.monotones import _exchange_step
-
-    for seed in range(20):
-        cE, qE, d, gamma_max = _exchange_case(kind, seed)
-        gamma = _exchange_step(cE, qE, d, gamma_max)
-        assert_valid_exchange(cE, qE, d, gamma_max, gamma)
-        # a descent direction always gets a step; at a pole, the positive
-        # denominators keep it short of gamma_max
-        assert gamma == gamma_max if kind == "full" else gamma > 0.0
-
-
-def test_exchange_step_at_rounding_noise():
-    # an interior case cut down to a window of 1e-6..1e-10 of its full
-    # step around the minimizer, as when the away vertex has little
-    # weight left: phi' is near rounding noise, and the one Newton step
-    # must still descend and land next to the minimizer
-    from bellwire.monotones import _exchange_step
-
-    for seed in range(20):
-        cE, qE, d, gamma_max = _exchange_case("interior", seed)
-        rng = np.random.default_rng([37, seed])
-        width = gamma_max * 10.0 ** rng.uniform(-10.0, -6.0)
-        offset = rng.uniform(0.1, 0.9) * width
-        start = _minimizer(cE, qE, d, gamma_max) - offset
-        gamma = _exchange_step(cE, qE + start * d, d, width)
-        assert_valid_exchange(cE, qE + start * d, d, width, gamma)
-        assert abs(gamma - offset) <= 1e-9 * gamma_max
 
 
 def assert_same_result(a, b) -> None:
