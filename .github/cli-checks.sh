@@ -22,10 +22,14 @@
 # engine's start gap 1e-6/32 for 16 settings), `eval snl` on a
 # nonlocal 3333 generalized PR mixture written by `jsonio.behavior_to_json`
 # (the epigraph polish on 729 vertices; its gap must be at most 1e-6),
-# `eval apply` of a seeded WPICC wiring file to the PR box, and exit status
-# 2 for a truncated wiring file, an apply with no --in2, `eval snl` on a
-# behavior file with a non-numeric entry, a negative --tol, a negative
-# `eval suc` seed and a `campaign` with a negative --trials or --seed.
+# `eval apply` of a seeded WPICC wiring file to the PR box, the four
+# campaign suites that run the minimax engine (`snl_monotonicity`,
+# `suc_monotonicity`, `convexity` and `minimax_identity`, 10 trials at
+# seed 7, each of which must exit 0: no violation and no error), and exit
+# status 2 for a truncated wiring file, an apply with no --in2, `eval snl`
+# on a behavior file with a non-numeric entry, a negative --tol, a
+# negative `eval suc` seed and a `campaign` with a negative --trials or
+# --seed.
 #
 # Outside CI (CI unset), a source checkout with no `bellwire` on PATH runs
 # the CLI module from src/ instead: `bash .github/cli-checks.sh` from any
@@ -137,6 +141,10 @@ test "$code" -eq 2
 code=0
 bellwire eval apply --in feedback-wpicc || code=$?
 test "$code" -eq 2
+
+for suite in snl_monotonicity suc_monotonicity convexity minimax_identity; do
+  bellwire campaign --suite "$suite" --trials 10 --seed 7 > /dev/null
+done
 
 python -c "import json; print(json.dumps({'sA': 2, 'sB': 2, 'rA': 2, 'rB': 2, 'p': ['x'] + [0.25] * 15}))" > "$tmp/bad_behavior.json"
 code=0

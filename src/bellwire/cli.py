@@ -140,12 +140,13 @@ def cmd_reproduce_thm2(args) -> int:
         "degenerate": degenerate,
         "passed": bool(ok),
     }
-    print(f"before = {before:.12g} bits (closed form {closed_form:.12g})")
-    print(f"after  = {after:.12g} bits")
+    # the summary goes to stderr, as campaign's does: stdout is the report
+    print(f"before = {before:.12g} bits (closed form {closed_form:.12g})", file=sys.stderr)
+    print(f"after  = {after:.12g} bits", file=sys.stderr)
     if degenerate:
-        print("degenerate point: both divergences vanish")
+        print("degenerate point: both divergences vanish", file=sys.stderr)
     else:
-        print(f"ratio  = {ratio:.12g} (expected 2)")
+        print(f"ratio  = {ratio:.12g} (expected 2)", file=sys.stderr)
     _emit(_report_text(report, args.format), args.out)
     return 0 if ok else 1
 
@@ -181,10 +182,10 @@ def cmd_reproduce_thm5(args) -> int:
         "low_product_settings_preserved": bool(sanity),
         "passed": bool(ok),
     }
-    print(f"v0 = {r0.value:.12g} bits (gap {r0.gap_estimate:.3g})")
-    print(f"vf = {rf.value:.12g} bits (gap {rf.gap_estimate:.3g})")
-    print(f"ratio = {report['ratio']:.12g} (must be >= 4 - slack)")
-    print(f"low-product settings preserved: {sanity}")
+    print(f"v0 = {r0.value:.12g} bits (gap {r0.gap_estimate:.3g})", file=sys.stderr)
+    print(f"vf = {rf.value:.12g} bits (gap {rf.gap_estimate:.3g})", file=sys.stderr)
+    print(f"ratio = {report['ratio']:.12g} (must be >= 4 - slack)", file=sys.stderr)
+    print(f"low-product settings preserved: {sanity}", file=sys.stderr)
     _emit(_report_text(report, args.format), args.out)
     return 0 if ok else 1
 

@@ -33,8 +33,13 @@ every quantifier reads them through `_tables_of`, so calls on one box
 build them once: the box's table P and the scenario's vertex matrix,
 which they read in place. The inner minimizations, the barrier and
 every engine instance read them; `s_uc`'s block solves and its final
-solve share them. Their `rows(lam, M)` is the one rule for the row
-values, +inf included, which both bracket ends and the barrier read.
+solve share them. Their `kls(q)` reads the per-setting divergences at
+an image q = lam @ V that the caller formed once, through
+`divergence._kl_rows`, and `rows(q, M)` weighs them into row values,
++inf included, under `divergence._weighted_rows`. That one rule gives
+every inner minimization's value, and so the bracket's lower ends, as
+well as the upper ends and the barrier's rows: a one-row engine's value
+and its row are equal bit for bit.
 Quantifier calls may run in threads: each call reads the module's
 tables once, so it returns its own box's result.
 
@@ -132,7 +137,8 @@ class MonotoneResult:
     """Solver output: the value in bits plus certificates.
 
     `value` is the upper end of a closed bracket, the exact worst-row
-    divergence at `optimizer_local`, and `gap_estimate` its width. When
+    divergence at `optimizer_local`, and `gap_estimate` its width, never
+    negative. When
     `lower_bound` is set, the bracket certifies only the minimization
     over vertex weights; the outer maximization is heuristic.
     `iterations` sums the gap checks of the inner minimizations behind
@@ -169,16 +175,16 @@ class _DivergenceTables:
     setting weights (`uniform_start`), and `maximin`, `s_c`'s result of
     the saddle problem of `s_nl` and `s_c`.
 
-    `kls` gives the per-setting divergences KL(P_s || (V.lam)_s) in bits:
-    one mat-vec and one pass of `divergence._kl_rows`, so it is +inf for
-    a setting where lam leaves a supported outcome uncovered.
-    `derivatives` scales V by lam once and reads q, every setting's
-    gradient (one product, summed per setting by the 0/1 setting matrix)
-    and the weighted Hessian (one Gram product) off it, with q floored at
-    1e-300 so that the gradients stay finite; the ratio P / q is 0 off
-    the support, so those columns add nothing. A caller that holds
-    q = lam @ V passes it to `kls`, `rows` and `derivatives`, which then
-    do not form it again."""
+    Each method takes q = lam @ V, which its caller forms once per
+    iterate. `kls(q)` gives the per-setting divergences KL(P_s || q_s)
+    in bits, one pass of `divergence._kl_rows`, so it is +inf for a
+    setting where q leaves a supported outcome uncovered; `rows(q, M)`
+    weighs them into row values, and `_inner_minimize` reads its value
+    off them. `derivatives(lam, c, q)` scales V by lam once and reads
+    every setting's gradient (one product, summed per setting by the 0/1
+    setting matrix) and the weighted Hessian (one Gram product) off it,
+    with q floored at 1e-300 so that the gradients stay finite; the ratio
+    P / q is 0 off the support, so those columns add nothing."""
 
     def __init__(self, p: Behavior):
         self.scenario = sc = p.scenario
@@ -204,26 +210,25 @@ class _DivergenceTables:
             self.start[tol] = _inner_minimize(self, np.full(m, 1.0 / m), gap_tol=tol / (2.0 * m))
         return self.start[tol]
 
-    def kls(self, lam: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-        if q is None:
-            q = lam @ self.V
+    def kls(self, q: np.ndarray) -> np.ndarray:
         return _kl_rows(self.P_rows, q.reshape(self.shape))
 
-    def rows(self, lam: np.ndarray, M: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
-        """Row values M @ kls(lam) under `divergence._weighted_rows`: +inf
+    def rows(self, q: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Row values M @ kls(q) under `divergence._weighted_rows`: +inf
         where a setting with positive weight in the row has a supported
-        outcome that lam leaves uncovered, never the NaN of 0 * inf."""
-        return _weighted_rows(M, self.kls(lam, q))
+        outcome that q leaves uncovered, never the NaN of 0 * inf."""
+        return _weighted_rows(M, self.kls(q))
 
     def derivatives(
-        self, lam: np.ndarray, c: np.ndarray, q: np.ndarray | None = None
+        self, lam: np.ndarray, c: np.ndarray, q: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Every setting's gradient and the Hessian of sum_s c_s times its
-        divergence in the relative step u of lam -> lam (1 + u), at u = 0:
-        row s of the first is lam * grad_s, the second diag(lam) H diag(lam)
-        with H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
+        divergence in the relative step u of lam -> lam (1 + u), at u = 0,
+        where q = lam @ V: row s of the first is lam * grad_s, the second
+        diag(lam) H diag(lam) with
+        H = sum_s c_s V_s diag(P_s / q_s^2) V_s^T / ln 2."""
         VL = self.V * lam[:, None]
-        q = np.maximum(np.add.reduce(VL, 0) if q is None else q, 1e-300)
+        q = np.maximum(q, 1e-300)
         ratio = self.P / q
         grads = ((VL * ratio) @ self.groups).T / -LN2
         w = np.repeat(c, self.shape[1]) * (ratio / (q * LN2))
@@ -241,6 +246,7 @@ class _InnerSolution:
     value: float
     gap: float
     iterations: int
+    kls: np.ndarray  # read-only: the per-setting divergences at lam
 
 
 def _inner_minimize(
@@ -260,16 +266,17 @@ def _inner_minimize(
     leave above gap_tol, runs `_dual_newton` from the barycenter. Should
     Newton stop above gap_tol (its step cap or a singular system), the
     multiplicative steps continue from its best weights, up to
-    MAX_INNER_ITER gap checks. The value is exact at the returned weights
-    and the gap is their Frank-Wolfe gap; `iterations` counts the gap
-    checks of every run, one at each start and one after every step.
+    MAX_INNER_ITER gap checks. The value is the weighted sum of the
+    tables' `kls` at the returned weights, under the rule of the row
+    values, and the gap is their Frank-Wolfe gap; `iterations` counts the
+    gap checks of every run, one at each start and one after every step.
     """
     c = np.repeat(setting_weights, tables.shape[1]) * tables.P
     active = c > 0.0
     cE = c[active]
     # a full support reads V itself, not a copy of it
-    VE = tables.V if active.all() else tables.V[:, active]
-    const = float(np.sum(cE * np.log2(tables.P[active])))
+    full = active.all()
+    VE = tables.V if full else tables.V[:, active]
 
     it = 0
     gap = math.inf
@@ -282,10 +289,12 @@ def _inner_minimize(
         lam, qE, gap, steps = _fw_steps(cE, VE, _floored(lam), gap_tol, MAX_INNER_ITER)
         it += steps
 
-    value = const - float(np.sum(cE * np.log2(np.maximum(qE, 1e-300))))
+    kls = tables.kls(qE if full else lam @ tables.V)
+    value = float(_weighted_rows(setting_weights[None], kls)[0])
     # the tables keep the uniform start, which several solvers read
     lam.setflags(write=False)
-    return _InnerSolution(lam, value, max(gap, 0.0), it)
+    kls.setflags(write=False)
+    return _InnerSolution(lam, value, max(gap, 0.0), it, kls)
 
 
 def _floored(lam: np.ndarray) -> np.ndarray:
@@ -447,7 +456,7 @@ def _barrier_epigraph(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Primal-dual interior-point solve (Boyd & Vandenberghe, Convex
     Optimization, 11.7) of the epigraph program min t s.t. every row
-    value g_j of tables.rows(lam, M) is <= t, lam >= 0, sum lam = 1.
+    value g_j of tables.rows(lam @ V, M) is <= t, lam >= 0, sum lam = 1.
 
     The iterates carry the row multipliers D, the bound multipliers z
     and the simplex multiplier nu beside (lam, t), with the slacks
@@ -482,7 +491,8 @@ def _barrier_epigraph(
     optimal faces, where weighted-sum minimizers are not unique and
     plain exchanges stall.
 
-    Returns the final weights and D, normalized, or None when a KKT
+    Returns the final weights and D, normalized, or None when the start
+    has a slack that is not positive (gap0 lost in rounding t), a KKT
     system is singular or a step is not finite. Neither output is
     trusted: the caller re-evaluates the rows at the weights and runs
     its own inner minimization at D.
@@ -495,10 +505,13 @@ def _barrier_epigraph(
     lam = lam / lam.sum()
     mu_end = tol / (8.0 * (k + n))
     q = lam @ tables.V
-    g = tables.rows(lam, M, q)
+    g = tables.rows(q, M)
     # the start is central for the mu that puts D on the simplex, every
     # slack at least k gap0 / (k + n)
     t = float(np.max(g)) + k * gap0 / (k + n)
+    if not np.all(t > g):
+        # k gap0 / (k + n) is below the rounding of the worst row
+        return None
     mu = 1.0 / float(np.sum(1.0 / (t - g)))
     D, z = mu / (t - g), mu / lam
     grads, H = tables.derivatives(lam, M.T @ D, q)
@@ -557,7 +570,7 @@ def _barrier_epigraph(
         while alpha >= 1e-12:
             lam_new, t_new = lam * (1.0 + alpha * u), t + alpha * dt
             q_new = lam_new @ tables.V
-            g_new = tables.rows(lam_new, M, q_new)
+            g_new = tables.rows(q_new, M)
             if np.all(t_new - g_new > 0.0):
                 D_new, z_new, nu_new = D + alpha * dD, z + alpha * dz, nu + alpha * dnu
                 grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q_new)
@@ -605,7 +618,9 @@ class _MinimaxSolver:
 
     @property
     def gap(self) -> float:
-        return self.upper - self.lower
+        """The bracket's width; should rounding take lower above upper,
+        their disagreement, which tol must cover as well."""
+        return abs(self.upper - self.lower)
 
     @property
     def closed(self) -> bool:
@@ -633,7 +648,7 @@ class _MinimaxSolver:
         if self.d_lower is None or inner.value - inner.gap > self.lower:
             self.lower = max(self.lower, inner.value - inner.gap)
             self.d_lower = d
-        rows = self.tables.rows(inner.lam, self.M)
+        rows = _weighted_rows(self.M, inner.kls)
         self.observe_lam(inner.lam, rows)
         return rows
 
@@ -650,7 +665,7 @@ class _MinimaxSolver:
         if polished is None:
             return
         lam, D = polished
-        self.observe_lam(lam, self.tables.rows(lam, self.M))
+        self.observe_lam(lam, self.tables.rows(lam @ self.tables.V, self.M))
         if self.closed:
             return
         self.lam_warm = lam

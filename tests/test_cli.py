@@ -51,6 +51,20 @@ def test_reproduce_thm5_passes(tmp_path):
     assert doc["low_product_settings_preserved"] is True
 
 
+@pytest.mark.parametrize("argv", [["reproduce-thm2", "--epsilon", "0.125"], ["reproduce-thm5"]])
+def test_reproduce_stdout_is_the_report_alone(argv, capsys):
+    # the summary lines go to stderr, so stdout parses as one JSON
+    # document, or as CSV from its header on
+    assert run_cli(*argv) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["passed"] is True
+    assert "ratio" in err
+    assert run_cli(*argv, "--format", "csv") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("key,value\n")
+    assert dict(csv.reader(out.splitlines()))["passed"] == "true"
+
+
 def test_campaign_csv_deterministic(tmp_path):
     out1 = tmp_path / "c1.csv"
     out2 = tmp_path / "c2.csv"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -428,21 +429,68 @@ def test_value_minus_gap_is_a_nonnegative_lower_bound(quantifier):
         assert r.value - r.gap_estimate >= 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_no_bracket_reports_a_negative_width():
+    # at tols below rounding the two ends of a bracket can cross: a
+    # quantifier returns their distance, never a negative width, or
+    # raises NoConvergence when that distance is above tol
+    boxes = [bw.pr_box(), bw.random_local_behavior(SC2222, 0)[0]]
+    boxes += [noisy_pr(v) for v in (0.6, 0.7, 0.8, 0.9)]
+    calls = [(monotones.evaluate_quantifier, (q, p)) for p in boxes for q in ("su", "snl", "sc")]
+    calls.append((bw.s_u, (tsirelson_4222(3),)))
+    cases = [(f, args, tol) for tol in (1e-16, 1e-17, 1e-18) for f, args in calls]
+    cases.append((bw.s_nl, (pr_relabeling_mixture(3, 0.8, 1),), 1e-17))
+    returned = 0
+    for f, args, tol in cases:
+        try:
+            r = f(*args, tol)
+        except NoConvergence as err:
+            assert err.gap > tol
+            continue
+        returned += 1
+        assert 0.0 <= r.gap_estimate <= tol
+    assert returned > 0
+
+
+def test_a_tol_below_rounding_ends_in_no_convergence():
+    # the bracket of the PR box cannot close to 1e-18: the call raises
+    # the typed error, and no division by a zero slack warns on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence):
+            fresh(bw.s_nl, bw.pr_box(), 1e-18)
+
+
+@pytest.mark.parametrize("box", ["pr_box", "noisy_pr", 0, 1, 2, 3])
+def test_s_u_value_is_its_inner_value_bit_for_bit(box):
+    # the inner minimization's value and the engine's one row read one
+    # evaluator, so s_u's bracket closes on its inner value exactly
+    if box == "pr_box":
+        p = bw.pr_box()
+    else:
+        p = noisy_pr(0.8) if box == "noisy_pr" else tsirelson_4222(box)
+    r = fresh(bw.s_u, p)
+    inner = monotones._box.uniform_start(TOL)
+    assert r.value == inner.value
+    assert r.gap_estimate >= 0.0
+
+
 # ---------------------------------------------------------------------------
 # The barrier epigraph solve and its divergence tables
 # ---------------------------------------------------------------------------
 
 
-def _kls_grads_hessian_oracle(P, V, m, lam, c=None, clamp_kls=False):
-    """Per-setting divergences, their gradients in the vertex weights and
-    (given setting weights c) the c-weighted sum of their Hessians, one
-    setting at a time. A supported outcome that lam leaves uncovered
-    makes its setting's divergence +inf, or, with clamp_kls, takes
-    q = 1e-300 there; the gradients and Hessian always take the clamp."""
+def _kls_grads_hessian_oracle(P, V, m, q, c=None, clamp_kls=False):
+    """Per-setting divergences at the image q of some vertex weights,
+    their gradients in the vertex weights and (given setting weights c)
+    the c-weighted sum of their Hessians, one setting at a time. A
+    supported outcome that q leaves uncovered makes its setting's
+    divergence +inf, or, with clamp_kls, takes q = 1e-300 there; the
+    gradients and Hessian always take the clamp."""
     n, dim = V.shape
     k = dim // m
     Ps = P.reshape(m, k)
-    qs = (lam @ V).reshape(m, k)
+    qs = q.reshape(m, k)
     kls = np.empty(m)
     grads = np.zeros((m, n))
     hess = np.zeros((n, n))
@@ -463,21 +511,22 @@ def _kls_grads_hessian_oracle(P, V, m, lam, c=None, clamp_kls=False):
 
 class _OracleTables(monotones._DivergenceTables):
     """The box's tables with `kls` and `derivatives` read off the
-    per-setting loop."""
+    per-setting loop. `kls` runs it from the caller's q; `derivatives`
+    forms its own q from lam and ignores the caller's."""
 
     def __init__(self, p, clamp_kls=False):
         super().__init__(p)
         self.args = (p.flat(), self.V, self.shape[0])
         self.clamp_kls = clamp_kls
 
-    def kls(self, lam, q=None):
-        return _kls_grads_hessian_oracle(*self.args, lam, clamp_kls=self.clamp_kls)[0]
+    def kls(self, q):
+        return _kls_grads_hessian_oracle(*self.args, q, clamp_kls=self.clamp_kls)[0]
 
     def grads(self, lam):
-        return _kls_grads_hessian_oracle(*self.args, lam)[1]
+        return _kls_grads_hessian_oracle(*self.args, lam @ self.V)[1]
 
-    def derivatives(self, lam, c, q=None):
-        _, grads, hess = _kls_grads_hessian_oracle(*self.args, lam, c)
+    def derivatives(self, lam, c, q):
+        _, grads, hess = _kls_grads_hessian_oracle(*self.args, lam @ self.V, c)
         return grads * lam, lam[:, None] * hess * lam
 
 
@@ -522,8 +571,9 @@ def test_divergence_tables_match_per_setting_loop():
         tables, oracle = _DivergenceTables(p), _OracleTables(p)
         c = np.random.default_rng([43, seed]).dirichlet(np.ones(m))
         for lam in _random_lams(tables.n, seed):
-            assert np.array_equal(tables.kls(lam), oracle.kls(lam))
-            for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
+            q = lam @ tables.V
+            assert np.array_equal(tables.kls(q), oracle.kls(q))
+            for got, want in zip(tables.derivatives(lam, c, q), oracle.derivatives(lam, c, q)):
                 _assert_close_to_largest(got, want)
     # settings of 9 outcome pairs, beyond the 8 that numpy sums in order
     # (so kls equals the loop to rounding), and a setting of weight zero
@@ -534,8 +584,9 @@ def test_divergence_tables_match_per_setting_loop():
     tables, oracle = _DivergenceTables(p), _OracleTables(p)
     c = np.array([0.5, 0.0, 0.25, 0.25])
     for lam in _random_lams(tables.n, 99):
-        np.testing.assert_allclose(tables.kls(lam), oracle.kls(lam), rtol=1e-13, atol=1e-15)
-        for got, want in zip(tables.derivatives(lam, c), oracle.derivatives(lam, c)):
+        q = lam @ tables.V
+        np.testing.assert_allclose(tables.kls(q), oracle.kls(q), rtol=1e-13, atol=1e-15)
+        for got, want in zip(tables.derivatives(lam, c, q), oracle.derivatives(lam, c, q)):
             _assert_close_to_largest(got, want)
 
 
@@ -557,7 +608,7 @@ def test_minimax_rows_infinite_exactly_where_uncovered():
             lam[rng.choice(tables.n, size, replace=False)] = rng.dirichlet(np.ones(size))
             uncovered = ((P > 0.0) & (lam @ tables.V == 0.0)).reshape(m, -1).any(axis=1)
             want = (solver.M[:, uncovered] > 0.0).any(axis=1)
-            rows = tables.rows(lam, solver.M)
+            rows = tables.rows(lam @ tables.V, solver.M)
             assert np.array_equal(np.isinf(rows), want)
             assert np.all(np.isfinite(rows[~want]))
             seen.update(want.tolist())
@@ -576,7 +627,7 @@ def _slsqp_epigraph_oracle(p, M, lam0):
     n = tables.n
     lam0 = (1.0 - 1e-9) * np.clip(lam0, 0.0, None) + 1e-9 / n
     lam0 = lam0 / lam0.sum()
-    x0 = np.concatenate([lam0, [float(np.max(M @ tables.kls(lam0))) + 1e-3]])
+    x0 = np.concatenate([lam0, [float(np.max(M @ tables.kls(lam0 @ tables.V))) + 1e-3]])
 
     def cons_j(x):
         J = np.zeros((M.shape[0], n + 1))
@@ -592,14 +643,14 @@ def _slsqp_epigraph_oracle(p, M, lam0):
         bounds=[(0.0, None)] * n + [(None, None)],
         constraints=[
             {"type": "ineq", "jac": cons_j,
-             "fun": lambda x: x[-1] - M @ tables.kls(np.clip(x[:n], 0.0, None))},
+             "fun": lambda x: x[-1] - M @ tables.kls(np.clip(x[:n], 0.0, None) @ tables.V)},
             {"type": "eq", "fun": lambda x: np.sum(x[:n]) - 1.0,
              "jac": lambda x: np.concatenate([np.ones(n), [0.0]])},
         ],
         options={"maxiter": 400, "ftol": 1e-16},
     )
     lam = np.clip(res.x[:n], 0.0, None)
-    return float(np.max(M @ tables.kls(lam / lam.sum())))
+    return float(np.max(M @ tables.kls(lam / lam.sum() @ tables.V)))
 
 
 def _barrier_cases():
@@ -629,7 +680,7 @@ def test_barrier_epigraph_matches_slsqp_oracle():
         M = solver.M
         lam, D = monotones._barrier_epigraph(solver.tables, M, solver.lam_best,
                                              solver.gap, TOL)
-        upper = float(np.max(solver.tables.rows(lam, M)))
+        upper = float(np.max(solver.tables.rows(lam @ solver.tables.V, M)))
         oracle = _slsqp_epigraph_oracle(p, M, solver.lam_best)
         assert abs(upper - oracle) <= TOL / 8.0
         inner = monotones._inner_minimize(solver.tables, D @ M, gap_tol=TOL / 8.0, lam0=lam)
@@ -651,8 +702,8 @@ def test_epigraph_polish_matches_per_setting_loop():
     got, want = (monotones._barrier_epigraph(s.tables, np.eye(m), lam0, 1e-3, TOL)
                  for s in solvers)
     M = solvers[0].M
-    np.testing.assert_allclose(tables.rows(got[0], M), tables.rows(want[0], M),
-                               rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(tables.rows(got[0] @ tables.V, M),
+                               tables.rows(want[0] @ tables.V, M), rtol=0.0, atol=1e-9)
     for s in solvers:
         s.run()
         assert s.closed
@@ -713,10 +764,11 @@ def test_cold_inner_minimization_agrees_with_frank_wolfe(box):
                                            np.full(tables.n, 1.0 / tables.n), gap_tol,
                                            monotones.MAX_INNER_ITER)
     value = float(np.sum(c[active] * np.log2(tables.P[active] / qE)))
-    fw = monotones._InnerSolution(lam, value, gap, it)
+    fw = monotones._InnerSolution(lam, value, gap, it, tables.kls(lam @ tables.V))
     for inner in (newton, fw):
         assert inner.gap <= gap_tol
-        assert inner.value == pytest.approx(float(uniform @ tables.kls(inner.lam)), abs=1e-12)
+        assert inner.value == pytest.approx(float(uniform @ tables.kls(inner.lam @ tables.V)),
+                                            abs=1e-12)
     assert _brackets_overlap(newton, fw)
     assert newton.iterations < fw.iterations
 
