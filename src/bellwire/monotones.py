@@ -197,7 +197,7 @@ class _DivergenceTables:
         self.shape = (m, V.shape[1] // m)
         self.P_rows = self.P.reshape(self.shape)
         # the 0/1 matrix that sums the columns of every setting
-        self.groups = np.kron(np.eye(m), np.ones((self.shape[1], 1)))
+        self.groups = np.repeat(np.eye(m), self.shape[1], axis=0)
         self.start: dict[float, _InnerSolution] = {}
         self.maximin: dict[float, MonotoneResult] = {}
 
@@ -339,6 +339,10 @@ def _dual_newton(
     once that gap is at most gap_tol, after NEWTON_STEPS steps, or at a
     singular or non-finite system. Returns the weights with the least
     gap read, their q, that gap and the number of gap checks.
+
+    Every work array is a local, allocated once per call, and each step
+    writes them in place; so concurrent solves share no buffer, and the
+    returned arrays belong to the caller.
     """
     n, d = VE.shape
     C = float(cE.sum())
@@ -349,45 +353,68 @@ def _dual_newton(
     nu, s, lam = z[:d], z[d:d + n], z[d + n:]
     dnu, ds, dlam = dz[:d], dz[d:d + n], dz[d + n:]
     lam[:] = 1.0 / n
+    # two (lam_hat, q) pairs: a gap check writes the one best does not hold
+    checks = [(np.empty(n), np.empty(d)) for _ in range(2)]
+    free = 0
+    # the step's work arrays, and VE^T diag(w) VE as a sum of symmetric
+    # products X X^T over blocks of about 2^20 entries of VE, so that no
+    # temporary is the size of VE
+    r, w, root_w, mu_s, tmp_n, back = (np.empty(n) for _ in range(6))
+    c_nu, rhs, tmp_d, tmp_z = np.empty(d), np.empty(d), np.empty(d), np.empty_like(z)
+    H, X = np.empty((d, d)), np.empty(d * min(block, n))
+    diagonal = H.reshape(-1)[::d + 1]
+    blocks = []
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        Xb = X[:d * (hi - lo)].reshape(d, hi - lo)
+        blocks.append((VE[lo:hi].T, w[lo:hi], root_w[lo:hi], Xb, Xb.T))
     best = None
     it = 0
     alpha = 0.0  # the first step centers
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             it += 1
-            lam_hat = lam / lam.sum()
-            q = lam_hat @ VE
-            gap = (float((VE @ (cE / q)).max()) - C) / LN2
+            lam_hat, q = checks[free]
+            np.divide(lam, lam.sum(), out=lam_hat)
+            np.dot(lam_hat, VE, q)
+            np.divide(cE, q, out=c_nu)
+            gap = (float(np.dot(VE, c_nu, back).max()) - C) / LN2
             if best is None or gap < best[2]:
                 best = (lam_hat, q, gap)
+                free ^= 1
             if gap <= gap_tol or it > NEWTON_STEPS:
                 break
             if it == 1:
-                nu[:], s[:] = cE / q, C
-            r = C - VE @ nu - s
+                nu[:], s[:] = c_nu, C
+            np.subtract(C, np.dot(VE, nu, r), out=r)
+            r -= s
             sigma = max((1.0 - alpha) ** 3, SIGMA_MIN)
             mu = max(sigma * float(lam @ s) / n, mu_end)
-            w, mu_s, c_nu = lam / s, mu / s, cE / nu
-            # VE^T diag(w) VE as a sum of symmetric products X X^T over
-            # blocks of about 2^20 entries of VE, so that no temporary is
-            # the size of VE
-            H = np.zeros((d, d))
-            for lo in range(0, n, block):
-                X = VE[lo:lo + block].T * np.sqrt(w[lo:lo + block])
-                H += X @ X.T
-            H.reshape(-1)[::d + 1] += c_nu / nu
+            np.divide(lam, s, out=w)
+            np.divide(mu, s, out=mu_s)
+            np.divide(cE, nu, out=c_nu)
+            for j, (VT, wb, root_wb, Xb, XbT) in enumerate(blocks):
+                np.multiply(VT, np.sqrt(wb, out=root_wb), out=Xb)
+                if j == 0:
+                    np.matmul(Xb, XbT, out=H)
+                else:
+                    H += Xb @ XbT
+            diagonal += np.divide(c_nu, nu, out=tmp_d)
+            np.subtract(mu_s, np.multiply(w, r, out=tmp_n), out=tmp_n)
+            np.subtract(c_nu, np.dot(VE.T, tmp_n, rhs), out=rhs)
             try:
-                dnu[:] = np.linalg.solve(H, c_nu - VE.T @ (mu_s - w * r))
+                dnu[:] = np.linalg.solve(H, rhs)
             except np.linalg.LinAlgError:
                 break
-            np.subtract(r, VE @ dnu, out=ds)
-            np.subtract(mu_s - lam, w * ds, out=dlam)
+            np.subtract(r, np.dot(VE, dnu, ds), out=ds)
+            np.subtract(mu_s, lam, out=dlam)
+            dlam -= np.multiply(w, ds, out=tmp_n)
             if not np.isfinite(dz).all():
                 break
             # the largest relative decrease sets the step to the boundary
-            shrink = float((dz / z).min())
+            shrink = float(np.divide(dz, z, out=tmp_z).min())
             alpha = 1.0 if shrink >= 0.0 else min(1.0, (1.0 - min(0.01, n * mu)) / -shrink)
-            z += alpha * dz
+            z += np.multiply(dz, alpha, out=tmp_z)
     return best + (it,)
 
 
@@ -495,7 +522,9 @@ def _barrier_epigraph(
     has a slack that is not positive (gap0 lost in rounding t), a KKT
     system is singular or a step is not finite. Neither output is
     trusted: the caller re-evaluates the rows at the weights and runs
-    its own inner minimization at D.
+    its own inner minimization at D. As in `_dual_newton`, the work
+    arrays, the iterate and its trial point are locals allocated once per
+    call and written in place.
     """
     n, k = lam0.size, M.shape[0]
     gap0 = min(gap0, 1.0)
@@ -512,77 +541,113 @@ def _barrier_epigraph(
     if not np.all(t > g):
         # k gap0 / (k + n) is below the rounding of the worst row
         return None
-    mu = 1.0 / float(np.sum(1.0 / (t - g)))
-    D, z = mu / (t - g), mu / lam
+
+    def parts(x):
+        """The slacks, D and z of an array laid out as (1, s, D, z): the
+        1s are lam's bound in the relative step u."""
+        return x[n:n + k], x[n + k:n + 2 * k], x[n + 2 * k:]
+
+    # the iterate's (1, s, D, z) and a trial point's, swapped with the
+    # weights, row gradients and residual when a step is taken; dx is the
+    # step (u, ds, dD, dz)
+    x, x_new, dx = np.ones(2 * (n + k)), np.ones(2 * (n + k)), np.empty(2 * (n + k))
+    (s, D, z), (s_new, D_new, z_new) = parts(x), parts(x_new)
+    u, ds, dD, dz = dx[:n], *parts(dx)
+    np.subtract(t, g, out=s)
+    mu = 1.0 / float(np.sum(1.0 / s))
+    np.divide(mu, s, out=D)
+    np.divide(mu, lam, out=z)
     grads, H = tables.derivatives(lam, M.T @ D, q)
     G = M @ grads  # row gradients, scaled by lam
     # the simplex multiplier that makes the dual residual sum to zero
     nu = float(z @ lam - D @ G.sum(1))
+    lam_new, G_new = np.empty(n), np.empty_like(G)
+    # work arrays of the step
+    tmp = np.empty(n)
+    ratio, shrinking = np.empty(2 * (n + k)), np.empty(2 * (n + k), dtype=bool)
 
-    def residual(lam, t, g, D, z, nu, G):
-        """The KKT residual at mu = 0: the dual residual (scaled by lam),
-        t's stationarity, the products D s and z lam, and the simplex."""
-        return np.concatenate([G.T @ D + (nu - z) * lam, [1.0 - D.sum()],
-                               D * (t - g), z * lam, [lam.sum() - 1.0]])
+    def residual(lam, s, D, z, nu, G, out):
+        """The KKT residual at mu = 0, written to out: the dual residual
+        (scaled by lam), t's stationarity, the products D s and z lam, and
+        the simplex."""
+        np.dot(G.T, D, out[:n])
+        out[:n] += np.multiply(np.subtract(nu, z, out=tmp), lam, out=tmp)
+        out[n] = 1.0 - D.sum()
+        np.multiply(D, s, out=out[n + 1:n + k + 1])
+        np.multiply(z, lam, out=out[n + k + 1:-1])
+        out[-1] = lam.sum() - 1.0
+        return out
 
-    # r - mu * centering is the residual at mu: the products less mu
-    centering = np.zeros(2 * n + k + 2)
-    centering[n + 1:-1] = 1.0
     # the KKT system in (u, dt, dD, dnu)
     kkt = np.zeros((n + k + 2, n + k + 2))
     diagonal = kkt.reshape(-1)[::n + k + 3]
     kkt[n, n + 1:-1] = kkt[n + 1:-1, n] = -1.0
-    r = residual(lam, t, g, D, z, nu, G)
+    rhs = np.empty(n + k + 2)
+    r, r_new, r_mu = (np.empty(2 * n + k + 2) for _ in range(3))
+    residual(lam, s, D, z, nu, G, r)
     alpha = 0.0  # the first step centers
     for _ in range(NEWTON_STEPS):
-        s = t - g
         sigma = max((1.0 - alpha) ** 3, SIGMA_MIN)
         mu = max(sigma * float(r[n + 1:-1].sum()) / (k + n), mu_end)
-        r = r - mu * centering
-        norm = float(np.linalg.norm(r))
+        # the residual at mu: the products less mu
+        r[n + 1:-1] -= mu
+        norm = math.sqrt(r.dot(r))
         if mu == mu_end and norm <= 1e-3 * mu_end:
             break
         kkt[:n, :n] = H
-        diagonal[:n] += z * lam
-        diagonal[n + 1:-1] = -s / D
+        diagonal[:n] += np.multiply(z, lam, out=tmp)
+        np.negative(np.divide(s, D, out=diagonal[n + 1:-1]), out=diagonal[n + 1:-1])
         kkt[n + 1:-1, :n] = G
         kkt[:n, n + 1:-1] = G.T
         kkt[:n, -1] = kkt[-1, :n] = lam
         # minus the residual at mu, with dz eliminated from the dual rows
         # and the slack rows divided by -D, as the matrix has them
-        rhs = np.concatenate([-(r[:n] + r[n + k + 1:-1]), -r[n:n + 1], r[n + 1:n + k + 1] / D,
-                              -r[-1:]])
+        np.negative(np.add(r[:n], r[n + k + 1:-1], out=rhs[:n]), out=rhs[:n])
+        rhs[n], rhs[-1] = -r[n], -r[-1]
+        np.divide(r[n + 1:n + k + 1], D, out=rhs[n + 1:-1])
         try:
             step = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             return None
-        u, dt, dD, dnu = step[:n], step[n], step[n + 1:-1], step[-1]
-        ds = dt - G @ u  # the slacks' linearized step
-        dz = mu / lam - z - z * u
-        x, dx = np.concatenate([np.ones(n), s, D, z]), np.concatenate([u, ds, dD, dz])
-        shrinking = dx < 0.0
-        alpha = 1.0
-        if np.any(shrinking):
-            alpha = min(1.0, (1.0 - min(0.01, (k + n) * mu))
-                        * float(np.min(x[shrinking] / -dx[shrinking])))
+        u[:], dt, dD[:], dnu = step[:n], step[n], step[n + 1:-1], step[-1]
+        # the slacks' linearized step
+        np.subtract(dt, np.dot(G, u, ds), out=ds)
+        np.divide(mu, lam, out=dz)
+        dz -= z
+        dz -= np.multiply(z, u, out=tmp)
+        # the least x / -dx over the shrinking entries, inf when none is
+        np.less(dx, 0.0, out=shrinking)
+        np.divide(x, dx, out=ratio, where=shrinking)
+        bound = -float(ratio.max(where=shrinking, initial=-np.inf))
+        alpha = min(1.0, (1.0 - min(0.01, (k + n) * mu)) * bound)
         while alpha >= 1e-12:
-            lam_new, t_new = lam * (1.0 + alpha * u), t + alpha * dt
-            q_new = lam_new @ tables.V
-            g_new = tables.rows(q_new, M)
-            if np.all(t_new - g_new > 0.0):
-                D_new, z_new, nu_new = D + alpha * dD, z + alpha * dz, nu + alpha * dnu
-                grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q_new)
-                G_new = M @ grads
-                r_new = residual(lam_new, t_new, g_new, D_new, z_new, nu_new, G_new)
-                if np.linalg.norm(r_new - mu * centering) <= (1.0 - 0.01 * alpha) * norm:
+            np.multiply(u, alpha, out=lam_new)
+            lam_new += 1.0
+            lam_new *= lam
+            t_new = t + alpha * dt
+            q = lam_new @ tables.V
+            g_new = tables.rows(q, M)
+            if (np.subtract(t_new, g_new, out=s_new) > 0.0).all():
+                np.multiply(dD, alpha, out=D_new)
+                D_new += D
+                np.multiply(dz, alpha, out=z_new)
+                z_new += z
+                nu_new = nu + alpha * dnu
+                grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q)
+                np.matmul(M, grads, out=G_new)
+                residual(lam_new, s_new, D_new, z_new, nu_new, G_new, r_new)
+                np.copyto(r_mu, r_new)
+                r_mu[n + 1:-1] -= mu
+                if math.sqrt(r_mu.dot(r_mu)) <= (1.0 - 0.01 * alpha) * norm:
                     break
             alpha *= 0.5
         else:
             break
-        lam, t, g, D, z, nu, G, H = lam_new, t_new, g_new, D_new, z_new, nu_new, G_new, H_new
-        r = r_new
+        lam, lam_new, x, x_new, G, G_new, r, r_new = lam_new, lam, x_new, x, G_new, G, r_new, r
+        (s, D, z), (s_new, D_new, z_new) = parts(x), parts(x_new)
+        t, g, nu, H = t_new, g_new, nu_new, H_new
     return lam / lam.sum(), D / D.sum()
 
 

@@ -1205,3 +1205,254 @@ def test_quantifier_calls_in_threads_return_their_own_boxes_results():
     assert not any(t.is_alive() for t in threads)
     assert [set(values) for values in got] == [{v} for v in want]
     assert all(len(values) == 150 for values in got)
+
+
+# ---------------------------------------------------------------------------
+# The two interior-point step loops against their allocating oracles
+# ---------------------------------------------------------------------------
+
+
+def _dual_newton_oracle(cE, VE, gap_tol):
+    """`monotones._dual_newton` written with a fresh array for every
+    intermediate: the same floating-point operations on the same operands
+    in the same order as the library's in-place loop, so the two agree
+    bit for bit."""
+    n, d = VE.shape
+    C = float(cE.sum())
+    mu_end = gap_tol * monotones.LN2 / (8.0 * n)
+    block = max(1, (1 << 20) // d)
+    z, dz = np.empty(d + 2 * n), np.empty(d + 2 * n)
+    nu, s, lam = z[:d], z[d:d + n], z[d + n:]
+    dnu, ds, dlam = dz[:d], dz[d:d + n], dz[d + n:]
+    lam[:] = 1.0 / n
+    best = None
+    it = 0
+    alpha = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            it += 1
+            lam_hat = lam / lam.sum()
+            q = lam_hat @ VE
+            gap = (float((VE @ (cE / q)).max()) - C) / monotones.LN2
+            if best is None or gap < best[2]:
+                best = (lam_hat, q, gap)
+            if gap <= gap_tol or it > monotones.NEWTON_STEPS:
+                break
+            if it == 1:
+                nu[:], s[:] = cE / q, C
+            r = C - VE @ nu - s
+            sigma = max((1.0 - alpha) ** 3, monotones.SIGMA_MIN)
+            mu = max(sigma * float(lam @ s) / n, mu_end)
+            w, mu_s, c_nu = lam / s, mu / s, cE / nu
+            H = np.zeros((d, d))
+            for lo in range(0, n, block):
+                X = VE[lo:lo + block].T * np.sqrt(w[lo:lo + block])
+                H += X @ X.T
+            H.reshape(-1)[::d + 1] += c_nu / nu
+            try:
+                dnu[:] = np.linalg.solve(H, c_nu - VE.T @ (mu_s - w * r))
+            except np.linalg.LinAlgError:
+                break
+            np.subtract(r, VE @ dnu, out=ds)
+            np.subtract(mu_s - lam, w * ds, out=dlam)
+            if not np.isfinite(dz).all():
+                break
+            shrink = float((dz / z).min())
+            alpha = 1.0 if shrink >= 0.0 else min(1.0, (1.0 - min(0.01, n * mu)) / -shrink)
+            z += alpha * dz
+    return best + (it,)
+
+
+def _barrier_epigraph_oracle(tables, M, lam0, gap0, tol):
+    """`monotones._barrier_epigraph` written with a fresh array for every
+    intermediate, concatenating its residual, right-hand side and
+    fraction-to-boundary pair at every step: the same floating-point
+    operations on the same operands in the same order as the library's
+    in-place loop, so the two agree bit for bit."""
+    n, k = lam0.size, M.shape[0]
+    gap0 = min(gap0, 1.0)
+    lam = (1.0 - gap0) * np.clip(lam0, 0.0, None) + gap0 / n
+    lam = lam / lam.sum()
+    mu_end = tol / (8.0 * (k + n))
+    q = lam @ tables.V
+    g = tables.rows(q, M)
+    t = float(np.max(g)) + k * gap0 / (k + n)
+    if not np.all(t > g):
+        return None
+    mu = 1.0 / float(np.sum(1.0 / (t - g)))
+    D, z = mu / (t - g), mu / lam
+    grads, H = tables.derivatives(lam, M.T @ D, q)
+    G = M @ grads
+    nu = float(z @ lam - D @ G.sum(1))
+
+    def residual(lam, t, g, D, z, nu, G):
+        return np.concatenate([G.T @ D + (nu - z) * lam, [1.0 - D.sum()],
+                               D * (t - g), z * lam, [lam.sum() - 1.0]])
+
+    centering = np.zeros(2 * n + k + 2)
+    centering[n + 1:-1] = 1.0
+    kkt = np.zeros((n + k + 2, n + k + 2))
+    diagonal = kkt.reshape(-1)[::n + k + 3]
+    kkt[n, n + 1:-1] = kkt[n + 1:-1, n] = -1.0
+    r = residual(lam, t, g, D, z, nu, G)
+    alpha = 0.0
+    for _ in range(monotones.NEWTON_STEPS):
+        s = t - g
+        sigma = max((1.0 - alpha) ** 3, monotones.SIGMA_MIN)
+        mu = max(sigma * float(r[n + 1:-1].sum()) / (k + n), mu_end)
+        r = r - mu * centering
+        norm = float(np.linalg.norm(r))
+        if mu == mu_end and norm <= 1e-3 * mu_end:
+            break
+        kkt[:n, :n] = H
+        diagonal[:n] += z * lam
+        diagonal[n + 1:-1] = -s / D
+        kkt[n + 1:-1, :n] = G
+        kkt[:n, n + 1:-1] = G.T
+        kkt[:n, -1] = kkt[-1, :n] = lam
+        rhs = np.concatenate([-(r[:n] + r[n + k + 1:-1]), -r[n:n + 1], r[n + 1:n + k + 1] / D,
+                              -r[-1:]])
+        try:
+            step = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        u, dt, dD, dnu = step[:n], step[n], step[n + 1:-1], step[-1]
+        ds = dt - G @ u
+        dz = mu / lam - z - z * u
+        x, dx = np.concatenate([np.ones(n), s, D, z]), np.concatenate([u, ds, dD, dz])
+        shrinking = dx < 0.0
+        alpha = 1.0
+        if np.any(shrinking):
+            alpha = min(1.0, (1.0 - min(0.01, (k + n) * mu))
+                        * float(np.min(x[shrinking] / -dx[shrinking])))
+        while alpha >= 1e-12:
+            lam_new, t_new = lam * (1.0 + alpha * u), t + alpha * dt
+            q_new = lam_new @ tables.V
+            g_new = tables.rows(q_new, M)
+            if np.all(t_new - g_new > 0.0):
+                D_new, z_new, nu_new = D + alpha * dD, z + alpha * dz, nu + alpha * dnu
+                grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q_new)
+                G_new = M @ grads
+                r_new = residual(lam_new, t_new, g_new, D_new, z_new, nu_new, G_new)
+                if np.linalg.norm(r_new - mu * centering) <= (1.0 - 0.01 * alpha) * norm:
+                    break
+            alpha *= 0.5
+        else:
+            break
+        lam, t, g, D, z, nu, G, H = lam_new, t_new, g_new, D_new, z_new, nu_new, G_new, H_new
+        r = r_new
+    return lam / lam.sum(), D / D.sum()
+
+
+def _oracle_box(box) -> bw.Behavior:
+    if box == "degenerate":
+        # the degenerate dual of test_cold_inner_minimization_closes_a_degenerate_dual
+        return bw.random_ns_behavior(SC2222, 6_200_198)
+    if box == "noisy_pr":
+        return noisy_pr(0.8)
+    if box == "3333":
+        # the box of test_s_nl_closes_a_nonlocal_3333_box
+        return generalized_pr_mixture(bw.Scenario(3, 3, 3, 3), np.random.default_rng([73, 1]),
+                                      0.696)
+    return tsirelson_4222(box)
+
+
+ORACLE_BOXES = ["degenerate", 0, 1, 2, 3, 4, "noisy_pr", "3333"]
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """The number of np.linalg.solve calls so far: one per Newton step."""
+    count = [0]
+    solve = np.linalg.solve
+
+    def counted(*args):
+        count[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return lambda: count[0]
+
+
+def _assert_same_newton(got, want) -> None:
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("box", ORACLE_BOXES)
+def test_dual_newton_matches_its_oracle_bit_for_bit(box):
+    # uniform setting weights read V itself; weights with a zero setting
+    # read a copy of its active columns
+    tables = monotones._DivergenceTables(_oracle_box(box))
+    m = tables.shape[0]
+    partial = np.random.default_rng([79, m]).dirichlet(np.ones(m))
+    partial[0] = 0.0
+    for weights in (np.full(m, 1.0 / m), partial / partial.sum()):
+        c = np.repeat(weights, tables.shape[1]) * tables.P
+        active = c > 0.0
+        VE = tables.V if active.all() else tables.V[:, active]
+        for gap_tol in (TOL / (2.0 * m), TOL / 8.0):
+            _assert_same_newton(monotones._dual_newton(c[active], VE, gap_tol),
+                                _dual_newton_oracle(c[active], VE, gap_tol))
+
+
+def test_dual_newton_multi_block_hessian_matches_its_oracle(monkeypatch):
+    # n d > 2^20 sums VE^T diag(w) VE over blocks of 2^20 // d rows, here
+    # two full blocks and a short one; in the engine only 4444 and larger
+    # boxes take that path. Rows are random vertices of four settings of
+    # four outcomes, column-major as the engine's vertex matrix
+    rng = np.random.default_rng(83)
+    m, r = 4, 4
+    d = m * r
+    block = (1 << 20) // d
+    n = 2 * block + 1000
+    VE = np.zeros((n, d), order="F")
+    VE[np.arange(n)[:, None], r * np.arange(m) + rng.integers(r, size=(n, m))] = 1.0
+    cE = rng.dirichlet(np.ones(d))
+    monkeypatch.setattr(monotones, "NEWTON_STEPS", 3)
+    got = monotones._dual_newton(cE, VE, 1e-12)
+    _assert_same_newton(got, _dual_newton_oracle(cE, VE, 1e-12))
+    assert got[3] == monotones.NEWTON_STEPS + 1
+
+
+def _assert_same_barrier(tables, M, lam0, gap0, solve_count) -> None:
+    runs = []
+    for barrier in (monotones._barrier_epigraph, _barrier_epigraph_oracle):
+        before = solve_count()
+        runs.append((barrier(tables, M, lam0, gap0, TOL), solve_count() - before))
+    (got, got_steps), (want, want_steps) = runs
+    assert got_steps == want_steps
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
+def _barrier_starts(p, M=None):
+    """The barrier's inputs from the minimizer at a point mass on the
+    first row, the bracket open by up to about 1 bit, and from the
+    minimizer at uniform row weights with the gap at 1e-3."""
+    solver = monotones._MinimaxSolver(monotones._DivergenceTables(p), TOL, M)
+    solver.solve_at(np.eye(solver.k)[0], 1e-4)
+    yield solver.tables, solver.M, solver.lam_best, solver.gap
+    uniform = np.full(solver.k, 1.0 / solver.k) @ solver.M
+    yield (solver.tables, solver.M,
+           monotones._inner_minimize(solver.tables, uniform, gap_tol=1e-4).lam, 1e-3)
+
+
+@pytest.mark.parametrize("box", ORACLE_BOXES)
+def test_barrier_epigraph_matches_its_oracle_bit_for_bit(box, solve_count):
+    # the 3333 box's KKT systems are 740 x 740: one start keeps it near 2 s
+    starts = _barrier_starts(_oracle_box(box))
+    for start in itertools.islice(starts, 1 if box == "3333" else 2):
+        _assert_same_barrier(*start, solve_count)
+
+
+def test_barrier_epigraph_matches_its_oracle_on_every_input_map(solve_count):
+    # s_uc's block maps among them, one with zero entries in its marginal
+    for p, M in _barrier_cases():
+        for start in _barrier_starts(p, M):
+            _assert_same_barrier(*start, solve_count)
