@@ -511,10 +511,13 @@ def _barrier_epigraph(
     convergence. The step goes at most a fraction 1 - min(0.01, (k + n) mu)
     of the way to the boundary of lam, D, z and the linearized slacks,
     then backtracks until the slacks are positive and the norm of the
-    KKT residual falls. The solve stops at the central point of mu_end,
-    once that norm is at most 1e-3 mu_end, where the steps converge
-    quadratically; or after NEWTON_STEPS steps, or when no step lowers
-    the residual. The central path is the tiebreaker for degenerate
+    KKT residual falls. The solve stops once mu is at mu_end and the
+    norm of the KKT residual at mu_end is at most mu_end: then every
+    product D_j s_j and z_i lam_i is within mu_end of mu_end, so the
+    duality gap D.s + z.lam is at most tol / 4. Steps past that point
+    only shrink the residual, after the worst row has stopped moving.
+    It also stops after NEWTON_STEPS steps, or when no step lowers the
+    residual. The central path is the tiebreaker for degenerate
     optimal faces, where weighted-sum minimizers are not unique and
     plain exchanges stall.
 
@@ -592,7 +595,7 @@ def _barrier_epigraph(
         # the residual at mu: the products less mu
         r[n + 1:-1] -= mu
         norm = math.sqrt(r.dot(r))
-        if mu == mu_end and norm <= 1e-3 * mu_end:
+        if mu == mu_end and norm <= mu_end:
             break
         kkt[:n, :n] = H
         diagonal[:n] += np.multiply(z, lam, out=tmp)

@@ -1302,7 +1302,7 @@ def _barrier_epigraph_oracle(tables, M, lam0, gap0, tol):
         mu = max(sigma * float(r[n + 1:-1].sum()) / (k + n), mu_end)
         r = r - mu * centering
         norm = float(np.linalg.norm(r))
-        if mu == mu_end and norm <= 1e-3 * mu_end:
+        if mu == mu_end and norm <= mu_end:
             break
         kkt[:n, :n] = H
         diagonal[:n] += z * lam
