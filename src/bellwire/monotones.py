@@ -367,7 +367,7 @@ def _dual_newton(
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         Xb = X[:d * (hi - lo)].reshape(d, hi - lo)
-        blocks.append((VE[lo:hi].T, w[lo:hi], root_w[lo:hi], Xb, Xb.T))
+        blocks.append((VE[lo:hi].T, w[lo:hi], root_w[lo:hi], Xb))
     best = None
     it = 0
     alpha = 0.0  # the first step centers
@@ -393,12 +393,12 @@ def _dual_newton(
             np.divide(lam, s, out=w)
             np.divide(mu, s, out=mu_s)
             np.divide(cE, nu, out=c_nu)
-            for j, (VT, wb, root_wb, Xb, XbT) in enumerate(blocks):
+            for j, (VT, wb, root_wb, Xb) in enumerate(blocks):
                 np.multiply(VT, np.sqrt(wb, out=root_wb), out=Xb)
                 if j == 0:
-                    np.matmul(Xb, XbT, out=H)
+                    np.matmul(Xb, Xb.T, out=H)
                 else:
-                    H += Xb @ XbT
+                    H += Xb @ Xb.T
             diagonal += np.divide(c_nu, nu, out=tmp_d)
             np.subtract(mu_s, np.multiply(w, r, out=tmp_n), out=tmp_n)
             np.subtract(c_nu, np.dot(VE.T, tmp_n, rhs), out=rhs)
@@ -579,7 +579,6 @@ def _barrier_epigraph(
         np.multiply(D, s, out=out[n + 1:n + k + 1])
         np.multiply(z, lam, out=out[n + k + 1:-1])
         out[-1] = lam.sum() - 1.0
-        return out
 
     # the KKT system in (u, dt, dD, dnu)
     kkt = np.zeros((n + k + 2, n + k + 2))
