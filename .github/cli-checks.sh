@@ -19,9 +19,10 @@
 # and, in canonical vertex order, reconstruct the box), `eval su` on the
 # same box (a cold inner minimization by Newton's method on the dual over
 # 6561 vertices; its value must be at most 1e-6 and its gap at most the
-# engine's start gap 1e-6/32 for 16 settings), `eval snl` on a
-# nonlocal 3333 generalized PR mixture written by `jsonio.behavior_to_json`
-# (the epigraph polish on 729 vertices; its gap must be at most 1e-6),
+# engine's start gap 1e-6/32 for 16 settings), `eval snl` on nonlocal
+# 3333 and 4343 generalized PR mixtures written by
+# `jsonio.behavior_to_json` (the epigraph polish on an active set of their
+# 729 and 6561 vertices, grown by pricing; each gap must be at most 1e-6),
 # `eval apply` of a seeded WPICC wiring file to the PR box, the four
 # campaign suites that run the minimax engine (`snl_monotonicity`,
 # `suc_monotonicity`, `convexity` and `minimax_identity`, 10 trials at
@@ -108,29 +109,33 @@ EOF_PY
 bellwire eval su --in "$tmp/box4343.json" > "$tmp/su4343.json"
 python -c "import json, sys; r = json.load(open(sys.argv[1])); v, g = r['value'], r['gap_estimate']; assert v <= 1e-6 and g <= 1e-6 / 32, f'4343 s_u value {v}, gap {g}'" "$tmp/su4343.json"
 
-python - > "$tmp/box3333.json" <<'EOF_PY'
+for box in 3333 4343; do
+  python - "$box" > "$tmp/gpm$box.json" <<'EOF_PY'
 import itertools
+import sys
 
 import numpy as np
 
 import bellwire as bw
 
-# a generalized PR mixture: b - a = px(x) py(y) + shift (mod 3) at weight
+# a generalized PR mixture: b - a = px(x) py(y) + shift (mod d) at weight
 # 0.696, plus a Dirichlet mixture of 32 random deterministic boxes
-sc, w = bw.Scenario(3, 3, 3, 3), 0.696
+sc, w = bw.Scenario(*map(int, sys.argv[1])), 0.696
+d = sc.rA
 rng = np.random.default_rng([73, 1])
-px, py = rng.permutation(3), rng.permutation(3)
-shift = int(rng.integers(3))
+px, py = rng.permutation(sc.sA), rng.permutation(sc.sB)
+shift = int(rng.integers(d))
 t = np.zeros(sc.shape)
-for x, y, a in itertools.product(range(3), range(3), range(3)):
-    t[x, y, a, (a + px[x] * py[y] + shift) % 3] = 1.0 / 3
+for x, y, a in itertools.product(range(sc.sA), range(sc.sB), range(d)):
+    t[x, y, a, (a + px[x] * py[y] + shift) % d] = 1.0 / d
 V = bw.local_vertex_matrix(sc)
 idx = rng.choice(V.shape[0], size=32, replace=False)
 loc = (rng.dirichlet(np.ones(32)) @ V[idx]).reshape(sc.shape)
 print(bw.jsonio.behavior_to_json(bw.Behavior(sc, w * t + (1.0 - w) * loc)))
 EOF_PY
-bellwire eval snl --in "$tmp/box3333.json" > "$tmp/snl3333.json"
-python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-6, f'3333 s_nl gap {gap}'" "$tmp/snl3333.json"
+  bellwire eval snl --in "$tmp/gpm$box.json" > "$tmp/snl$box.json"
+  python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-6, f'{sys.argv[2]} s_nl gap {gap}'" "$tmp/snl$box.json" "$box"
+done
 
 python -c "import bellwire as bw; sc = bw.Scenario(2, 2, 2, 2); print(bw.jsonio.wiring_to_json(bw.random_wpicc_wiring(sc, sc, 3)))" > "$tmp/w.json"
 bellwire eval apply --in "$tmp/w.json" --in2 pr-box > /dev/null

@@ -76,10 +76,22 @@ Newton solve of the epigraph program (minimize t subject to every row's
 divergence being at most t, over the vertex-weight simplex). Its
 iterates carry the multipliers of the row constraints, which are input
 weights, and it stops at the central point of the log barrier whose
-duality gap is tol/8. The polish's outputs are never trusted as such:
-the exact worst-row divergence at its vertex weights bounds the value
-from above, and an inner minimization at its multipliers bounds it from
-below, so the polish can only tighten the certified bracket.
+duality gap is tol/8. It runs on an active vertex set S, which each
+engine instance keeps and grows (simplicial decomposition): the barrier
+reads the rows S of V alone (`_DivergenceTables.restricted`), so its
+KKT system is (|S|+k+2)², not (n+k+2)². S starts as the start weights'
+support above ACTIVE_FLOOR of their largest weight, plus each row's
+best-response vertex at them, plus best responses until S covers every
+outcome the rows weigh. After each barrier solve, every vertex whose
+Frank-Wolfe reduced cost at its weights and multipliers is positive
+enters S, and the barrier solves again while that Frank-Wolfe gap is
+above tol/2; a polish that leaves the bracket open also adds the
+support of its inner minimizer. The polish's outputs are never trusted
+as such: the exact worst-row divergence at its vertex weights, zero
+off S, bounds the value from above, and an inner minimization over
+every vertex at its multipliers bounds it from below, so S decides only
+speed and whether a round closes, and the polish can only tighten the
+certified bracket.
 """
 
 from __future__ import annotations
@@ -121,12 +133,16 @@ WARM_STEPS = 128
 #: Smallest centering parameter sigma of a primal-dual Newton step.
 SIGMA_MIN = 0.01
 
-#: Primal-dual Newton steps allowed per epigraph polish or cold inner
+#: Primal-dual Newton steps allowed per barrier solve of a polish or cold inner
 #: minimization.
 NEWTON_STEPS = 200
 
 #: Epigraph polishes `_MinimaxSolver.run` tries after its uniform start.
 POLISH_ROUNDS = 3
+
+#: A vertex weight above this fraction of the largest puts its vertex in
+#: the polish's active set.
+ACTIVE_FLOOR = 1e-3
 
 #: Outer ascent steps of `s_c_alternating`.
 ALTERNATING_STEPS = 60
@@ -200,6 +216,18 @@ class _DivergenceTables:
         self.groups = np.repeat(np.eye(m), self.shape[1], axis=0)
         self.start: dict[float, _InnerSolution] = {}
         self.maximin: dict[float, MonotoneResult] = {}
+
+    def restricted(self, S: np.ndarray) -> _DivergenceTables:
+        """The tables on the vertices S alone: the rows S of V, read-only,
+        with the same P, groups and shape, as `_barrier_epigraph` reads
+        them. A new object, which keeps no solve of the box: these tables
+        are never written. Its V is column-major, as the box's is, so a
+        full S makes the products of a barrier over every vertex."""
+        V = np.asfortranarray(self.V[S])
+        V.setflags(write=False)
+        view = object.__new__(_DivergenceTables)
+        view.__dict__.update(self.__dict__, V=V, n=S.size, start={}, maximin={})
+        return view
 
     def uniform_start(self, tol: float) -> _InnerSolution:
         """The inner minimization at uniform setting weights, from the
@@ -295,6 +323,11 @@ def _inner_minimize(
     lam.setflags(write=False)
     kls.setflags(write=False)
     return _InnerSolution(lam, value, max(gap, 0.0), it, kls)
+
+
+def _support(lam: np.ndarray) -> np.ndarray:
+    """The vertices whose weight is above ACTIVE_FLOOR of the largest."""
+    return np.flatnonzero(lam > ACTIVE_FLOOR * lam.max())
 
 
 def _floored(lam: np.ndarray) -> np.ndarray:
@@ -682,6 +715,7 @@ class _MinimaxSolver:
         self.lam_best: np.ndarray | None = None
         self.iterations = 0
         self.lam_warm = lam_warm
+        self.active: np.ndarray | None = None  # the polish's vertex set S
 
     @property
     def gap(self) -> float:
@@ -720,23 +754,81 @@ class _MinimaxSolver:
         return rows
 
     def polish(self) -> None:
-        """One primal-dual barrier solve of the epigraph program
-        (`_barrier_epigraph`) from the best weights so far, to its
-        central point of duality gap tol/8. The exact row values at its
-        weights bound the value from above; an inner minimization at its
-        row multipliers D, warm-started at its weights, bounds it from
-        below."""
-        n = self.tables.n
+        """Primal-dual barrier solves of the epigraph program
+        (`_barrier_epigraph`) on the active vertex set S, from the best
+        weights so far, to its central point of duality gap tol/8. The
+        exact row values at its weights, zero off S, bound the value from
+        above; an inner minimization over every vertex at its row
+        multipliers D, warm-started at its weights, bounds it from below.
+        So S decides only how fast a polish is and whether it closes the
+        bracket, never a bound.
+
+        The first polish takes S as the start weights' support (above
+        ACTIVE_FLOOR of the largest) and each row's best-response vertex
+        at them. After each barrier solve, every vertex whose Frank-Wolfe
+        reduced cost at its weights and D is positive enters S, and the
+        barrier solves again while the Frank-Wolfe gap at D is above
+        tol/2, that is, while the inner minimization at D could not close
+        the bracket (simplicial decomposition; von Hohenbalken, Math.
+        Program. 13, 1977). A polish that leaves the bracket open adds
+        the support of that inner minimizer to S as well."""
+        tables = self.tables
+        n = tables.n
         lam0 = self.lam_best if self.lam_best is not None else np.full(n, 1.0 / n)
-        polished = _barrier_epigraph(self.tables, self.M, lam0, self.gap, self.tol)
-        if polished is None:
-            return
-        lam, D = polished
-        self.observe_lam(lam, self.tables.rows(lam @ self.tables.V, self.M))
-        if self.closed:
-            return
+        if self.active is None:
+            self.active = self._start_set(lam0)
+        while True:
+            S = self.active
+            polished = _barrier_epigraph(tables.restricted(S), self.M, lam0[S], self.gap, self.tol)
+            if polished is None:
+                return
+            lam = np.zeros(n)
+            lam[S], D = polished
+            self.observe_lam(lam, tables.rows(lam @ tables.V, self.M))
+            if self.closed:
+                return
+            prices, total = self._prices(lam, (D @ self.M)[:, None])
+            self.active = np.union1d(S, np.flatnonzero(prices[:, 0] > total[0]))
+            if (prices.max() - total[0]) / LN2 <= self.tol / 2.0 or self.active.size == S.size:
+                break
+            lam0 = self.lam_best
         self.lam_warm = lam
         self.solve_at(D, self.tol / 8.0)
+        if not self.closed:
+            self.active = np.union1d(self.active, _support(self.lam_warm))
+
+    def _start_set(self, lam0: np.ndarray) -> np.ndarray:
+        """The first polish's S: the support of lam0 above ACTIVE_FLOOR of
+        its largest weight and each row's best-response vertex at lam0.
+        While uniform weights on S leave a row +inf, an outcome the row
+        weighs that no vertex of S covers, S takes each row's best
+        response at those weights too: the floored q prices such an
+        outcome near 1e300, so every row that is +inf picks a vertex that
+        covers one."""
+        tables = self.tables
+        S = np.union1d(_support(lam0), self._prices(lam0, self.M.T)[0].argmax(0))
+        while True:
+            lam = np.zeros(tables.n)
+            lam[S] = 1.0 / S.size
+            if np.isfinite(tables.rows(lam @ tables.V, self.M)).all():
+                return S
+            grown = np.union1d(S, self._prices(lam, self.M.T)[0].argmax(0))
+            if grown.size == S.size:
+                return S
+            S = grown
+
+    def _prices(self, lam: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's price of each column w of the (sA*sB, j) setting
+        weights W at vertex weights lam, q = lam @ V: one product V @ R,
+        where column j of R is P / q times w repeated per outcome; and
+        each column's total, the sum of P times w. The largest price is
+        w's best-response vertex, a price above the total a positive
+        Frank-Wolfe reduced cost, and the largest price less the total,
+        over ln 2, the Frank-Wolfe gap of w's inner minimization at lam."""
+        tables = self.tables
+        C = np.repeat(W, tables.shape[1], axis=0) * tables.P[:, None]
+        # the floor keeps an outcome that lam leaves uncovered finite
+        return tables.V @ (C / np.maximum(lam @ tables.V, 1e-300)[:, None]), C.sum(0)
 
     def run(self, start: _InnerSolution | None = None) -> None:
         """Close the bracket: the inner minimization at uniform input

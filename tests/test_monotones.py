@@ -453,12 +453,20 @@ def test_no_bracket_reports_a_negative_width():
 
 
 def test_a_tol_below_rounding_ends_in_no_convergence():
-    # the bracket of the PR box cannot close to 1e-18: the call raises
-    # the typed error, and no division by a zero slack warns on the way
+    # the bracket of noisy_pr(0.9) cannot close to 1e-18: the call raises
+    # the typed error, and no division by a zero slack warns on the way.
+    # The PR box's polish can land on its closed form to the last bit, a
+    # bracket of width 0, and that is the one other outcome allowed there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence):
-            fresh(bw.s_nl, bw.pr_box(), 1e-18)
+            fresh(bw.s_nl, noisy_pr(0.9), 1e-18)
+        try:
+            r = fresh(bw.s_nl, bw.pr_box(), 1e-18)
+        except NoConvergence:
+            return
+    assert r.gap_estimate <= 1e-18
+    assert r.value == pytest.approx(PR_STRENGTH, abs=1e-15)
 
 
 @pytest.mark.parametrize("box", ["pr_box", "noisy_pr", 0, 1, 2, 3])
@@ -736,6 +744,60 @@ def test_s_nl_closes_a_nonlocal_3333_box():
     assert r.value > 0.1
     assert bw.behavior_re(p, r.optimizer_local.reconstruct()).bits == pytest.approx(
         r.value, abs=1e-9)
+
+
+def test_s_nl_closes_a_nonlocal_4343_box():
+    # 6561 vertices: an epigraph polish over all of them did not finish in
+    # 120 s; on its active set it closes in about half a second
+    p = generalized_pr_mixture(bw.Scenario(4, 3, 4, 3), np.random.default_rng([73, 1]), 0.696)
+    r = fresh(bw.s_nl, p)
+    assert r.gap_estimate <= TOL
+    assert r.value > 0.1
+    assert bw.behavior_re(p, r.optimizer_local.reconstruct()).bits == pytest.approx(
+        r.value, abs=1e-9)
+
+
+@pytest.mark.parametrize("box", ["tsirelson", "pr_relabeling"])
+def test_pricing_repairs_a_start_set_that_misses_the_saddle(box, monkeypatch):
+    # with the floor at half the largest weight, the first active set is
+    # the heaviest start vertices and the rows' best responses; the
+    # saddle point's weights live on vertices outside it, which pricing
+    # must bring in within the polish rounds
+    p = tsirelson_4222(0) if box == "tsirelson" else pr_relabeling_mixture(7, 0.8, 1)
+    want = fresh(bw.s_nl, p)
+    sets = []
+    barrier = monotones._barrier_epigraph
+
+    def recorded(tables, *args):
+        sets.append({tuple(row) for row in tables.V})
+        return barrier(tables, *args)
+
+    monkeypatch.setattr(monotones, "ACTIVE_FLOOR", 0.5)
+    monkeypatch.setattr(monotones, "_barrier_epigraph", recorded)
+    tables = monotones._DivergenceTables(p)
+    solver = monotones._MinimaxSolver(tables, TOL)
+    solver.run(tables.uniform_start(TOL))
+    assert solver.closed
+    assert solver.lower <= solver.upper
+    weights = solver.lam_best
+    support = {tuple(row) for row in tables.V[weights > 1e-3 * weights.max()]}
+    assert support - sets[0]
+    assert abs(solver.upper - want.value) <= solver.gap + want.gap_estimate
+
+
+def test_a_polish_never_writes_the_box_tables():
+    # every polish reads a restricted copy of the vertex matrix; the box's
+    # tables keep the scenario's one shared V and its vertex count
+    p = tsirelson_4222(2)
+    sc = p.scenario
+    monotones._box = None
+    bw.s_nl(p, TOL)
+    tables = monotones._box
+    n = tables.n
+    bw.s_uc(p, TOL, restarts=1)
+    assert monotones._box is tables
+    assert tables.V is bw.local_vertex_matrix(sc)
+    assert tables.n == n == tables.V.shape[0]
 
 
 # ---------------------------------------------------------------------------
