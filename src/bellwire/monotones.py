@@ -85,13 +85,13 @@ best-response vertex at them, plus best responses until S covers every
 outcome the rows weigh. After each barrier solve, every vertex whose
 Frank-Wolfe reduced cost at its weights and multipliers is positive
 enters S, and the barrier solves again while that Frank-Wolfe gap is
-above tol/2; a polish that leaves the bracket open also adds the
-support of its inner minimizer. The polish's outputs are never trusted
-as such: the exact worst-row divergence at its vertex weights, zero
-off S, bounds the value from above, and an inner minimization over
-every vertex at its multipliers bounds it from below, so S decides only
-speed and whether a round closes, and the polish can only tighten the
-certified bracket.
+above tol/2 and still falling; a polish that leaves the bracket open
+also adds the support of its inner minimizer. The polish's outputs are
+never trusted as such: the exact worst-row divergence at its vertex
+weights, zero off S, bounds the value from above, and an inner
+minimization over every vertex at its multipliers bounds it from below,
+so S decides only speed and whether a round closes, and the polish can
+only tighten the certified bracket.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class MonotoneResult:
 
     `value` is the upper end of a closed bracket, the exact worst-row
     divergence at `optimizer_local`, and `gap_estimate` its width, never
-    negative. When
+    below the float spacing at a positive `value`. When
     `lower_bound` is set, the bracket certifies only the minimization
     over vertex weights; the outer maximization is heuristic.
     `iterations` sums the gap checks of the inner minimizations behind
@@ -720,8 +720,11 @@ class _MinimaxSolver:
     @property
     def gap(self) -> float:
         """The bracket's width; should rounding take lower above upper,
-        their disagreement, which tol must cover as well."""
-        return abs(self.upper - self.lower)
+        their disagreement, which tol must cover as well. Never below the
+        float spacing at a positive upper: two ends that round to one
+        float bound the value only to that spacing, so a tol below it
+        cannot close. No divergence is below 0, so [0, 0] has width 0."""
+        return max(abs(self.upper - self.lower), math.ulp(self.upper) if self.upper > 0.0 else 0.0)
 
     @property
     def closed(self) -> bool:
@@ -769,33 +772,43 @@ class _MinimaxSolver:
         reduced cost at its weights and D is positive enters S, and the
         barrier solves again while the Frank-Wolfe gap at D is above
         tol/2, that is, while the inner minimization at D could not close
-        the bracket (simplicial decomposition; von Hohenbalken, Math.
-        Program. 13, 1977). A polish that leaves the bracket open adds
-        the support of that inner minimizer to S as well."""
+        the bracket, and below the previous solve's (simplicial
+        decomposition; von Hohenbalken, Math. Program. 13, 1977). A gap
+        that stops falling is rounding or a set that grew past the
+        saddle's support, and the next round starts from the grown set.
+        The inner minimization runs at the last D the barrier returned,
+        also when a later barrier solve fails. A polish that leaves the
+        bracket open adds that inner minimizer's support to S as well: at
+        tols near rounding it holds vertices whose reduced cost pricing
+        reads as zero."""
         tables = self.tables
         n = tables.n
         lam0 = self.lam_best if self.lam_best is not None else np.full(n, 1.0 / n)
         if self.active is None:
             self.active = self._start_set(lam0)
+        solved, fw_gap = None, math.inf
         while True:
             S = self.active
             polished = _barrier_epigraph(tables.restricted(S), self.M, lam0[S], self.gap, self.tol)
             if polished is None:
-                return
+                break
             lam = np.zeros(n)
             lam[S], D = polished
+            solved = lam, D
             self.observe_lam(lam, tables.rows(lam @ tables.V, self.M))
             if self.closed:
                 return
             prices, total = self._prices(lam, (D @ self.M)[:, None])
             self.active = np.union1d(S, np.flatnonzero(prices[:, 0] > total[0]))
-            if (prices.max() - total[0]) / LN2 <= self.tol / 2.0 or self.active.size == S.size:
+            last, fw_gap = fw_gap, (prices.max() - total[0]) / LN2
+            if not self.tol / 2.0 < fw_gap < last or self.active.size == S.size:
                 break
             lam0 = self.lam_best
-        self.lam_warm = lam
-        self.solve_at(D, self.tol / 8.0)
-        if not self.closed:
-            self.active = np.union1d(self.active, _support(self.lam_warm))
+        if solved is not None:
+            self.lam_warm, D = solved
+            self.solve_at(D, self.tol / 8.0)
+            if not self.closed:
+                self.active = np.union1d(self.active, _support(self.lam_warm))
 
     def _start_set(self, lam0: np.ndarray) -> np.ndarray:
         """The first polish's S: the support of lam0 above ACTIVE_FLOOR of

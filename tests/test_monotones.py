@@ -453,20 +453,15 @@ def test_no_bracket_reports_a_negative_width():
 
 
 def test_a_tol_below_rounding_ends_in_no_convergence():
-    # the bracket of noisy_pr(0.9) cannot close to 1e-18: the call raises
-    # the typed error, and no division by a zero slack warns on the way.
-    # The PR box's polish can land on its closed form to the last bit, a
-    # bracket of width 0, and that is the one other outcome allowed there
+    # the brackets of the PR box and of noisy_pr(0.9) cannot close to
+    # 1e-18, below the float spacing at their values: the call raises the
+    # typed error, and no division by a zero slack warns on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence):
+            fresh(bw.s_nl, bw.pr_box(), 1e-18)
+        with pytest.raises(NoConvergence):
             fresh(bw.s_nl, noisy_pr(0.9), 1e-18)
-        try:
-            r = fresh(bw.s_nl, bw.pr_box(), 1e-18)
-        except NoConvergence:
-            return
-    assert r.gap_estimate <= 1e-18
-    assert r.value == pytest.approx(PR_STRENGTH, abs=1e-15)
 
 
 @pytest.mark.parametrize("box", ["pr_box", "noisy_pr", 0, 1, 2, 3])
@@ -783,6 +778,59 @@ def test_pricing_repairs_a_start_set_that_misses_the_saddle(box, monkeypatch):
     support = {tuple(row) for row in tables.V[weights > 1e-3 * weights.max()]}
     assert support - sets[0]
     assert abs(solver.upper - want.value) <= solver.gap + want.gap_estimate
+
+
+@pytest.mark.parametrize("fails", ["second", "after_first"])
+def test_a_failed_later_barrier_solve_keeps_the_earlier_one(fails, monkeypatch):
+    # this box's first polish solves the barrier on three growing active
+    # sets. When a later solve fails, the polish still runs its inner
+    # minimization, at the D of the last solve that returned; when only
+    # the second fails, the run still closes
+    p = generalized_pr_mixture(bw.Scenario(3, 3, 3, 3), np.random.default_rng([73, 1]), 0.696)
+    barrier, inner = monotones._barrier_epigraph, monotones._inner_minimize
+    returned, weights = [], []
+
+    def failing(tables, *args):
+        returned.append(None)
+        if len(returned) == 1 or (fails == "second" and len(returned) > 2):
+            returned[-1] = barrier(tables, *args)
+        return returned[-1]
+
+    def recorded(tables, w, **kwargs):
+        weights.append(w)
+        return inner(tables, w, **kwargs)
+
+    tables = monotones._DivergenceTables(p)
+    solver = monotones._MinimaxSolver(tables, TOL)
+    solver.take(np.full(solver.k, 1.0 / solver.k), tables.uniform_start(TOL))
+    monkeypatch.setattr(monotones, "_barrier_epigraph", failing)
+    monkeypatch.setattr(monotones, "_inner_minimize", recorded)
+    solver.polish()
+    assert len(returned) == 2 and returned[1] is None
+    assert len(weights) == 1
+    np.testing.assert_array_equal(weights[0], returned[0][1] @ solver.M)
+    assert solver.lower <= solver.upper
+    if fails == "second":
+        solver.run(tables.uniform_start(TOL))
+        assert solver.closed
+
+
+def test_an_open_polish_adds_its_inner_minimizers_support(monkeypatch):
+    # at 1e-14 the first polish of tsirelson_4222(0) prices no vertex in
+    # and stays open; its inner minimizer's support brings in the
+    # vertices the second polish closes on. Without them every round
+    # solves on the same set and the call raises NoConvergence
+    barrier = monotones._barrier_epigraph
+    sizes = []
+
+    def recorded(tables, *args):
+        sizes.append(tables.n)
+        return barrier(tables, *args)
+
+    monkeypatch.setattr(monotones, "_barrier_epigraph", recorded)
+    r = fresh(bw.s_nl, tsirelson_4222(0), 1e-14)
+    assert r.gap_estimate <= 1e-14
+    assert len(sizes) == 2 and sizes[1] > sizes[0]
 
 
 def test_a_polish_never_writes_the_box_tables():
