@@ -14,9 +14,13 @@
 # the best-response maximum), the same eval as CSV, whose
 # certificate cell must load through `jsonio.certificate_from_json`, `eval
 # local_check` on a random local 4343 box written by
-# `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order;
-# the local model's weights must load through `jsonio.local_model_from_json`
-# and, in canonical vertex order, reconstruct the box), `eval su` on the
+# `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order,
+# 1,789 pivots from the crash basis; the local model's weights must load
+# through `jsonio.local_model_from_json` and, in canonical vertex order,
+# reconstruct the box), `eval local_check` on a signaling 4343 box (the
+# crash basis on the infeasible path: it must not be local, and its Bell
+# certificate must load through `jsonio.certificate_from_json` and
+# separate the box), `eval su` on the
 # same box (a cold inner minimization by Newton's method on the dual over
 # 6561 vertices; its value must be at most 1e-6 and its gap at most the
 # engine's start gap 1e-6/32 for 16 settings), `eval snl` on nonlocal
@@ -105,6 +109,22 @@ with open(sys.argv[2]) as f:
 assert report["is_local"] is True, "the random 4343 box is local"
 model = jsonio.local_model_from_json(json.dumps(report["model"]))
 assert model.matches(p), "the local model does not reconstruct the 4343 box"
+EOF_PY
+python -c "import bellwire as bw; print(bw.jsonio.behavior_to_json(bw.random_behavior(bw.Scenario(4, 3, 4, 3), 1)))" > "$tmp/signaling4343.json"
+bellwire eval local_check --in "$tmp/signaling4343.json" > "$tmp/nonlocal4343.json"
+python - "$tmp/signaling4343.json" "$tmp/nonlocal4343.json" <<'EOF_PY'
+import json
+import sys
+
+from bellwire import jsonio
+
+with open(sys.argv[1]) as f:
+    p = jsonio.behavior_from_json(f.read())
+with open(sys.argv[2]) as f:
+    report = json.load(f)
+assert report["is_local"] is False, "the signaling 4343 box is not local"
+cert = jsonio.certificate_from_json(json.dumps(report["certificate"]))
+assert cert.value_on(p) > cert.local_bound, "the certificate does not separate the 4343 box"
 EOF_PY
 bellwire eval su --in "$tmp/box4343.json" > "$tmp/su4343.json"
 python -c "import json, sys; r = json.load(open(sys.argv[1])); v, g = r['value'], r['gap_estimate']; assert v <= 1e-6 and g <= 1e-6 / 32, f'4343 s_u value {v}, gap {g}'" "$tmp/su4343.json"

@@ -4,13 +4,14 @@ The local set is the convex hull of deterministic strategy pairs.
 Membership is decided by LP feasibility over the explicit vertex list,
 which the LP sees ranked from best to worst fit to the behavior (vertex
 v scores v . p), so that Bland's smallest improving index is the
-best-fitting improving vertex; a local model's weights are mapped back
-to the canonical vertex order. Both possible answers come with
-certificates that re-verify without trusting the solver: a `LocalModel`
-(convex weights that reconstruct the behavior, checked against the dense
-vertex matrix) or a `BellCertificate` (a separating functional whose
-value on the behavior exceeds its exhaustive maximum over all vertices,
-re-checked by best response).
+best-fitting improving vertex, and starts from a greedy crash basis; a
+local model's weights are mapped back to the canonical vertex order.
+Both possible answers come with certificates that re-verify without
+trusting the solver: a `LocalModel` (convex weights that reconstruct the
+behavior, checked against the dense vertex matrix) or a
+`BellCertificate` (a separating functional whose value on the behavior
+exceeds its exhaustive maximum over all vertices, re-checked by best
+response).
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class Vertices:
       vertices, max_alpha sum_y max_b sum_x c[x, y, alpha(x), b]: c
       gathered at Alice's digits, Bob's best response in closed form.
       It shares nothing with `price`, so it re-checks a certificate
-      bound independently of the LP.
+      bound independently of the LP;
+    * `crash(b, order)`, a feasible start basis for the membership LP.
     """
 
     def __init__(self, scenario: Scenario):
@@ -141,6 +143,53 @@ class Vertices:
         out[self._rowA[idx // self.nB] + self._rowB[idx % self.nB],
             np.arange(len(idx))[:, None]] = 1.0
         return out
+
+    def crash(self, b: np.ndarray, order: np.ndarray) -> np.ndarray:
+        """A primal-feasible, triangular start basis for [V^T; 1] w = b,
+        b >= 0, with column k the vertex order[k]: a greedy peel of b
+        (Bixby's crash, ORSA J. Comput. 4, 1992). A vertex's capacity is
+        the least residual on its support, the largest weight it can
+        take. The vertex of largest capacity takes it (ties go to the
+        least k), its support is reduced by it, and the artificial of
+        its tightest row, now exactly 0, leaves the basis. This repeats
+        until no capacity exceeds 1e-12, so at most m vertices enter.
+        A later vertex has positive capacity, so it is zero on every
+        earlier leaving row: the structural block is triangular with a
+        unit diagonal, and the basic values are the capacities and the
+        residuals, all >= 0. The result is the basic column of every
+        row, n + i for artificial i, as `lp.solve_lp`'s `start` takes it.
+        """
+        m, n = self.shape
+        start = np.arange(n, n + m)
+        residual = np.array(b, dtype=float)
+        alice_rows, bob_cols = self._capacity_index
+        while True:
+            # T[alpha, (y, b)] = min_x residual[x, y, alpha(x), b], and the
+            # capacity of (alpha, beta) is min_y T[alpha, (y, beta(y))] and
+            # the normalization row's residual, read in LP column order
+            T = residual.take(alice_rows).min(axis=1)
+            capacity = np.minimum(T[:, bob_cols].min(axis=1).reshape(-1),
+                                  residual[-1]).take(order)
+            k = int(capacity.argmax())  # the first, best-ranked, of the ties
+            c = capacity[k]
+            if c <= 1e-12:
+                return start
+            v = order[k]
+            rows = self._rowA[v // self.nB] + self._rowB[v % self.nB]
+            start[rows[np.argmin(residual[rows])]] = k
+            residual[rows] -= c
+
+    @cached_property
+    def _capacity_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """`crash`'s gathers: the flat row (x, y, alice[alpha, x], b) at
+        [alpha, x, (y, b)], and the column (y, bob[beta, y]) of a
+        (y, b)-indexed row at [y, beta]."""
+        sA, sB, rA, rB = self.table_shape
+        x, y_b = np.arange(sA)[:, None], np.arange(sB * rB)
+        alice_rows = (x * sB * rA + self.alice[:, :, None] + y_b // rB * rA) * rB + y_b % rB
+        bob_cols = np.arange(sB)[:, None] * rB + self.bob.T
+        alice_rows.flags.writeable = bob_cols.flags.writeable = False  # shared by `of`
+        return alice_rows, bob_cols
 
     def best(self, c) -> float:
         c = np.asarray(c, dtype=float).reshape(self.table_shape)
@@ -300,7 +349,9 @@ def is_no_signaling(p: Behavior, tol: float = 1e-9) -> NoSignalingReport:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Verdict of a local-polytope membership query with its certificate."""
+    """Verdict of a local-polytope membership query with its certificate.
+    `lp_iterations` counts the simplex pivots from the crash basis; the
+    vertices the crash itself placed are not counted."""
 
     is_local: bool
     model: LocalModel | None
@@ -322,7 +373,9 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     to v's outcomes, and ties keep the canonical order. Under Bland's
     rule the smallest improving index is then the best-fitting improving
     vertex, and the rule still terminates, as it does under any fixed
-    column order. The LP's weights are scattered back to the canonical
+    column order. Phase 1 starts from `Vertices.crash`, a feasible
+    triangular basis peeled greedily off (p, 1): the vertex that can take
+    the largest weight enters first, ties going to the best-fitting one. The LP's weights are scattered back to the canonical
     vertex order before the `LocalModel` is built; the Farkas dual is
     per row and needs no mapping. Either certificate is re-verified
     independently of the solver before being returned: a local model
@@ -336,7 +389,8 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     # by keyword: perfbench/tracing.py wraps lp.solve_lp and reads A from
     # the `A` keyword, else from the second positional argument, which a
     # positional (A, b) call would fill with b
-    res = lp.solve_lp(A=_Ranked(vertices, order), b=b, pivot=pivot, feas_tol=tol)
+    res = lp.solve_lp(A=_Ranked(vertices, order), b=b, pivot=pivot, feas_tol=tol,
+                      start=vertices.crash(b, order))
     if res.feasible:
         w = np.empty_like(res.x)
         w[order] = np.clip(res.x, 0.0, None)

@@ -1,12 +1,22 @@
 """Revised phase-1 simplex: feasibility of {x >= 0 : A x = b}.
 
 Rows with b_i < 0 are sign-flipped, one artificial unit column is added
-per row, and the simplex minimizes the artificial total from the
-artificial basis. The system is feasible when that total ends at most
-feas_tol; x is then read off the exit basis. Otherwise the phase-1
-multipliers y, mapped back through the sign flip, satisfy y.A <= 0
-(componentwise over columns) and y.b > 0: a Farkas certificate of
-infeasibility.
+per row, and the simplex minimizes the artificial total, by default
+from the artificial basis. The system is feasible when that total ends
+at most feas_tol; x is then read off the exit basis. Otherwise the
+phase-1 multipliers y, mapped back through the sign flip, satisfy
+y.A <= 0 (componentwise over columns) and y.b > 0: a Farkas certificate
+of infeasibility.
+
+A caller may hand in a start basis instead: one column per row, where
+n + i stands for artificial i, as a crash basis gives (Bixby, ORSA J.
+Comput. 4, 1992; `geometry.Vertices.crash` builds one for the
+membership LP). It is factorized before the first pivot and must be
+primal feasible, each basic value at least -feas_tol (those in
+[-feas_tol, 0) are clipped to 0). Phase 1 then runs from it as from
+the artificial basis, and Bland's rule still terminates, as it does
+from any feasible basis (Bland, Math. Oper. Res. 2, 1977). The
+iteration count is the number of pivots from the start basis.
 
 The solver keeps an explicit m x m basis inverse, updates it by one
 rank-1 step per pivot and refactorizes it every REFACTOR_EVERY pivots.
@@ -38,6 +48,10 @@ pick a pivot: in the ratio test, an element below 1e-6 of its column's
 largest entry is re-read on a fresh factorization before it is accepted.
 Artificials may stay basic at the exit, on redundant rows or where the
 system is degenerate, with a total of at most feas_tol; x drops them.
+The exit basis is held to the same test as a start basis: a basic
+value below -feas_tol on the fresh factorization raises
+`SolverFailure`, so a basis the ratio tests let slip is reported by the
+LP, not by a certificate check downstream.
 """
 
 from __future__ import annotations
@@ -135,7 +149,7 @@ class _Basis:
         try:
             S_inv = np.linalg.inv(S[free])
         except np.linalg.LinAlgError as exc:
-            raise SolverFailure("simplex basis became singular") from exc
+            raise SolverFailure("simplex basis is singular") from exc
         inv = np.zeros((self.m, self.m))
         inv[s[:, None], free] = S_inv
         inv[a[:, None], free] = -S[covered] @ S_inv
@@ -143,6 +157,14 @@ class _Basis:
         self.inv = inv
         self.xB = inv @ self.b
         self.stale = 0
+
+    def require_feasible(self, feas_tol: float, error: type[Exception], what: str) -> None:
+        """Raise `error` when a basic value is below -feas_tol, naming the
+        lowest one and its column."""
+        r = int(np.argmin(self.xB))
+        if self.xB[r] < -feas_tol:
+            raise error(f"{what} basis is primal infeasible: basic column {self.basis[r]} "
+                        f"has value {self.xB[r]:.3g}, below -feas_tol = {-feas_tol:.3g}")
 
     def duals(self) -> np.ndarray:
         """Simplex multipliers of the sign-flipped rows: c_B B^-1."""
@@ -228,16 +250,30 @@ def _phase1(B: _Basis, pivot: str) -> int:
             )
 
 
-def solve_lp(A, b: np.ndarray, *, pivot: str = "bland", feas_tol: float = 1e-9) -> LpResult:
+def _start_columns(start, m: int, n: int) -> np.ndarray:
+    basis = np.asarray(start)
+    if (basis.shape != (m,) or basis.dtype.kind not in "iu"
+            or np.unique(basis).size != m or np.any((basis < 0) | (basis >= n + m))):
+        raise ParameterOutOfRange(
+            f"a start basis needs {m} distinct integer columns in [0, {n + m})")
+    return basis.astype(np.intp)
+
+
+def solve_lp(A, b: np.ndarray, *, pivot: str = "bland", feas_tol: float = 1e-9,
+             start=None) -> LpResult:
     """Feasibility of {x >= 0 : A x = b} by phase 1 of the simplex.
 
     `A` is a dense (m, n) array or a column source (see the module
-    docstring). Feasible when the artificial total ends at most
+    docstring). `start`, if given, is the basic column of every row
+    (n + i for artificial i); phase 1 starts there instead of at the
+    artificial basis. Feasible when the artificial total ends at most
     feas_tol, with x read off the exit basis; otherwise infeasible,
     with the Farkas dual y (y.A <= 0, y.b > 0) of the equality rows.
     `ParameterOutOfRange` when an argument is not numeric, the pivot
-    rule is unknown or feas_tol is not positive and finite;
-    `LengthMismatch` when b does not have m entries.
+    rule is unknown, feas_tol is not positive and finite, or start is
+    not m distinct columns or is primal infeasible; `LengthMismatch`
+    when b does not have m entries; `SolverFailure` when start is
+    singular or the exit basis is primal infeasible.
     """
     if pivot not in PIVOT_RULES:
         raise ParameterOutOfRange(f"unknown pivot rule {pivot!r}")
@@ -252,7 +288,13 @@ def solve_lp(A, b: np.ndarray, *, pivot: str = "bland", feas_tol: float = 1e-9) 
 
     sign = np.where(b < 0, -1.0, 1.0)
     B = _Basis(cols, sign, b * sign)
+    if start is not None:
+        B.basis = _start_columns(start, m, n)
+        B.refactor()
+        B.require_feasible(feas_tol, ParameterOutOfRange, "start")
+        np.maximum(B.xB, 0.0, out=B.xB)
     iterations = _phase1(B, pivot)
+    B.require_feasible(feas_tol, SolverFailure, "exit")
     z1 = float(B.xB[B.basis >= n].sum())
     if z1 > feas_tol:
         # Farkas dual of the sign-flipped system, mapped back.

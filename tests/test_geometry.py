@@ -361,20 +361,23 @@ def test_membership_matches_highs(key):
 
 
 def test_membership_matches_highs_on_random_4343_box():
-    # a local box: Bland's rule decides it in 15,681 pivots over the
-    # best-fit vertex order (60,047 over the canonical one), Dantzig's
-    # in 264
+    # a local box: from the crash basis, Bland's rule decides it in 1,789
+    # pivots and Dantzig's in 136; from the artificial basis they took
+    # 15,681 and 264 (60,047 and 264 over the canonical vertex order)
     p = bw.random_ns_behavior(bw.Scenario(4, 3, 4, 3), 5)
     expected = _highs_is_local(p)
     for pivot in ("dantzig", "bland"):
         res = bw.is_local(p, pivot=pivot)
         assert res.is_local == expected
         _assert_certified(p, res)
+        if pivot == "bland":
+            assert res.lp_iterations <= 3000
 
 
 def test_bland_decides_a_nonlocal_4343_box_in_few_pivots():
     # Bland's rule took 9,107 pivots here over the canonical vertex order
-    # and takes 470 over the best-fit one
+    # and 470 over the best-fit one; from the crash basis (31 vertices)
+    # it takes 565
     p = _embedded_pr(bw.Scenario(4, 3, 4, 3), 0.6, 1)
     expected = _highs_is_local(p)
     for pivot in ("bland", "dantzig"):
@@ -383,6 +386,48 @@ def test_bland_decides_a_nonlocal_4343_box_in_few_pivots():
         _assert_certified(p, res)
         if pivot == "bland":
             assert res.lp_iterations <= 2000
+
+
+@pytest.mark.parametrize("key", [
+    (2, 2, 2, 2), (3, 2, 3, 2), (4, 2, 4, 2), (3, 3, 3, 3), (5, 2, 5, 2), (4, 3, 4, 3),
+])
+def test_crash_basis_is_a_feasible_triangular_start(key):
+    from bellwire.geometry import Vertices
+
+    sc = bw.Scenario(*key)
+    vertices = Vertices.of(sc)
+    V = bw.local_vertex_matrix(sc)
+    m, n = vertices.shape
+    rng = np.random.default_rng(1)
+    mixed = rng.choice(n, min(n, 12), replace=False)
+    boxes = {"local": bw.Behavior(sc, (rng.dirichlet(np.ones(mixed.size)) @ V[mixed])
+                                  .reshape(sc.shape)),
+             "no-signaling": bw.random_ns_behavior(sc, 1),
+             "nonlocal": _embedded_pr(sc, 0.9, 1), "signaling": bw.random_behavior(sc, 1)}
+    for kind, p in boxes.items():
+        expected = _highs_is_local(p)
+        assert kind == "no-signaling" or expected == (kind == "local")
+        b = np.append(p.flat(), 1.0)
+        order = np.argsort(-vertices.price(np.append(p.flat(), 0.0)), kind="stable")
+        start = vertices.crash(b, order)
+        structural = start < n
+        assert 0 < structural.sum() <= m
+        assert np.array_equal(np.sort(start), np.unique(start))
+        # the basis matrix: vertex order[k] for column k, e_i for n + i
+        B = np.eye(m)
+        B[:, structural] = vertices.columns(order[start[structural]])
+        # the structural block on the rows the crash took is a 0/1
+        # matrix that is triangular with a unit diagonal up to
+        # permutation, so its determinant is +-1
+        rows = np.flatnonzero(structural)
+        assert abs(np.linalg.det(B[np.ix_(rows, rows)])) == pytest.approx(1.0, abs=1e-9)
+        z = np.linalg.solve(B, b)
+        assert z.min() >= -1e-12
+        assert z[structural].min() > 1e-12  # each vertex took a positive weight
+        for pivot in ("bland", "dantzig"):
+            res = bw.is_local(p, pivot=pivot)
+            assert res.is_local == expected
+            _assert_certified(p, res)
 
 
 def _deterministic_box(sc, alice, bob):

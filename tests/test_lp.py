@@ -5,6 +5,7 @@ from scipy.optimize import linprog
 import bellwire as bw
 from bellwire import lp
 from bellwire.errors import ParameterOutOfRange, SolverFailure
+from bellwire.geometry import Vertices
 from bellwire.lp import solve_lp
 
 
@@ -72,6 +73,66 @@ def test_pivot_rules_agree_on_feasibility():
         assert r1.feasible == r2.feasible
 
 
+def _random_start(A, b, rng, tries=50):
+    """The largest primal-feasible basis among random tries: k random
+    columns of A at k random rows, artificials elsewhere."""
+    m, n = A.shape
+    signed = A * np.where(b < 0, -1.0, 1.0)[:, None]
+    best = np.arange(n, n + m)
+    for k in rng.integers(1, min(m, n) + 1, size=tries):
+        rows, cols = rng.choice(m, k, replace=False), rng.choice(n, k, replace=False)
+        B = np.eye(m)
+        B[:, rows] = signed[:, cols]
+        if abs(np.linalg.det(B)) < 1e-3:
+            continue
+        if np.all(np.linalg.solve(B, np.abs(b)) >= 0) and k > np.sum(best < n):
+            best = np.arange(n, n + m)
+            best[rows] = cols
+    return best
+
+
+@pytest.mark.parametrize("pivot", ["bland", "dantzig"])
+def test_a_feasible_start_gives_the_verdicts_of_the_artificial_start(pivot):
+    # the instances of test_matches_scipy_on_random_instances
+    rng = np.random.default_rng(42)
+    start_rng = np.random.default_rng(1)
+    structurals = []
+    for _ in range(60):
+        m, n = rng.integers(2, 6), rng.integers(3, 9)
+        A = rng.normal(size=(m, n))
+        if rng.random() < 0.5:
+            b = A @ rng.uniform(0.1, 1.0, size=n)
+        else:
+            b = rng.normal(size=m)
+        start = _random_start(A, b, start_rng)
+        structurals.append(int(np.sum(start < n)))
+        mine = solve_lp(A, b, pivot=pivot, start=start)
+        ref = linprog(np.zeros(n), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert mine.feasible == (ref.status == 0) == solve_lp(A, b, pivot=pivot).feasible
+        if mine.feasible:
+            _check_feasible(A, b, mine)
+        else:
+            _check_farkas(A, b, mine)
+    # most starts hold structural columns, some of them several
+    assert sum(k > 0 for k in structurals) > 40 and max(structurals) >= 3
+
+
+def test_a_start_must_be_a_feasible_basis():
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    b = np.array([1.0, 0.2])
+    # column 1 on row 0: x1 = 1 and artificial 1 = 1.2
+    assert solve_lp(A, b, start=[1, 3]).feasible
+    # column 1 on row 1: x1 = -0.2
+    with pytest.raises(ParameterOutOfRange, match="start basis is primal infeasible"):
+        solve_lp(A, b, start=[2, 1])
+    for start in ([2], [2, 2], [2, 4], [-1, 3], [2.0, 3.0]):
+        with pytest.raises(ParameterOutOfRange, match="distinct integer columns"):
+            solve_lp(A, b, start=start)
+    # columns 0 and 1 of [[1, 1], [1, 1]] are one column twice
+    with pytest.raises(SolverFailure, match="singular"):
+        solve_lp(np.ones((2, 2)), np.ones(2), start=[0, 1])
+
+
 def _random_systems(m, n, seed):
     """A feasible system (A, b) and an infeasible one (A2, b2): the same
     rows plus sum(x) = 0.9 * its least feasible value."""
@@ -136,13 +197,39 @@ def test_long_solves_cross_refactorizations(pivot, size, monkeypatch):
     _check_farkas(A2, b2, res)
 
 
+class _Stop(Exception):
+    pass
+
+
+def _basis_after(A, b, pivot, pivots, monkeypatch):
+    """The basis phase 1 reaches after `pivots` pivots from the
+    artificial start: primal feasible, as every basis it passes."""
+
+    class Recording(lp._Basis):
+        done = 0
+
+        def pivot(self, r, j, alpha):
+            super().pivot(r, j, alpha)
+            self.done += 1
+            if self.done == pivots:
+                raise _Stop(self.basis.copy())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_Basis", Recording)
+        with pytest.raises(_Stop) as stop:
+            solve_lp(A, b, pivot=pivot)
+    return stop.value.args[0]
+
+
 def test_verdicts_are_read_on_a_fresh_factorization(monkeypatch):
     # The basic values drift by 1e-9 after every rank-1 update, far above
     # rounding. x and the artificial total must still be exact for the
     # exit basis, and that basis must be freshly factorized when the
     # result is read. (Drift in the inverse itself would also perturb the
     # reduced costs of basic columns past RC_TOL, and the no-op pivots
-    # that follow end only at the next refactorization.)
+    # that follow end only at the next refactorization.) Each system is
+    # solved from the artificial basis and from the basis a clean solve
+    # reaches after 20 pivots.
     rng = np.random.default_rng(0)
     solves = []
 
@@ -156,21 +243,55 @@ def test_verdicts_are_read_on_a_fresh_factorization(monkeypatch):
             if self.stale:
                 self.xB += 1e-9 * rng.standard_normal(self.xB.shape)
 
-    monkeypatch.setattr(lp, "_Basis", Drifting)
     monkeypatch.setattr(lp, "REFACTOR_EVERY", 20)
     (A, b), (A2, b2) = _random_systems(60, 600, seed=0)
     for pivot in ("bland", "dantzig"):
-        res = solve_lp(A, b, pivot=pivot)
-        assert res.iterations > 3 * lp.REFACTOR_EVERY
-        assert solves[-1].stale == 0
-        # the ratio tests saw noisy values, so the exit basis may be
-        # primal infeasible by the noise level; A x = b holds exactly
-        _check_feasible(A, b, res, x_tol=1e-7)
-        res = solve_lp(A2, b2, pivot=pivot)
-        assert res.iterations > 3 * lp.REFACTOR_EVERY
-        assert solves[-1].stale == 0
-        _check_farkas(A2, b2, res)
-        assert res.phase1_objective == pytest.approx(res.dual @ b2, abs=1e-12)
+        for start, start2 in ((None, None), (_basis_after(A, b, pivot, 20, monkeypatch),
+                                             _basis_after(A2, b2, pivot, 20, monkeypatch))):
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "_Basis", Drifting)
+                res = solve_lp(A, b, pivot=pivot, start=start)
+                assert res.iterations > 3 * lp.REFACTOR_EVERY
+                assert solves[-1].stale == 0
+                # the ratio tests saw noisy values, so the exit basis may
+                # be primal infeasible by the noise level; A x = b holds
+                # exactly
+                _check_feasible(A, b, res, x_tol=1e-7)
+                res = solve_lp(A2, b2, pivot=pivot, start=start2)
+                assert res.iterations > 3 * lp.REFACTOR_EVERY
+                assert solves[-1].stale == 0
+                _check_farkas(A2, b2, res)
+                assert res.phase1_objective == pytest.approx(res.dual @ b2, abs=1e-12)
+
+
+@pytest.mark.parametrize("from_start", [False, True])
+def test_an_infeasible_exit_basis_is_a_solver_failure(from_start, monkeypatch):
+    # Drift in the basic values can make a ratio test choose a leaving
+    # row whose true ratio is not the least; the basis is then primal
+    # infeasible on every later factorization. Here the last pivot of a
+    # solve is misled outright, to the row of the largest ratio. The LP
+    # must refuse the exit basis, naming a negative basic value, rather
+    # than hand back an x < 0.
+    (A, b), _ = _random_systems(60, 600, seed=0)
+    for pivot in ("bland", "dantzig"):
+        start = _basis_after(A, b, pivot, 20, monkeypatch) if from_start else None
+        last = solve_lp(A, b, pivot=pivot, start=start).iterations
+
+        class Misled(lp._Basis):
+            done = 0
+
+            def pivot(self, r, j, alpha):
+                self.done += 1
+                if self.done == last:
+                    rows = np.flatnonzero(alpha > lp.PIV_TOL)
+                    r = rows[np.argmax(self.xB[rows] / alpha[rows])]
+                super().pivot(r, j, alpha)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_Basis", Misled)
+            with pytest.raises(SolverFailure, match="exit basis is primal infeasible: "
+                               r"basic column \d+ has value -"):
+                solve_lp(A, b, pivot=pivot, start=start)
 
 
 def test_drift_in_the_inverse_cannot_choose_a_pivot(monkeypatch):
@@ -178,11 +299,14 @@ def test_drift_in_the_inverse_cannot_choose_a_pivot(monkeypatch):
     # update lifts exact zeros of alpha = B^-1 a_j past PIV_TOL. On this
     # membership LP (101 rows of rank 36, so many artificials stay basic
     # at zero) such an element can win the ratio test, and pivoting on it
-    # made the next refactorization singular in 9 of these 12 solves. A
-    # pivot element that small relative to its column is re-read on a
-    # fresh factorization first.
+    # made the next refactorization singular in 9 of these 12 solves from
+    # the artificial basis. A pivot element that small relative to its
+    # column is re-read on a fresh factorization first. The solves run
+    # from the artificial basis, then from the crash basis `is_local`
+    # starts from.
     p = bw.random_ns_behavior(bw.Scenario(5, 2, 5, 2), 0)
     expected = bw.is_local(p).is_local
+    m, n = Vertices.of(p.scenario).shape
     rng = np.random.default_rng(0)
 
     class Drifting(lp._Basis):
@@ -192,10 +316,14 @@ def test_drift_in_the_inverse_cannot_choose_a_pivot(monkeypatch):
                 self.inv += rng.uniform(1e-10, 1e-9) * rng.standard_normal(self.inv.shape)
 
     monkeypatch.setattr(lp, "_Basis", Drifting)
-    for _ in range(6):
-        for pivot in ("bland", "dantzig"):
-            # the certificate is re-checked on construction
-            assert bw.is_local(p, pivot=pivot).is_local == expected
+    for crash in (False, True):
+        with monkeypatch.context() as patch:
+            if not crash:
+                patch.setattr(Vertices, "crash", lambda self, b, order: np.arange(n, n + m))
+            for _ in range(6):
+                for pivot in ("bland", "dantzig"):
+                    # the certificate is re-checked on construction
+                    assert bw.is_local(p, pivot=pivot).is_local == expected
 
 
 def test_drift_in_the_inverse_keeps_face_boxes_local(monkeypatch):
