@@ -375,9 +375,10 @@ def is_local(p: Behavior, tol: float = 1e-8, pivot: str = "bland") -> Membership
     vertex, and the rule still terminates, as it does under any fixed
     column order. Phase 1 starts from `Vertices.crash`, a feasible
     triangular basis peeled greedily off (p, 1): the vertex that can take
-    the largest weight enters first, ties going to the best-fitting one. The LP's weights are scattered back to the canonical
-    vertex order before the `LocalModel` is built; the Farkas dual is
-    per row and needs no mapping. Either certificate is re-verified
+    the largest weight enters first, ties going to the best-fitting one.
+    The LP's weights are scattered back to the canonical vertex order
+    before the `LocalModel` is built; the Farkas dual is per row and
+    needs no mapping. Either certificate is re-verified
     independently of the solver before being returned: a local model
     against the dense vertex matrix, a Bell certificate's bound by
     `Vertices.best`. tol is the LP's feasibility tolerance; `solve_lp`

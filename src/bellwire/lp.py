@@ -48,10 +48,12 @@ pick a pivot: in the ratio test, an element below 1e-6 of its column's
 largest entry is re-read on a fresh factorization before it is accepted.
 Artificials may stay basic at the exit, on redundant rows or where the
 system is degenerate, with a total of at most feas_tol; x drops them.
-The exit basis is held to the same test as a start basis: a basic
-value below -feas_tol on the fresh factorization raises
-`SolverFailure`, so a basis the ratio tests let slip is reported by the
-LP, not by a certificate check downstream.
+Every fresh factorization in phase 1, that of the exit basis included,
+is held to the same test as a start basis: a basic value below
+-feas_tol raises `SolverFailure`. So a basis that drift led a ratio test to make
+primal infeasible is reported within REFACTOR_EVERY pivots, by the LP,
+not by a certificate check downstream, and Bland's rule never runs on
+from it toward MAX_PIVOTS.
 """
 
 from __future__ import annotations
@@ -217,11 +219,15 @@ def _choose_leaving(
     return int(ties[0])
 
 
-def _phase1(B: _Basis, pivot: str) -> int:
-    """Minimize the artificial total from B; the number of pivots."""
+def _phase1(B: _Basis, pivot: str, feas_tol: float) -> int:
+    """Minimize the artificial total from B; the number of pivots. Raises
+    `SolverFailure` at a fresh factorization with a basic value below
+    -feas_tol."""
     allowed = np.ones(B.n + B.m, dtype=bool)
     iterations = 0
     while True:
+        if not B.stale:
+            B.require_feasible(feas_tol, SolverFailure, "refactorized")
         col = _choose_entering(B.reduced_costs(B.duals()), allowed, pivot)
         if col is None:
             if B.stale:
@@ -273,7 +279,8 @@ def solve_lp(A, b: np.ndarray, *, pivot: str = "bland", feas_tol: float = 1e-9,
     rule is unknown, feas_tol is not positive and finite, or start is
     not m distinct columns or is primal infeasible; `LengthMismatch`
     when b does not have m entries; `SolverFailure` when start is
-    singular or the exit basis is primal infeasible.
+    singular or a fresh factorization in phase 1, the exit basis
+    included, is primal infeasible.
     """
     if pivot not in PIVOT_RULES:
         raise ParameterOutOfRange(f"unknown pivot rule {pivot!r}")
@@ -293,8 +300,7 @@ def solve_lp(A, b: np.ndarray, *, pivot: str = "bland", feas_tol: float = 1e-9,
         B.refactor()
         B.require_feasible(feas_tol, ParameterOutOfRange, "start")
         np.maximum(B.xB, 0.0, out=B.xB)
-    iterations = _phase1(B, pivot)
-    B.require_feasible(feas_tol, SolverFailure, "exit")
+    iterations = _phase1(B, pivot, feas_tol)
     z1 = float(B.xB[B.basis >= n].sum())
     if z1 > feas_tol:
         # Farkas dual of the sign-flipped system, mapped back.

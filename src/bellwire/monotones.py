@@ -15,9 +15,9 @@ width, so value - gap_estimate is a certified lower bound, never below 0.
   the input distribution, so input-side best responses are point
   masses on the worst setting.
 * `s_c` — equal to `s_nl` by the minimax theorem; reported with a
-  maximin input distribution D, the input weights whose inner
-  minimization set the bracket's lower bound: the minimum over vertex
-  weights at D is certified to be at least the value minus the gap. A
+  maximin input distribution D, the input weights whose certified
+  inner minimum set the bracket's lower bound: the minimum over vertex
+  weights at D is at least the value minus the gap. A
   direct alternating max-min evaluation (`s_c_alternating`) keeps its
   own ascent dynamics so the two routes can cross-validate.
 * `s_uc` — the same game restricted to product input distributions.
@@ -56,19 +56,17 @@ a fresh solve, iteration counts included; another box gets new tables.
 The inner minimization over vertex weights is maximum-likelihood
 estimation of mixture proportions, and its stopping certificate is the
 Frank-Wolfe gap, whose linear subproblem is exact enumeration over the
-deterministic vertices. A cold solve, from the barycenter, runs a
-primal-dual interior-point Newton method on the problem's dual, whose
-unknowns are one per active entry of the box, not one per vertex, and
-whose slack multipliers are the vertex weights: it closes the uniform
-start of a 4222 box in about 12 steps where the first-order steps below
-take about 430. A warm solve, from weights an earlier solve left, first
-makes up to WARM_STEPS multiplicative (expectation-maximization form)
-steps, which keep full support and never walk into the +inf boundary.
-They close the engine's warm starts in a few steps, each cheaper than a
-Newton step; a warm solve they leave open hands over to the Newton
-method from the barycenter. A Newton run that stops above its gap (its
-step cap or a singular system) is finished by multiplicative steps from
-its best weights.
+deterministic vertices. One method solves it: a primal-dual
+interior-point Newton method on the problem's dual, whose unknowns are
+one per active entry of the box, not one per vertex, and whose slack
+multipliers are the vertex weights. From the barycenter it closes the
+uniform start of a 4222 box in about 12 steps, where multiplicative
+(expectation-maximization) steps take about 430. A warm solve, from
+weights an earlier solve left, returns after one gap check when they
+are already within its gap; otherwise it mixes in the barycenter at
+the scale of that gap, as the polish does, and runs from there. A run
+that stops above its gap (its step cap or a singular system) returns
+its best weights with that gap, and the bracket stays open.
 
 When an inner minimization at uniform input weights leaves a minimax
 bracket open, the engine polishes by a primal-dual interior-point
@@ -85,13 +83,15 @@ best-response vertex at them, plus best responses until S covers every
 outcome the rows weigh. After each barrier solve, every vertex whose
 Frank-Wolfe reduced cost at its weights and multipliers is positive
 enters S, and the barrier solves again while that Frank-Wolfe gap is
-above tol/2 and still falling; a polish that leaves the bracket open
-also adds the support of its inner minimizer. The polish's outputs are
-never trusted as such: the exact worst-row divergence at its vertex
-weights, zero off S, bounds the value from above, and an inner
-minimization over every vertex at its multipliers bounds it from below,
-so S decides only speed and whether a round closes, and the polish can
-only tighten the certified bracket.
+above tol/2 and still falling. The polish's outputs are never trusted
+as such: the exact worst-row divergence at its vertex weights, zero
+off S, bounds the value from above, and the multiplier-weighted
+divergence at those weights, less its Frank-Wolfe gap over every
+vertex, bounds it from below (the divergence is convex in the image
+q). So S decides only speed and whether a round closes, and the polish
+can only tighten the certified bracket. A round that moves neither end
+of the bracket nor grows S would repeat itself, so the engine stops
+there.
 """
 
 from __future__ import annotations
@@ -122,18 +122,10 @@ LN2 = math.log(2.0)
 #: Default optimality gap, in bits.
 DEFAULT_TOL = 1e-6
 
-#: Gap checks allowed to the multiplicative steps that follow a Newton
-#: run left open.
-MAX_INNER_ITER = 100000
-
-#: Multiplicative steps a warm inner minimization makes before it hands
-#: over to `_dual_newton`.
-WARM_STEPS = 128
-
 #: Smallest centering parameter sigma of a primal-dual Newton step.
 SIGMA_MIN = 0.01
 
-#: Primal-dual Newton steps allowed per barrier solve of a polish or cold inner
+#: Primal-dual Newton steps allowed per barrier solve of a polish or inner
 #: minimization.
 NEWTON_STEPS = 200
 
@@ -158,8 +150,9 @@ class MonotoneResult:
     `lower_bound` is set, the bracket certifies only the minimization
     over vertex weights; the outer maximization is heuristic.
     `iterations` sums the gap checks of the inner minimizations behind
-    the result: a Newton step and a multiplicative step count one each,
-    and a warm solve may take both.
+    the result: one at each start and one after every Newton step, and
+    one more at the given weights of a warm solve. The polish's barrier
+    solves are not counted.
     """
 
     value: float
@@ -285,38 +278,20 @@ def _inner_minimize(
     lam0: np.ndarray | None = None,
 ) -> _InnerSolution:
     """Minimize sum_s w_s KL(P_s || (V.lam)_s) over the weight simplex,
-    from lam0 when given, else from the barycenter. Only the columns of
-    V where c, the setting weights times P, is positive enter.
-
-    A warm solve (from lam0) makes up to WARM_STEPS multiplicative steps
-    (`_fw_steps`) from lam0, which close the gaps the engine's warm
-    starts leave in a few steps. A cold solve, and a warm one those steps
-    leave above gap_tol, runs `_dual_newton` from the barycenter. Should
-    Newton stop above gap_tol (its step cap or a singular system), the
-    multiplicative steps continue from its best weights, up to
-    MAX_INNER_ITER gap checks. The value is the weighted sum of the
-    tables' `kls` at the returned weights, under the rule of the row
-    values, and the gap is their Frank-Wolfe gap; `iterations` counts the
-    gap checks of every run, one at each start and one after every step.
+    from lam0 when given, else from the barycenter: one `_dual_newton`
+    run. Only the columns of V where c, the setting weights times P, is
+    positive enter. The value is the weighted sum of the tables' `kls`
+    at the returned weights, under the rule of the row values, and the
+    gap is their Frank-Wolfe gap, above gap_tol when Newton stopped
+    early (its step cap or a singular system); `iterations` counts the
+    run's gap checks.
     """
     c = np.repeat(setting_weights, tables.shape[1]) * tables.P
     active = c > 0.0
-    cE = c[active]
     # a full support reads V itself, not a copy of it
     full = active.all()
     VE = tables.V if full else tables.V[:, active]
-
-    it = 0
-    gap = math.inf
-    if lam0 is not None:
-        lam, qE, gap, it = _fw_steps(cE, VE, _floored(lam0), gap_tol, WARM_STEPS)
-    if gap > gap_tol:
-        lam, qE, gap, steps = _dual_newton(cE, VE, gap_tol)
-        it += steps
-    if gap > gap_tol:
-        lam, qE, gap, steps = _fw_steps(cE, VE, _floored(lam), gap_tol, MAX_INNER_ITER)
-        it += steps
-
+    lam, qE, gap, it = _dual_newton(c[active], VE, gap_tol, lam0)
     kls = tables.kls(qE if full else lam @ tables.V)
     value = float(_weighted_rows(setting_weights[None], kls)[0])
     # the tables keep the uniform start, which several solvers read
@@ -325,34 +300,27 @@ def _inner_minimize(
     return _InnerSolution(lam, value, max(gap, 0.0), it, kls)
 
 
-def _support(lam: np.ndarray) -> np.ndarray:
-    """The vertices whose weight is above ACTIVE_FLOOR of the largest."""
-    return np.flatnonzero(lam > ACTIVE_FLOOR * lam.max())
-
-
-def _floored(lam: np.ndarray) -> np.ndarray:
-    """lam, clipped at 0, normalized and mixed with 1e-6 of the
-    barycenter: multiplicative steps cannot revive an exactly-zero
-    coordinate on their own."""
-    lam = np.clip(np.asarray(lam, dtype=float), 0.0, None)
-    lam = lam / lam.sum()
-    return (1.0 - 1e-6) * lam + 1e-6 / lam.size
-
-
 def _dual_newton(
-    cE: np.ndarray, VE: np.ndarray, gap_tol: float
+    cE: np.ndarray, VE: np.ndarray, gap_tol: float, lam0: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Primal-dual interior-point Newton method on the dual of the inner
-    minimization, from the barycenter.
+    minimization, from the barycenter or from the weights lam0.
 
     The inner problem maximizes sum cE log q, q = lam VE, over the
     simplex: the maximum-likelihood mixture proportions. Its dual
     (Lindsay, Ann. Statist. 11, 1983; Koenker & Mizera, JASA 109, 2014)
     is min -sum cE log nu subject to VE nu + s = C, s >= 0, with
     C = sum cE; the vertex weights are the multipliers lam of the
-    slacks s, normalized. The start takes lam at the barycenter, nu at
-    cE / q there and every slack at C, central for mu = C / n. Each step
-    solves the d x d system, d the number of active entries,
+    slacks s, normalized. A cold start takes lam at the barycenter, nu
+    at cE / q there and every slack at C, central for mu = C / n. A warm
+    start first reads the gap at lam0 and returns after that one check
+    when it is at most gap_tol. Otherwise it mixes the barycenter into
+    lam0 at theta = min(1, g0), g0 that gap, as `_barrier_epigraph`
+    mixes uniform weights in at its gap0, and takes nu = cE / q there and
+    the slacks max(C - VE nu, mu / lam) for mu = max(theta C / n,
+    mu_end): central for mu wherever C - VE nu is below mu / lam. At
+    theta = 1 that is the cold start. Each step solves the d x d system,
+    d the number of active entries,
         (diag(cE / nu^2) + VE^T diag(lam / s) VE) dnu
             = cE / nu - VE^T (mu / s - (lam / s) r),
     with r = C - VE nu - s, then takes ds = r - VE dnu and
@@ -371,7 +339,8 @@ def _dual_newton(
     / ln 2, since sum_j lam_j (VE cE / q)_j = sum cE = C there. It stops
     once that gap is at most gap_tol, after NEWTON_STEPS steps, or at a
     singular or non-finite system. Returns the weights with the least
-    gap read, their q, that gap and the number of gap checks.
+    gap read, their q, that gap and the number of gap checks, the warm
+    start's check at lam0 included.
 
     Every work array is a local, allocated once per call, and each step
     writes them in place; so concurrent solves share no buffer, and the
@@ -385,10 +354,8 @@ def _dual_newton(
     z, dz = np.empty(d + 2 * n), np.empty(d + 2 * n)
     nu, s, lam = z[:d], z[d:d + n], z[d + n:]
     dnu, ds, dlam = dz[:d], dz[d:d + n], dz[d + n:]
-    lam[:] = 1.0 / n
     # two (lam_hat, q) pairs: a gap check writes the one best does not hold
     checks = [(np.empty(n), np.empty(d)) for _ in range(2)]
-    free = 0
     # the step's work arrays, and VE^T diag(w) VE as a sum of symmetric
     # products X X^T over blocks of about 2^20 entries of VE, so that no
     # temporary is the size of VE
@@ -401,24 +368,46 @@ def _dual_newton(
         hi = min(lo + block, n)
         Xb = X[:d * (hi - lo)].reshape(d, hi - lo)
         blocks.append((VE[lo:hi].T, w[lo:hi], root_w[lo:hi], Xb))
-    best = None
-    it = 0
-    alpha = 0.0  # the first step centers
+    # a gap check at weights that leave an entry uncovered reads NaN, and
+    # is never the best
+    best, free = (None, None, math.inf), 0
+
+    def check(weights: np.ndarray) -> float:
+        """The gap at the normalized weights, leaving cE / q in c_nu; kept
+        as best when it is the least read."""
+        nonlocal best, free
+        lam_hat, q = checks[free]
+        np.divide(weights, weights.sum(), out=lam_hat)
+        np.dot(lam_hat, VE, q)
+        np.divide(cE, q, out=c_nu)
+        gap = (float(np.dot(VE, c_nu, back).max()) - C) / LN2
+        if gap < best[2]:
+            best = (lam_hat, q, gap)
+            free ^= 1
+        return gap
+
+    it, theta = 1, 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            it += 1
-            lam_hat, q = checks[free]
-            np.divide(lam, lam.sum(), out=lam_hat)
-            np.dot(lam_hat, VE, q)
-            np.divide(cE, q, out=c_nu)
-            gap = (float(np.dot(VE, c_nu, back).max()) - C) / LN2
-            if best is None or gap < best[2]:
-                best = (lam_hat, q, gap)
-                free ^= 1
-            if gap <= gap_tol or it > NEWTON_STEPS:
-                break
-            if it == 1:
-                nu[:], s[:] = c_nu, C
+        if lam0 is not None:
+            gap = check(lam0)
+            if gap <= gap_tol:
+                return best + (it,)
+            it, theta = 2, min(1.0, gap)
+        lam[:] = theta / n
+        if theta < 1.0:
+            lam += (1.0 - theta) * best[0]
+        gap = check(lam)
+        nu[:] = c_nu
+        if theta < 1.0:
+            mu = max(theta * C / n, mu_end)
+            np.maximum(np.subtract(C, np.dot(VE, nu, s), out=s), np.divide(mu, lam, out=tmp_n),
+                       out=s)
+        else:
+            # the barycenter: mu / lam is C up to rounding, and C itself
+            # keeps the cold start exact
+            s[:] = C
+        alpha = 0.0  # the first step centers
+        while gap > gap_tol and it <= NEWTON_STEPS:
             np.subtract(C, np.dot(VE, nu, r), out=r)
             r -= s
             sigma = max((1.0 - alpha) ** 3, SIGMA_MIN)
@@ -448,39 +437,9 @@ def _dual_newton(
             shrink = float(np.divide(dz, z, out=tmp_z).min())
             alpha = 1.0 if shrink >= 0.0 else min(1.0, (1.0 - min(0.01, n * mu)) / -shrink)
             z += np.multiply(dz, alpha, out=tmp_z)
+            it += 1
+            gap = check(lam)
     return best + (it,)
-
-
-def _fw_steps(
-    cE: np.ndarray, VE: np.ndarray, lam: np.ndarray, gap_tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Multiplicative (expectation-maximization) steps from lam, which
-    must be positive and is updated in place. They keep full support and
-    never walk into the +inf boundary. Progress is certified by the
-    Frank-Wolfe gap, whose linear subproblem is exact enumeration over
-    the vertices. The run stops at the first iterate whose gap is at most
-    gap_tol, or at the max_iter-th, counting each iterate's gap check as
-    an iteration. Returns lam, its q, its gap and the iteration count.
-    """
-    qE = lam @ VE
-    ratio = np.empty_like(qE)
-    back = np.empty(VE.shape[0])
-
-    it = 0
-    while True:
-        it += 1
-        # the floor only matters for entries whose target weight is
-        # rounding dust; it keeps incremental cancellation from feeding
-        # an exact zero into the ratio
-        np.divide(cE, np.maximum(qE, 1e-300, out=ratio), out=ratio)
-        # back is the vertex gradient, negated and scaled by ln 2
-        np.dot(VE, ratio, back)
-        gap = float(back.max() - np.dot(lam, back)) / LN2
-        if gap <= gap_tol or it >= max_iter:
-            return lam, qE, gap, it
-        lam *= back
-        lam /= np.add.reduce(lam)
-        np.dot(lam, VE, qE)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +516,9 @@ def _barrier_epigraph(
     Returns the final weights and D, normalized, or None when the start
     has a slack that is not positive (gap0 lost in rounding t), a KKT
     system is singular or a step is not finite. Neither output is
-    trusted: the caller re-evaluates the rows at the weights and runs
-    its own inner minimization at D. As in `_dual_newton`, the work
+    trusted: the caller re-evaluates the rows at the weights, and the
+    D-weighted divergence there less its Frank-Wolfe gap over every
+    vertex. As in `_dual_newton`, the work
     arrays, the iterate and its trial point are locals allocated once per
     call and written in place.
     """
@@ -692,7 +652,8 @@ class _MinimaxSolver:
     the setting-weight vector of input coordinate j; the default identity
     makes the rows the settings. Maintains a bracket [lower, upper]:
     lower bounds come from inner minimizations at fixed input weights d
-    (setting weights d @ M), upper bounds from the worst row value of any
+    (setting weights d @ M) and from the polish's pricing at its row
+    multipliers, upper bounds from the worst row value of any
     vertex-weight iterate. `result` reports the closed bracket. The
     box's tables are built by the caller and may be shared by several
     solvers; `lam_warm` starts the first inner minimization, which
@@ -749,44 +710,51 @@ class _MinimaxSolver:
         at its minimizer."""
         self.iterations += inner.iterations
         self.lam_warm = inner.lam
-        if self.d_lower is None or inner.value - inner.gap > self.lower:
-            self.lower = max(self.lower, inner.value - inner.gap)
-            self.d_lower = d
+        self.observe_lower(d, inner.value - inner.gap)
         rows = _weighted_rows(self.M, inner.kls)
         self.observe_lam(inner.lam, rows)
         return rows
 
-    def polish(self) -> None:
+    def observe_lower(self, d: np.ndarray, bound: float) -> None:
+        """Take a certified lower bound on the minimum at input weights d
+        into the bracket; the first one sets `d_lower` even when it is
+        below 0."""
+        if self.d_lower is None or bound > self.lower:
+            self.lower = max(self.lower, bound)
+            self.d_lower = d
+
+    def polish(self) -> bool:
         """Primal-dual barrier solves of the epigraph program
         (`_barrier_epigraph`) on the active vertex set S, from the best
-        weights so far, to its central point of duality gap tol/8. The
-        exact row values at its weights, zero off S, bound the value from
-        above; an inner minimization over every vertex at its row
-        multipliers D, warm-started at its weights, bounds it from below.
-        So S decides only how fast a polish is and whether it closes the
-        bracket, never a bound.
+        weights so far, to its central point of duality gap tol/8. Each
+        solve's weights lam, zero off S, and row multipliers D are
+        re-checked over every vertex. The exact row values at lam bound
+        the value from above. f_D(lam), the divergence weighted by the
+        setting weights D @ M, less its Frank-Wolfe gap at lam over every
+        vertex (0 when rounding takes it below), bounds it from below when
+        finite: f_D is convex in q = lam @ V, so no vertex weights take it
+        lower. So S decides only how fast a polish is and whether it
+        closes the bracket, never a bound.
 
         The first polish takes S as the start weights' support (above
         ACTIVE_FLOOR of the largest) and each row's best-response vertex
         at them. After each barrier solve, every vertex whose Frank-Wolfe
-        reduced cost at its weights and D is positive enters S, and the
-        barrier solves again while the Frank-Wolfe gap at D is above
-        tol/2, that is, while the inner minimization at D could not close
-        the bracket, and below the previous solve's (simplicial
-        decomposition; von Hohenbalken, Math. Program. 13, 1977). A gap
-        that stops falling is rounding or a set that grew past the
-        saddle's support, and the next round starts from the grown set.
-        The inner minimization runs at the last D the barrier returned,
-        also when a later barrier solve fails. A polish that leaves the
-        bracket open adds that inner minimizer's support to S as well: at
-        tols near rounding it holds vertices whose reduced cost pricing
-        reads as zero."""
+        reduced cost at its lam and D is positive enters S, and the
+        barrier solves again while that Frank-Wolfe gap is above tol/2
+        and below the previous solve's (simplicial decomposition; von
+        Hohenbalken, Math. Program. 13, 1977). A gap that stops falling
+        is rounding or a set that grew past the saddle's support, and the
+        next round starts from the grown set. A later solve that fails
+        leaves the bounds of the earlier ones. Returns whether the polish
+        moved an end of the bracket or grew S: a polish that did neither
+        would be repeated exactly by the next."""
         tables = self.tables
         n = tables.n
         lam0 = self.lam_best if self.lam_best is not None else np.full(n, 1.0 / n)
         if self.active is None:
             self.active = self._start_set(lam0)
-        solved, fw_gap = None, math.inf
+        before = (self.lower, self.upper, self.active.size)
+        fw_gap = math.inf
         while True:
             S = self.active
             polished = _barrier_epigraph(tables.restricted(S), self.M, lam0[S], self.gap, self.tol)
@@ -794,21 +762,21 @@ class _MinimaxSolver:
                 break
             lam = np.zeros(n)
             lam[S], D = polished
-            solved = lam, D
-            self.observe_lam(lam, tables.rows(lam @ tables.V, self.M))
-            if self.closed:
-                return
-            prices, total = self._prices(lam, (D @ self.M)[:, None])
-            self.active = np.union1d(S, np.flatnonzero(prices[:, 0] > total[0]))
+            kls = tables.kls(lam @ tables.V)
+            self.observe_lam(lam, _weighted_rows(self.M, kls))
+            weights = D @ self.M
+            prices, total = self._prices(lam, weights[:, None])
             last, fw_gap = fw_gap, (prices.max() - total[0]) / LN2
+            bound = float(_weighted_rows(weights[None], kls)[0]) - max(fw_gap, 0.0)
+            if math.isfinite(bound):
+                self.observe_lower(D, bound)
+            if self.closed:
+                break
+            self.active = np.union1d(S, np.flatnonzero(prices[:, 0] > total[0]))
             if not self.tol / 2.0 < fw_gap < last or self.active.size == S.size:
                 break
             lam0 = self.lam_best
-        if solved is not None:
-            self.lam_warm, D = solved
-            self.solve_at(D, self.tol / 8.0)
-            if not self.closed:
-                self.active = np.union1d(self.active, _support(self.lam_warm))
+        return (self.lower, self.upper, self.active.size) != before
 
     def _start_set(self, lam0: np.ndarray) -> np.ndarray:
         """The first polish's S: the support of lam0 above ACTIVE_FLOOR of
@@ -819,7 +787,8 @@ class _MinimaxSolver:
         outcome near 1e300, so every row that is +inf picks a vertex that
         covers one."""
         tables = self.tables
-        S = np.union1d(_support(lam0), self._prices(lam0, self.M.T)[0].argmax(0))
+        support = np.flatnonzero(lam0 > ACTIVE_FLOOR * lam0.max())
+        S = np.union1d(support, self._prices(lam0, self.M.T)[0].argmax(0))
         while True:
             lam = np.zeros(tables.n)
             lam[S] = 1.0 / S.size
@@ -846,16 +815,17 @@ class _MinimaxSolver:
     def run(self, start: _InnerSolution | None = None) -> None:
         """Close the bracket: the inner minimization at uniform input
         weights to gap tol/(2k), which is `start` when given, then up to
-        POLISH_ROUNDS polishes. Raises NoConvergence if it stays open."""
+        POLISH_ROUNDS polishes, ending at the first that moves neither end
+        of the bracket nor grows S. Raises NoConvergence if it stays
+        open."""
         uniform = np.full(self.k, 1.0 / self.k)
         if start is None:
             self.solve_at(uniform, self.tol / (2.0 * self.k))
         else:
             self.take(uniform, start)
         for _ in range(POLISH_ROUNDS):
-            if self.closed:
-                return
-            self.polish()
+            if self.closed or not self.polish():
+                break
         if not self.closed:
             raise NoConvergence(self.iterations, float(self.gap), self.lower, self.upper)
 

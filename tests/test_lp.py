@@ -289,9 +289,35 @@ def test_an_infeasible_exit_basis_is_a_solver_failure(from_start, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(lp, "_Basis", Misled)
-            with pytest.raises(SolverFailure, match="exit basis is primal infeasible: "
+            with pytest.raises(SolverFailure, match="refactorized basis is primal infeasible: "
                                r"basic column \d+ has value -"):
                 solve_lp(A, b, pivot=pivot, start=start)
+
+
+@pytest.mark.parametrize("misled_at", [1, 5])
+def test_a_basis_misled_early_fails_within_one_refactorization(misled_at, monkeypatch):
+    # A ratio test early in the Bland solve of the infeasible system is
+    # misled to the row of the largest ratio, which leaves the basis
+    # primal infeasible. Checked only at the exit, the solve ran on from
+    # it to the pivot cap (200,000 pivots); every fresh factorization is
+    # checked, so it fails at the first. The cap is lowered so that a
+    # solve that runs on fails fast, with another message
+    _, (A2, b2) = _random_systems(60, 600, seed=0)
+    monkeypatch.setattr(lp, "MAX_PIVOTS", 10 * lp.REFACTOR_EVERY)
+    done = []
+
+    class Misled(lp._Basis):
+        def pivot(self, r, j, alpha):
+            done.append(j)
+            if len(done) == misled_at:
+                rows = np.flatnonzero(alpha > lp.PIV_TOL)
+                r = rows[np.argmax(self.xB[rows] / alpha[rows])]
+            super().pivot(r, j, alpha)
+
+    monkeypatch.setattr(lp, "_Basis", Misled)
+    with pytest.raises(SolverFailure, match="primal infeasible"):
+        solve_lp(A2, b2, pivot="bland")
+    assert len(done) <= misled_at + lp.REFACTOR_EVERY
 
 
 def test_drift_in_the_inverse_cannot_choose_a_pivot(monkeypatch):

@@ -783,43 +783,75 @@ def test_pricing_repairs_a_start_set_that_misses_the_saddle(box, monkeypatch):
 @pytest.mark.parametrize("fails", ["second", "after_first"])
 def test_a_failed_later_barrier_solve_keeps_the_earlier_one(fails, monkeypatch):
     # this box's first polish solves the barrier on three growing active
-    # sets. When a later solve fails, the polish still runs its inner
-    # minimization, at the D of the last solve that returned; when only
-    # the second fails, the run still closes
+    # sets. When a later solve fails, the polish keeps the bracket the
+    # earlier solve left; when only the second fails, the run still
+    # closes
     p = generalized_pr_mixture(bw.Scenario(3, 3, 3, 3), np.random.default_rng([73, 1]), 0.696)
-    barrier, inner = monotones._barrier_epigraph, monotones._inner_minimize
-    returned, weights = [], []
+    barrier = monotones._barrier_epigraph
+    returned, brackets = [], []
 
     def failing(tables, *args):
+        brackets.append((solver.lower, solver.upper))
         returned.append(None)
         if len(returned) == 1 or (fails == "second" and len(returned) > 2):
             returned[-1] = barrier(tables, *args)
         return returned[-1]
 
-    def recorded(tables, w, **kwargs):
-        weights.append(w)
-        return inner(tables, w, **kwargs)
-
     tables = monotones._DivergenceTables(p)
     solver = monotones._MinimaxSolver(tables, TOL)
     solver.take(np.full(solver.k, 1.0 / solver.k), tables.uniform_start(TOL))
     monkeypatch.setattr(monotones, "_barrier_epigraph", failing)
-    monkeypatch.setattr(monotones, "_inner_minimize", recorded)
-    solver.polish()
+    assert solver.polish()
     assert len(returned) == 2 and returned[1] is None
-    assert len(weights) == 1
-    np.testing.assert_array_equal(weights[0], returned[0][1] @ solver.M)
+    # the first solve lowered the upper end, and the failed one kept it
+    assert brackets[1][1] < brackets[0][1]
+    assert (solver.lower, solver.upper) == brackets[1]
     assert solver.lower <= solver.upper
     if fails == "second":
         solver.run(tables.uniform_start(TOL))
         assert solver.closed
 
 
-def test_an_open_polish_adds_its_inner_minimizers_support(monkeypatch):
-    # at 1e-14 the first polish of tsirelson_4222(0) prices no vertex in
-    # and stays open; its inner minimizer's support brings in the
-    # vertices the second polish closes on. Without them every round
-    # solves on the same set and the call raises NoConvergence
+def test_s_nl_closes_at_1e_14_in_one_polish(monkeypatch):
+    # the lower end of each barrier solve is its own pricing: the
+    # D-weighted divergence at its weights less their Frank-Wolfe gap
+    # over every vertex. An inner minimization at D, run after the polish,
+    # once left this bracket open, and a second polish was needed on the
+    # support of that minimizer
+    polish = monotones._MinimaxSolver.polish
+    polishes = []
+
+    def counted(self):
+        polishes.append(self)
+        return polish(self)
+
+    monkeypatch.setattr(monotones._MinimaxSolver, "polish", counted)
+    r = fresh(bw.s_nl, tsirelson_4222(0), 1e-14)
+    assert r.gap_estimate <= 1e-14
+    assert len(polishes) == 1
+
+
+@pytest.mark.parametrize("box", ["tsirelson_4222", "3333"])
+def test_s_nl_closes_tight_tols_in_few_iterations(box):
+    # Newton runs left open were once finished by multiplicative steps:
+    # tsirelson_4222(0) at 1e-15 raised NoConvergence after hundreds of
+    # thousands of them, and the 3333 box at 1e-14 closed after 46,335
+    # gap checks. One Newton run per inner minimization closes both
+    if box == "3333":
+        p = generalized_pr_mixture(bw.Scenario(3, 3, 3, 3), np.random.default_rng([73, 1]),
+                                   0.696)
+        tol = 1e-14
+    else:
+        p, tol = tsirelson_4222(0), 1e-15
+    r = fresh(bw.s_nl, p, tol)
+    assert r.gap_estimate <= tol
+    assert r.iterations <= monotones.NEWTON_STEPS
+
+
+def test_a_polish_that_changes_nothing_ends_the_run(monkeypatch):
+    # at 1e-16 the bracket of noisy_pr(0.9) is open by a rounding step
+    # that no barrier solve moves, and pricing grows no set: the next
+    # polish would repeat this one exactly, so the engine raises after it
     barrier = monotones._barrier_epigraph
     sizes = []
 
@@ -828,9 +860,10 @@ def test_an_open_polish_adds_its_inner_minimizers_support(monkeypatch):
         return barrier(tables, *args)
 
     monkeypatch.setattr(monotones, "_barrier_epigraph", recorded)
-    r = fresh(bw.s_nl, tsirelson_4222(0), 1e-14)
-    assert r.gap_estimate <= 1e-14
-    assert len(sizes) == 2 and sizes[1] > sizes[0]
+    with pytest.raises(NoConvergence) as err:
+        fresh(bw.s_nl, noisy_pr(0.9), 1e-16)
+    assert len(sizes) == 1
+    assert err.value.lower <= err.value.upper
 
 
 def test_a_polish_never_writes_the_box_tables():
@@ -857,10 +890,29 @@ def _brackets_overlap(a, b) -> bool:
     return max(a.value - a.gap, b.value - b.gap) <= min(a.value, b.value)
 
 
+def _em_oracle(cE, VE, lam, gap_tol, max_iter=100_000):
+    """Multiplicative (expectation-maximization) steps from the positive
+    weights lam, an independent solve of the inner minimization: each
+    step multiplies every weight by its vertex's (VE cE / q) / C, which
+    keeps the weights on the simplex. Stops at the first iterate whose
+    Frank-Wolfe gap is at most gap_tol, or at the max_iter-th; returns
+    the weights, their q, their gap and the number of gap checks."""
+    it = 0
+    while True:
+        it += 1
+        q = lam @ VE
+        back = VE @ (cE / q)
+        gap = float(back.max() - lam @ back) / monotones.LN2
+        if gap <= gap_tol or it >= max_iter:
+            return lam, q, gap, it
+        lam = lam * back
+        lam /= lam.sum()
+
+
 @pytest.mark.parametrize("box", [0, 1, 2, 3, "noisy_pr"])
 def test_cold_inner_minimization_agrees_with_frank_wolfe(box):
-    # a cold solve runs Newton on the dual; the multiplicative steps, run
-    # directly from the barycenter, are an independent solve. Each value
+    # a cold solve runs Newton on the dual; the multiplicative steps of
+    # the EM oracle, from the barycenter, are an independent solve. Each value
     # is exact at its weights and certified within its gap, so the
     # brackets overlap
     p = noisy_pr(0.8) if box == "noisy_pr" else tsirelson_4222(box)
@@ -870,9 +922,8 @@ def test_cold_inner_minimization_agrees_with_frank_wolfe(box):
     newton = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
     c = np.repeat(uniform, tables.shape[1]) * tables.P
     active = c > 0.0
-    lam, qE, gap, it = monotones._fw_steps(c[active], tables.V[:, active],
-                                           np.full(tables.n, 1.0 / tables.n), gap_tol,
-                                           monotones.MAX_INNER_ITER)
+    lam, qE, gap, it = _em_oracle(c[active], tables.V[:, active],
+                                  np.full(tables.n, 1.0 / tables.n), gap_tol)
     value = float(np.sum(c[active] * np.log2(tables.P[active] / qE)))
     fw = monotones._InnerSolution(lam, value, gap, it, tables.kls(lam @ tables.V))
     for inner in (newton, fw):
@@ -883,29 +934,36 @@ def test_cold_inner_minimization_agrees_with_frank_wolfe(box):
     assert newton.iterations < fw.iterations
 
 
-def test_a_warm_solve_left_open_hands_over_to_newton(monkeypatch):
-    # from a vertex far from the optimum, WARM_STEPS multiplicative steps
-    # leave the gap open; one Newton run from the barycenter closes it,
-    # with no multiplicative steps after it
-    runs = []
-    dual_newton = monotones._dual_newton
-
-    def counted(*args):
-        out = dual_newton(*args)
-        runs.append(out[3])
-        return out
-
-    monkeypatch.setattr(monotones, "_dual_newton", counted)
-    tables = monotones._DivergenceTables(tsirelson_4222(0))
+def _uniform_inner(p):
+    """The active weights c and vertex columns of p's inner minimization
+    at uniform setting weights, and the engine's start gap there."""
+    tables = monotones._DivergenceTables(p)
     m = tables.shape[0]
-    uniform, gap_tol = np.full(m, 1.0 / m), TOL / (2.0 * m)
-    lam0 = np.zeros(tables.n)
+    c = np.repeat(np.full(m, 1.0 / m), tables.shape[1]) * tables.P
+    active = c > 0.0
+    return c[active], tables.V[:, active], TOL / (2.0 * m)
+
+
+def test_a_warm_start_far_from_the_optimum_is_the_cold_start():
+    # a vertex leaves entries uncovered, where its gap check reads no
+    # number, so the barycenter is mixed in at theta = 1: after that one
+    # check, the run is the cold run, bit for bit
+    cE, VE, gap_tol = _uniform_inner(tsirelson_4222(0))
+    lam0 = np.zeros(VE.shape[0])
     lam0[0] = 1.0
-    inner = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol, lam0=lam0)
-    assert len(runs) == 1
-    assert inner.gap <= gap_tol
-    assert inner.iterations == monotones.WARM_STEPS + runs[0]
-    assert inner.iterations <= monotones.WARM_STEPS + monotones.NEWTON_STEPS + 1
+    cold = monotones._dual_newton(cE, VE, gap_tol)
+    lam, q, gap, it = monotones._dual_newton(cE, VE, gap_tol, lam0)
+    assert cold[2] <= gap_tol
+    _assert_same_newton((lam, q, gap, it - 1), cold)
+
+
+def test_a_warm_start_within_its_gap_returns_after_one_check():
+    cE, VE, gap_tol = _uniform_inner(tsirelson_4222(0))
+    cold = monotones._dual_newton(cE, VE, gap_tol)
+    lam, q, gap, it = monotones._dual_newton(cE, VE, gap_tol, cold[0])
+    assert it == 1
+    assert gap == pytest.approx(cold[2], abs=1e-15) and gap <= gap_tol
+    np.testing.assert_array_equal(lam, cold[0] / cold[0].sum())
 
 
 def test_s_c_alternating_closes_the_four_setting_box_in_few_iterations():
@@ -917,17 +975,12 @@ def test_s_c_alternating_closes_the_four_setting_box_in_few_iterations():
     assert abs(alt.value - fresh(bw.s_c, p).value) <= 2 * TOL
 
 
-def test_cold_inner_minimization_closes_a_degenerate_dual(monkeypatch):
+def test_cold_inner_minimization_closes_a_degenerate_dual():
     # s_uc's first block on this local box in criterion 6: at the dual
     # optimum nu = c / q is 1/4 on every entry, so C - V nu cancels to 0
     # up to rounding (to -1.3e-14) at 12 of the 16 vertices, and a slack
     # recomputed from nu is not positive there. Carried as an iterate, s
-    # stays positive, and Newton closes the gap without the Frank-Wolfe
-    # steps
-    def no_fw(*args):
-        raise AssertionError("the Newton method left the gap open")
-
-    monkeypatch.setattr(monotones, "_fw_steps", no_fw)
+    # stays positive, and Newton closes the gap
     p = bw.random_ns_behavior(SC2222, 6_200_198)
     inner = monotones._inner_minimize(monotones._DivergenceTables(p), np.full(4, 0.25),
                                       gap_tol=TOL / 8.0)
@@ -937,14 +990,16 @@ def test_cold_inner_minimization_closes_a_degenerate_dual(monkeypatch):
 
 
 @pytest.mark.parametrize("cut", [0, 3, "singular"])
-def test_a_newton_run_left_open_continues_with_frank_wolfe(monkeypatch, cut):
+def test_a_newton_run_left_open_leaves_the_bracket_open(monkeypatch, cut):
     # the NEWTON_STEPS cap or a singular system ends the Newton run above
-    # the gap; the multiplicative steps close it from its best weights
+    # its gap: the inner minimization returns that gap, and the engine,
+    # whose barrier solves are cut or fail as well, raises NoConvergence
+    # with a bracket that still holds the value
     p = tsirelson_4222(0)
+    want = fresh(bw.s_nl, p)
     tables = monotones._DivergenceTables(p)
     m = tables.shape[0]
     uniform, gap_tol = np.full(m, 1.0 / m), TOL / (2.0 * m)
-    full = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
     if cut == "singular":
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -953,9 +1008,12 @@ def test_a_newton_run_left_open_continues_with_frank_wolfe(monkeypatch, cut):
     else:
         monkeypatch.setattr(monotones, "NEWTON_STEPS", cut)
     inner = monotones._inner_minimize(tables, uniform, gap_tol=gap_tol)
-    assert inner.gap <= gap_tol
-    assert inner.iterations > full.iterations
-    assert _brackets_overlap(inner, full)
+    assert inner.gap > gap_tol
+    assert inner.iterations == (1 if cut == "singular" else cut + 1)
+    with pytest.raises(NoConvergence) as err:
+        fresh(bw.s_nl, p)
+    lower, upper = err.value.lower, err.value.upper
+    assert lower <= want.value and upper >= want.value - want.gap_estimate
 
 
 def test_s_u_closes_a_local_4343_box_in_few_newton_steps():
@@ -1322,7 +1380,7 @@ def test_quantifier_calls_in_threads_return_their_own_boxes_results():
 # ---------------------------------------------------------------------------
 
 
-def _dual_newton_oracle(cE, VE, gap_tol):
+def _dual_newton_oracle(cE, VE, gap_tol, lam0=None):
     """`monotones._dual_newton` written with a fresh array for every
     intermediate: the same floating-point operations on the same operands
     in the same order as the library's in-place loop, so the two agree
@@ -1335,21 +1393,37 @@ def _dual_newton_oracle(cE, VE, gap_tol):
     nu, s, lam = z[:d], z[d:d + n], z[d + n:]
     dnu, ds, dlam = dz[:d], dz[d:d + n], dz[d + n:]
     lam[:] = 1.0 / n
-    best = None
+    best = (None, None, math.inf)
     it = 0
+    theta = 1.0
     alpha = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if lam0 is not None:
+            it = 1
+            lam_hat = lam0 / lam0.sum()
+            q = lam_hat @ VE
+            gap = (float((VE @ (cE / q)).max()) - C) / monotones.LN2
+            if gap < best[2]:
+                best = (lam_hat, q, gap)
+            if gap <= gap_tol:
+                return best + (it,)
+            theta = min(1.0, gap)
+            if theta < 1.0:
+                lam[:] = theta / n + (1.0 - theta) * lam_hat
+        start = it + 1
         while True:
             it += 1
             lam_hat = lam / lam.sum()
             q = lam_hat @ VE
             gap = (float((VE @ (cE / q)).max()) - C) / monotones.LN2
-            if best is None or gap < best[2]:
+            if gap < best[2]:
                 best = (lam_hat, q, gap)
             if gap <= gap_tol or it > monotones.NEWTON_STEPS:
                 break
-            if it == 1:
-                nu[:], s[:] = cE / q, C
+            if it == start:
+                nu[:] = cE / q
+                mu = max(theta * C / n, mu_end)
+                s[:] = C if theta == 1.0 else np.maximum(C - VE @ nu, mu / lam)
             r = C - VE @ nu - s
             sigma = max((1.0 - alpha) ** 3, monotones.SIGMA_MIN)
             mu = max(sigma * float(lam @ s) / n, mu_end)
@@ -1507,6 +1581,26 @@ def test_dual_newton_matches_its_oracle_bit_for_bit(box):
         for gap_tol in (TOL / (2.0 * m), TOL / 8.0):
             _assert_same_newton(monotones._dual_newton(c[active], VE, gap_tol),
                                 _dual_newton_oracle(c[active], VE, gap_tol))
+
+
+@pytest.mark.parametrize("box", ORACLE_BOXES)
+def test_warm_dual_newton_matches_its_oracle_bit_for_bit(box):
+    # three warm starts: a vertex (theta = 1), the weights of a solve to
+    # 1e-2 (theta below 1) and those of a solve to the gap itself (one
+    # check)
+    tables = monotones._DivergenceTables(_oracle_box(box))
+    m = tables.shape[0]
+    c = np.repeat(np.full(m, 1.0 / m), tables.shape[1]) * tables.P
+    active = c > 0.0
+    cE, VE, gap_tol = c[active], (tables.V if active.all() else tables.V[:, active]), TOL / 8.0
+    vertex = np.zeros(tables.n)
+    vertex[0] = 1.0
+    coarse = monotones._dual_newton(cE, VE, 1e-2)
+    closed = monotones._dual_newton(cE, VE, gap_tol)
+    assert coarse[2] > gap_tol >= closed[2]
+    for lam0 in (vertex, coarse[0], closed[0]):
+        _assert_same_newton(monotones._dual_newton(cE, VE, gap_tol, lam0),
+                            _dual_newton_oracle(cE, VE, gap_tol, lam0))
 
 
 def test_dual_newton_multi_block_hessian_matches_its_oracle(monkeypatch):
