@@ -29,7 +29,10 @@
 # 729 and 6561 vertices, grown by pricing; each gap must be at most 1e-6),
 # `--tol 1e-14 eval snl` on the 3333 mixture (a tol near rounding, where
 # every inner minimization is one Newton run on the dual; its gap must be
-# at most 1e-14),
+# at most 1e-14), `--tol 1e-15 eval snl` on it (about 70 float spacings
+# at its value, where the barrier stops at the central point of the float
+# spacing at its rows, the finest slack they resolve; its gap must be at
+# most 1e-15),
 # `eval apply` of a seeded WPICC wiring file to the PR box, the four
 # campaign suites that run the minimax engine (`snl_monotonicity`,
 # `suc_monotonicity`, `convexity` and `minimax_identity`, 10 trials at
@@ -161,6 +164,8 @@ EOF_PY
 done
 bellwire --tol 1e-14 eval snl --in "$tmp/gpm3333.json" > "$tmp/snl3333_tight.json"
 python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-14, f'3333 s_nl gap {gap} at tol 1e-14'" "$tmp/snl3333_tight.json"
+bellwire --tol 1e-15 eval snl --in "$tmp/gpm3333.json" > "$tmp/snl3333_tighter.json"
+python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-15, f'3333 s_nl gap {gap} at tol 1e-15'" "$tmp/snl3333_tighter.json"
 
 python -c "import bellwire as bw; sc = bw.Scenario(2, 2, 2, 2); print(bw.jsonio.wiring_to_json(bw.random_wpicc_wiring(sc, sc, 3)))" > "$tmp/w.json"
 bellwire eval apply --in "$tmp/w.json" --in2 pr-box > /dev/null

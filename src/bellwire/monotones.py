@@ -74,10 +74,15 @@ Newton solve of the epigraph program (minimize t subject to every row's
 divergence being at most t, over the vertex-weight simplex). Its
 iterates carry the multipliers of the row constraints, which are input
 weights, and it stops at the central point of the log barrier whose
-duality gap is tol/8. It runs on an active vertex set S, which each
-engine instance keeps and grows (simplicial decomposition): the barrier
-reads the rows S of V alone (`_DivergenceTables.restricted`), so its
-KKT system is (|S|+k+2)², not (n+k+2)². S starts as the start weights'
+duality gap is tol/8, or at a tol below rounding at the central point
+of the float spacing at its worst row. Its line search bounds each
+step by the row slacks' quadratic models, since each slack is concave
+along the step, and refits them to a trial point that still leaves one
+non-positive, so its steps are seldom halved. It runs on an active
+vertex set S, which each engine instance keeps and grows (simplicial
+decomposition): the barrier reads the rows S of V alone
+(`_DivergenceTables.restricted`), so its KKT system is (|S|+k+2)², not
+(n+k+2)². S starts as the start weights'
 support above ACTIVE_FLOOR of their largest weight, plus each row's
 best-response vertex at them, plus best responses until S covers every
 outcome the rows weigh. After each barrier solve, every vertex whose
@@ -486,9 +491,10 @@ def _barrier_epigraph(
     D_j s_j = z_i lam_i = mu, where mu is sigma times the current
     duality gap (D.s + z.lam) / (k + n), floored at
     mu_end = tol / (8 (k + n)): the point of the log barrier whose
-    duality gap is tol / 8. sigma is the cube of how far the previous
-    step fell short of a full one, at least SIGMA_MIN, so a step cut
-    short is followed by one that recenters.
+    duality gap is tol / 8, unless rounding floors it higher (below).
+    sigma is the cube of how far the previous step fell short of a full
+    one, at least SIGMA_MIN, so a step cut short is followed by one that
+    recenters.
 
     With the step of z eliminated, each step solves one
     (n + k + 2) x (n + k + 2) KKT system in (u, dt, dD, dnu), where u is
@@ -500,16 +506,37 @@ def _barrier_epigraph(
     D / s that grow like 1 / mu beside the bound's term of about mu, a
     condition number near 1 / mu^2 (1e17 on a 4222 box), and the
     rounding of that solve costs the last steps their quadratic
-    convergence. The step goes at most a fraction 1 - min(0.01, (k + n) mu)
-    of the way to the boundary of lam, D, z and the linearized slacks,
-    then backtracks until the slacks are positive and the norm of the
-    KKT residual falls. The solve stops once mu is at mu_end and the
-    norm of the KKT residual at mu_end is at most mu_end: then every
-    product D_j s_j and z_i lam_i is within mu_end of mu_end, so the
-    duality gap D.s + z.lam is at most tol / 4. Steps past that point
-    only shrink the residual, after the worst row has stopped moving.
-    It also stops after NEWTON_STEPS steps, or when no step lowers the
-    residual. The central path is the tiebreaker for degenerate
+    convergence.
+
+    The step goes at most a fraction 1 - eta, eta = min(0.01, (k + n) mu),
+    of the way to the boundary of lam, D, z and the linearized slacks.
+    The image q + a dq, dq = (lam u) @ V, is linear in the step length a,
+    and each row value is convex in q, so each slack s_j(a) is concave
+    and lies below its linearization s_j + a ds_j. So the step is also
+    bounded by where each slack's quadratic model
+    s_j + a ds_j - a^2 kappa_j / 2 falls to eta s_j, with kappa_j the
+    row's curvature at a = 0, row j of M times sum_o P (dq / q)^2 / ln 2
+    per setting (`_reach`). A trial point that still leaves a slack
+    non-positive is refitted: each row's kappa_j is taken from the
+    quadratic through s_j, its slope ds_j and the trial's slack, and the
+    next trial is that model's least step to eta s_j. A later refusal
+    of the same step, or a refit that does not shorten it, halves it,
+    as does a trial whose residual does not fall: the search backtracks
+    until the slacks are positive and the norm of the KKT residual
+    falls (Wächter & Biegler, Math. Program. 106, 2006, treat curved
+    constraints with such second-order models).
+
+    The solve stops once mu is at mu_end and the norm of the KKT
+    residual at mu_end is at most mu_end: then every product D_j s_j
+    and z_i lam_i is within mu_end of mu_end, so the duality gap
+    D.s + z.lam is at most tol / 4. Near rounding no such point may be
+    resolved: a slack t - g_j is a difference of floats near t, so mu_end
+    is at least the float spacing at the start's t, and a tol below
+    8 (k + n) times that spacing stops at the central point of the
+    spacing, whose duality gap is about k + n spacings. Steps past the
+    stop only shrink the residual, after the worst row has stopped
+    moving. It also stops after NEWTON_STEPS steps, or when no step
+    lowers the residual. The central path is the tiebreaker for degenerate
     optimal faces, where weighted-sum minimizers are not unique and
     plain exchanges stall.
 
@@ -537,6 +564,8 @@ def _barrier_epigraph(
     if not np.all(t > g):
         # k gap0 / (k + n) is below the rounding of the worst row
         return None
+    # t - g does not resolve a slack below the float spacing at t
+    mu_end = max(mu_end, math.ulp(t))
 
     def parts(x):
         """The slacks, D and z of an array laid out as (1, s, D, z): the
@@ -559,7 +588,7 @@ def _barrier_epigraph(
     nu = float(z @ lam - D @ G.sum(1))
     lam_new, G_new = np.empty(n), np.empty_like(G)
     # work arrays of the step
-    tmp = np.empty(n)
+    tmp, q_floor = np.empty(n), np.empty_like(q)
     ratio, shrinking = np.empty(2 * (n + k)), np.empty(2 * (n + k), dtype=bool)
 
     def residual(lam, s, D, z, nu, G, out):
@@ -616,7 +645,14 @@ def _barrier_epigraph(
         np.less(dx, 0.0, out=shrinking)
         np.divide(x, dx, out=ratio, where=shrinking)
         bound = -float(ratio.max(where=shrinking, initial=-np.inf))
-        alpha = min(1.0, (1.0 - min(0.01, (k + n) * mu)) * bound)
+        eta = min(0.01, (k + n) * mu)
+        # each row's curvature along the step: q moves by dq, linearly
+        dq = np.multiply(lam, u, out=tmp) @ tables.V
+        np.divide(dq, np.maximum(q, 1e-300, out=q_floor), out=dq)
+        kappa = M @ (np.square(dq, out=dq) * tables.P).reshape(tables.shape).sum(1) / LN2
+        # a nan reach is not a bound, and min skips it as its last argument
+        alpha = min(1.0, (1.0 - eta) * bound, _reach(s, ds, kappa, eta))
+        refit = True
         while alpha >= 1e-12:
             np.multiply(u, alpha, out=lam_new)
             lam_new += 1.0
@@ -624,19 +660,27 @@ def _barrier_epigraph(
             t_new = t + alpha * dt
             q = lam_new @ tables.V
             g_new = tables.rows(q, M)
-            if (np.subtract(t_new, g_new, out=s_new) > 0.0).all():
-                np.multiply(dD, alpha, out=D_new)
-                D_new += D
-                np.multiply(dz, alpha, out=z_new)
-                z_new += z
-                nu_new = nu + alpha * dnu
-                grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q)
-                np.matmul(M, grads, out=G_new)
-                residual(lam_new, s_new, D_new, z_new, nu_new, G_new, r_new)
-                np.copyto(r_mu, r_new)
-                r_mu[n + 1:-1] -= mu
-                if math.sqrt(r_mu.dot(r_mu)) <= (1.0 - 0.01 * alpha) * norm:
-                    break
+            if not (np.subtract(t_new, g_new, out=s_new) > 0.0).all():
+                # the step's first refusal refits each slack's concave model
+                # to this trial's value; a later one halves
+                fit = 0.0
+                if refit:
+                    kappa = np.maximum(s + alpha * ds - s_new, 0.0) * (2.0 / (alpha * alpha))
+                    fit, refit = _reach(s, ds, kappa, eta), False
+                alpha = fit if 0.0 < fit < alpha else 0.5 * alpha
+                continue
+            np.multiply(dD, alpha, out=D_new)
+            D_new += D
+            np.multiply(dz, alpha, out=z_new)
+            z_new += z
+            nu_new = nu + alpha * dnu
+            grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q)
+            np.matmul(M, grads, out=G_new)
+            residual(lam_new, s_new, D_new, z_new, nu_new, G_new, r_new)
+            np.copyto(r_mu, r_new)
+            r_mu[n + 1:-1] -= mu
+            if math.sqrt(r_mu.dot(r_mu)) <= (1.0 - 0.01 * alpha) * norm:
+                break
             alpha *= 0.5
         else:
             break
@@ -644,6 +688,18 @@ def _barrier_epigraph(
         (s, D, z), (s_new, D_new, z_new) = parts(x), parts(x_new)
         t, g, nu, H = t_new, g_new, nu_new, H_new
     return lam / lam.sum(), D / D.sum()
+
+
+def _reach(s: np.ndarray, ds: np.ndarray, kappa: np.ndarray, eta: float) -> float:
+    """The least step a > 0 at which some slack's concave model
+    s + a ds - a^2 kappa / 2 falls to eta s, inf when none does: the
+    positive root of kappa a^2 / 2 - ds a - (1 - eta) s, each row in the
+    form that does not cancel; nan when a kappa is nan."""
+    c = (1.0 - eta) * s
+    disc = np.sqrt(ds * ds + 2.0 * kappa * c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.where(ds > 0.0, (ds + disc) / kappa, 2.0 * c / (disc - ds))
+    return float(roots.min())
 
 
 class _MinimaxSolver:

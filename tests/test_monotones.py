@@ -848,22 +848,69 @@ def test_s_nl_closes_tight_tols_in_few_iterations(box):
     assert r.iterations <= monotones.NEWTON_STEPS
 
 
-def test_a_polish_that_changes_nothing_ends_the_run(monkeypatch):
-    # at 1e-16 the bracket of noisy_pr(0.9) is open by a rounding step
-    # that no barrier solve moves, and pricing grows no set: the next
-    # polish would repeat this one exactly, so the engine raises after it
+def test_a_polish_that_changes_nothing_ends_the_run(monkeypatch, solve_count):
+    # 1e-17 is below the float spacing at the value of noisy_pr(0.8), so
+    # its bracket cannot close; no barrier solve moves it, and pricing
+    # grows no set: the next polish would repeat this one exactly, so the
+    # engine raises after it. The barrier solve stops at the central point
+    # of the spacing at its rows, after 22 KKT solves here; a mu_end of
+    # tol / (8 (k + n)), a slack that t - g does not resolve, ran it to its
+    # 200-step cap
     barrier = monotones._barrier_epigraph
-    sizes = []
+    sizes, solves = [], []
 
     def recorded(tables, *args):
+        before = solve_count()
         sizes.append(tables.n)
-        return barrier(tables, *args)
+        try:
+            return barrier(tables, *args)
+        finally:
+            solves.append(solve_count() - before)
 
     monkeypatch.setattr(monotones, "_barrier_epigraph", recorded)
     with pytest.raises(NoConvergence) as err:
-        fresh(bw.s_nl, noisy_pr(0.9), 1e-16)
+        fresh(bw.s_nl, noisy_pr(0.8), 1e-17)
     assert len(sizes) == 1
+    assert solves[0] <= 30
     assert err.value.lower <= err.value.upper
+
+
+def test_a_refused_trial_refits_the_slacks(monkeypatch, solve_count):
+    # a trial point that leaves a slack non-positive is refitted: each
+    # row's concave quadratic through its slack, its slope and the trial's
+    # value puts the next trial short of the least root. Over these
+    # polishes that refuses 5 trial points in 31 Newton steps; halving in
+    # its place refused 7 in 36, and the linearized bound with halving
+    # alone 26 in 49. A trial that passes the slack test reads the
+    # derivatives once, as the start does, so the rows read beyond the
+    # derivatives are the refused trial points
+    counts = {"barrier": False, "solves": 0, "rows": 0, "derivatives": 0}
+    rows, derivatives = monotones._DivergenceTables.rows, monotones._DivergenceTables.derivatives
+    barrier = monotones._barrier_epigraph
+
+    def counted(name, method):
+        def wrapper(self, *args):
+            counts[name] += counts["barrier"]
+            return method(self, *args)
+        return wrapper
+
+    def in_barrier(*args):
+        counts["barrier"], before = True, solve_count()
+        try:
+            return barrier(*args)
+        finally:
+            counts["barrier"] = False
+            counts["solves"] += solve_count() - before
+
+    monkeypatch.setattr(monotones._DivergenceTables, "rows", counted("rows", rows))
+    monkeypatch.setattr(monotones._DivergenceTables, "derivatives",
+                        counted("derivatives", derivatives))
+    monkeypatch.setattr(monotones, "_barrier_epigraph", in_barrier)
+    for i in range(5):
+        r = fresh(bw.s_nl, tsirelson_4222(i))
+        assert r.gap_estimate <= TOL
+    assert counts["solves"] <= 33
+    assert counts["rows"] - counts["derivatives"] <= 6
 
 
 def test_a_polish_never_writes_the_box_tables():
@@ -1450,9 +1497,10 @@ def _dual_newton_oracle(cE, VE, gap_tol, lam0=None):
 def _barrier_epigraph_oracle(tables, M, lam0, gap0, tol):
     """`monotones._barrier_epigraph` written with a fresh array for every
     intermediate, concatenating its residual, right-hand side and
-    fraction-to-boundary pair at every step: the same floating-point
-    operations on the same operands in the same order as the library's
-    in-place loop, so the two agree bit for bit."""
+    fraction-to-boundary pair at every step and taking the slacks' roots
+    row by row: the same floating-point operations on the same operands
+    in the same order as the library's in-place loop, so the two agree
+    bit for bit."""
     n, k = lam0.size, M.shape[0]
     gap0 = min(gap0, 1.0)
     lam = (1.0 - gap0) * np.clip(lam0, 0.0, None) + gap0 / n
@@ -1463,6 +1511,7 @@ def _barrier_epigraph_oracle(tables, M, lam0, gap0, tol):
     t = float(np.max(g)) + k * gap0 / (k + n)
     if not np.all(t > g):
         return None
+    mu_end = max(mu_end, math.ulp(t))
     mu = 1.0 / float(np.sum(1.0 / (t - g)))
     D, z = mu / (t - g), mu / lam
     grads, H = tables.derivatives(lam, M.T @ D, q)
@@ -1507,27 +1556,56 @@ def _barrier_epigraph_oracle(tables, M, lam0, gap0, tol):
         dz = mu / lam - z - z * u
         x, dx = np.concatenate([np.ones(n), s, D, z]), np.concatenate([u, ds, dD, dz])
         shrinking = dx < 0.0
-        alpha = 1.0
-        if np.any(shrinking):
-            alpha = min(1.0, (1.0 - min(0.01, (k + n) * mu))
-                        * float(np.min(x[shrinking] / -dx[shrinking])))
+        eta = min(0.01, (k + n) * mu)
+        bound = float(np.min(x[shrinking] / -dx[shrinking])) if np.any(shrinking) else np.inf
+        dq = (lam * u) @ tables.V
+        curvature = tables.P * (dq / np.maximum(q, 1e-300)) ** 2
+        kappa = M @ curvature.reshape(tables.shape).sum(1) / monotones.LN2
+        alpha = min(1.0, (1.0 - eta) * bound)
+        predicted = _reach_oracle(s, ds, kappa, eta)
+        if predicted < alpha:
+            alpha = predicted
+        refusals = 0
         while alpha >= 1e-12:
             lam_new, t_new = lam * (1.0 + alpha * u), t + alpha * dt
             q_new = lam_new @ tables.V
             g_new = tables.rows(q_new, M)
-            if np.all(t_new - g_new > 0.0):
-                D_new, z_new, nu_new = D + alpha * dD, z + alpha * dz, nu + alpha * dnu
-                grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q_new)
-                G_new = M @ grads
-                r_new = residual(lam_new, t_new, g_new, D_new, z_new, nu_new, G_new)
-                if np.linalg.norm(r_new - mu * centering) <= (1.0 - 0.01 * alpha) * norm:
-                    break
+            s_new = t_new - g_new
+            if not np.all(s_new > 0.0):
+                refusals += 1
+                fit = 0.0
+                if refusals == 1:
+                    kappa = np.maximum(s + alpha * ds - s_new, 0.0) * (2.0 / (alpha * alpha))
+                    fit = _reach_oracle(s, ds, kappa, eta)
+                alpha = fit if 0.0 < fit < alpha else 0.5 * alpha
+                continue
+            D_new, z_new, nu_new = D + alpha * dD, z + alpha * dz, nu + alpha * dnu
+            grads, H_new = tables.derivatives(lam_new, M.T @ D_new, q_new)
+            G_new = M @ grads
+            r_new = residual(lam_new, t_new, g_new, D_new, z_new, nu_new, G_new)
+            if np.linalg.norm(r_new - mu * centering) <= (1.0 - 0.01 * alpha) * norm:
+                break
             alpha *= 0.5
         else:
             break
         lam, t, g, D, z, nu, G, H = lam_new, t_new, g_new, D_new, z_new, nu_new, G_new, H_new
-        r = r_new
+        q, r = q_new, r_new
     return lam / lam.sum(), D / D.sum()
+
+
+def _reach_oracle(s, ds, kappa, eta):
+    """The least positive root over the rows of
+    s + a ds - a^2 kappa / 2 = eta s, row by row: inf for a row whose
+    model never falls that far, nan when any kappa is nan."""
+    roots = []
+    for s_j, ds_j, kappa_j in zip(s, ds, kappa):
+        c = (1.0 - eta) * s_j
+        disc = math.sqrt(ds_j * ds_j + 2.0 * kappa_j * c)
+        if ds_j > 0.0:
+            roots.append(math.inf if kappa_j == 0.0 else (ds_j + disc) / kappa_j)
+        else:
+            roots.append(math.inf if disc == ds_j else 2.0 * c / (disc - ds_j))
+    return float(np.min(roots))
 
 
 def _oracle_box(box) -> bw.Behavior:
