@@ -17,16 +17,18 @@
 # `jsonio.behavior_to_json` (Bland's rule over the best-fit vertex order,
 # 1,789 pivots from the crash basis; the local model's weights must load
 # through `jsonio.local_model_from_json` and, in canonical vertex order,
-# reconstruct the box), `eval local_check` on a signaling 4343 box (the
-# crash basis on the infeasible path: it must not be local, and its Bell
-# certificate must load through `jsonio.certificate_from_json` and
-# separate the box), `eval su` on the
-# same box (a cold inner minimization by Newton's method on the dual over
-# 6561 vertices; its value must be at most 1e-6 and its gap at most the
-# engine's start gap 1e-6/32 for 16 settings), `eval snl` on nonlocal
+# reconstruct the box), `eval su` on the same box (a cold inner
+# minimization by Newton's method on the dual over 6561 vertices; its
+# value must be at most 1e-6 and its gap at most the engine's start gap
+# 1e-6/32 for 16 settings), `eval snl` on nonlocal
 # 3333 and 4343 generalized PR mixtures written by
 # `jsonio.behavior_to_json` (the epigraph polish on an active set of their
 # 729 and 6561 vertices, grown by pricing; each gap must be at most 1e-6),
+# `eval local_check` on a signaling 4343 box and on the no-signaling 4343
+# mixture (the crash basis on the infeasible path, the Farkas exit after
+# 531 Bland pivots on the mixture: neither may be local, and each Bell
+# certificate must load through `jsonio.certificate_from_json` and
+# separate its box),
 # `--tol 1e-14 eval snl` on the 3333 mixture (a tol near rounding, where
 # every inner minimization is one Newton run on the dual; its gap must be
 # at most 1e-14), `--tol 1e-15 eval snl` on it (about 70 float spacings
@@ -117,21 +119,6 @@ model = jsonio.local_model_from_json(json.dumps(report["model"]))
 assert model.matches(p), "the local model does not reconstruct the 4343 box"
 EOF_PY
 python -c "import bellwire as bw; print(bw.jsonio.behavior_to_json(bw.random_behavior(bw.Scenario(4, 3, 4, 3), 1)))" > "$tmp/signaling4343.json"
-bellwire eval local_check --in "$tmp/signaling4343.json" > "$tmp/nonlocal4343.json"
-python - "$tmp/signaling4343.json" "$tmp/nonlocal4343.json" <<'EOF_PY'
-import json
-import sys
-
-from bellwire import jsonio
-
-with open(sys.argv[1]) as f:
-    p = jsonio.behavior_from_json(f.read())
-with open(sys.argv[2]) as f:
-    report = json.load(f)
-assert report["is_local"] is False, "the signaling 4343 box is not local"
-cert = jsonio.certificate_from_json(json.dumps(report["certificate"]))
-assert cert.value_on(p) > cert.local_bound, "the certificate does not separate the 4343 box"
-EOF_PY
 bellwire eval su --in "$tmp/box4343.json" > "$tmp/su4343.json"
 python -c "import json, sys; r = json.load(open(sys.argv[1])); v, g = r['value'], r['gap_estimate']; assert v <= 1e-6 and g <= 1e-6 / 32, f'4343 s_u value {v}, gap {g}'" "$tmp/su4343.json"
 
@@ -161,6 +148,25 @@ print(bw.jsonio.behavior_to_json(bw.Behavior(sc, w * t + (1.0 - w) * loc)))
 EOF_PY
   bellwire eval snl --in "$tmp/gpm$box.json" > "$tmp/snl$box.json"
   python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-6, f'{sys.argv[2]} s_nl gap {gap}'" "$tmp/snl$box.json" "$box"
+done
+# the Farkas exit of the membership LP from the crash basis, on a signaling
+# and on a no-signaling nonlocal 4343 box
+for box in signaling4343 gpm4343; do
+  bellwire eval local_check --in "$tmp/$box.json" > "$tmp/local_$box.json"
+  python - "$tmp/$box.json" "$tmp/local_$box.json" <<'EOF_PY'
+import json
+import sys
+
+from bellwire import jsonio
+
+with open(sys.argv[1]) as f:
+    p = jsonio.behavior_from_json(f.read())
+with open(sys.argv[2]) as f:
+    report = json.load(f)
+assert report["is_local"] is False, f"{sys.argv[1]} is not local"
+cert = jsonio.certificate_from_json(json.dumps(report["certificate"]))
+assert cert.value_on(p) > cert.local_bound, f"the certificate does not separate {sys.argv[1]}"
+EOF_PY
 done
 bellwire --tol 1e-14 eval snl --in "$tmp/gpm3333.json" > "$tmp/snl3333_tight.json"
 python -c "import json, sys; gap = json.load(open(sys.argv[1]))['gap_estimate']; assert gap <= 1e-14, f'3333 s_nl gap {gap} at tol 1e-14'" "$tmp/snl3333_tight.json"

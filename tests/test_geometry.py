@@ -430,6 +430,61 @@ def test_crash_basis_is_a_feasible_triangular_start(key):
             _assert_certified(p, res)
 
 
+def _crash_oracle(vertices, b, order):
+    """`Vertices.crash` as it was before it kept its capacities between
+    steps: every capacity recomputed from the residual at each step."""
+    sA, sB, rA, rB = vertices.table_shape
+    x, y_b = np.arange(sA)[:, None], np.arange(sB * rB)
+    alice_rows = (x * sB * rA + vertices.alice[:, :, None] + y_b // rB * rA) * rB + y_b % rB
+    bob_cols = np.arange(sB)[:, None] * rB + vertices.bob.T
+    m, n = vertices.shape
+    start = np.arange(n, n + m)
+    residual = np.array(b, dtype=float)
+    while True:
+        T = residual.take(alice_rows).min(axis=1)
+        capacity = np.minimum(T[:, bob_cols].min(axis=1).reshape(-1),
+                              residual[-1]).take(order)
+        k = int(capacity.argmax())
+        c = capacity[k]
+        if c <= 1e-12:
+            return start
+        alpha, beta = divmod(order[k], vertices.nB)
+        xy = np.arange(sA * sB)
+        rows = np.append((xy * rA + vertices.alice[alpha, xy // sB]) * rB
+                         + vertices.bob[beta, xy % sB], m - 1)
+        start[rows[np.argmin(residual[rows])]] = k
+        residual[rows] -= c
+
+
+@pytest.mark.parametrize("key", [
+    (2, 2, 2, 2), (3, 2, 3, 2), (4, 2, 4, 2), (3, 3, 3, 3), (5, 2, 5, 2), (4, 3, 4, 3),
+])
+def test_crash_matches_its_oracle(key):
+    # the boxes of test_crash_basis_is_a_feasible_triangular_start, plus
+    # the nonlocal 4343 box of test_bland_decides_a_nonlocal_4343_box_in_few_pivots
+    # and a signaling 5252 box
+    from bellwire.geometry import Vertices
+
+    sc = bw.Scenario(*key)
+    vertices = Vertices.of(sc)
+    V = bw.local_vertex_matrix(sc)
+    n = vertices.shape[1]
+    rng = np.random.default_rng(1)
+    mixed = rng.choice(n, min(n, 12), replace=False)
+    boxes = [bw.Behavior(sc, (rng.dirichlet(np.ones(mixed.size)) @ V[mixed]).reshape(sc.shape)),
+             bw.random_ns_behavior(sc, 1), _embedded_pr(sc, 0.9, 1), bw.random_behavior(sc, 1)]
+    if key == (4, 3, 4, 3):
+        boxes.append(_embedded_pr(sc, 0.6, 1))
+    if key == (5, 2, 5, 2):
+        boxes.append(bw.random_behavior(sc, 3))
+    for p in boxes:
+        b = np.append(p.flat(), 1.0)
+        order = np.argsort(-vertices.price(np.append(p.flat(), 0.0)), kind="stable")
+        start = vertices.crash(b, order)
+        assert np.array_equal(start, _crash_oracle(vertices, b, order))
+        assert np.sum(start < n) > 0
+
+
 def _deterministic_box(sc, alice, bob):
     from bellwire.geometry import alice_strategy, bob_strategy
 

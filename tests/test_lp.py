@@ -411,3 +411,256 @@ def test_the_pivot_cap_raises_a_solver_failure(monkeypatch):
     for pivot in ("bland", "dantzig"):
         with pytest.raises(SolverFailure, match="exceeded 5 pivots"):
             solve_lp(A, b, pivot=pivot)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the phase-1 loop as it was before its entering choice read the
+# priced vector directly and before [B^-1 | xB] became one array. It
+# gathers a ranked source's prices into LP order and masks an (n + m)
+# reduced-cost array; the solver must make the same pivots and read the
+# same x, dual and artificial total, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+class _OracleRanked:
+    def __init__(self, vertices, order):
+        self.vertices, self.order = vertices, order
+        self.shape = vertices.shape
+
+    def price(self, y):
+        return self.vertices.price(y)[self.order]
+
+    def columns(self, idx):
+        return self.vertices.columns(self.order[idx])
+
+
+class _OracleBasis:
+    def __init__(self, cols, sign, b):
+        self.cols = cols
+        self.sign = None if np.all(sign > 0) else sign
+        self.b = b
+        self.m, self.n = cols.shape
+        self.basis = np.arange(self.n, self.n + self.m)
+        self.inv = np.eye(self.m)
+        self.xB = b.copy()
+        self.stale = 0
+        self._outer = np.empty((self.m, self.m))
+        self.cost = np.concatenate([np.zeros(self.n), np.ones(self.m)])
+
+    def column(self, j):
+        if j < self.n:
+            a = self.cols.columns([j])[:, 0]
+            return a if self.sign is None else a * self.sign
+        e = np.zeros(self.m)
+        e[j - self.n] = 1.0
+        return e
+
+    def refactor(self):
+        s = np.flatnonzero(self.basis < self.n)
+        a = np.flatnonzero(self.basis >= self.n)
+        covered = self.basis[a] - self.n
+        free = np.ones(self.m, dtype=bool)
+        free[covered] = False
+        S = self.cols.columns(self.basis[s])
+        if self.sign is not None:
+            S = S * self.sign[:, None]
+        S_inv = np.linalg.inv(S[free])
+        inv = np.zeros((self.m, self.m))
+        inv[s[:, None], free] = S_inv
+        inv[a[:, None], free] = -S[covered] @ S_inv
+        inv[a, covered] = 1.0
+        self.inv = inv
+        self.xB = inv @ self.b
+        self.stale = 0
+
+    def duals(self):
+        return self.cost[self.basis] @ self.inv
+
+    def reduced_costs(self, pi):
+        y = pi if self.sign is None else pi * self.sign
+        d = np.empty(self.n + self.m)
+        np.subtract(self.cost[: self.n], self.cols.price(y), out=d[: self.n])
+        np.subtract(self.cost[self.n :], pi, out=d[self.n :])
+        return d
+
+    def pivot(self, r, j, alpha):
+        theta = self.xB[r] / alpha[r]
+        self.xB -= theta * alpha
+        self.xB[r] = theta
+        row = self.inv[r] / alpha[r]
+        self.inv -= np.dot(alpha[:, None], row[None, :], out=self._outer)
+        self.inv[r] = row
+        self.basis[r] = j
+        self.stale += 1
+        if self.stale >= lp.REFACTOR_EVERY:
+            self.refactor()
+
+
+def _oracle_entering(d, allowed, pivot):
+    improving = allowed & (d < -lp.RC_TOL)
+    if pivot == "bland":
+        col = int(np.argmax(improving))
+    else:
+        col = int(np.argmin(np.where(improving, d, np.inf)))
+    return col if improving[col] else None
+
+
+def _oracle_leaving(alpha, xB, basis, pivot):
+    rows = np.where(alpha > lp.PIV_TOL)[0]
+    if rows.size == 0:
+        return None
+    ratios = xB[rows] / alpha[rows]
+    best = ratios.min()
+    ties = rows[ratios <= best + 1e-12]
+    if pivot == "bland":
+        return int(ties[np.argmin(basis[ties])])
+    return int(ties[0])
+
+
+def _oracle_phase1(B, pivot, feas_tol):
+    allowed = np.ones(B.n + B.m, dtype=bool)
+    iterations = 0
+    while True:
+        assert B.stale or B.xB.min() >= -feas_tol
+        col = _oracle_entering(B.reduced_costs(B.duals()), allowed, pivot)
+        if col is None:
+            if B.stale:
+                B.refactor()
+                continue
+            return iterations
+        alpha = B.inv @ B.column(col)
+        row = _oracle_leaving(alpha, B.xB, B.basis, pivot)
+        if B.stale and (row is None or alpha[row] < 1e-6 * np.abs(alpha).max()):
+            B.refactor()
+            continue
+        if row is None:
+            allowed[col] = False
+            continue
+        B.pivot(row, col, alpha)
+        iterations += 1
+
+
+def _oracle_solve(cols, b, pivot, feas_tol=1e-9, start=None):
+    m, n = cols.shape
+    sign = np.where(b < 0, -1.0, 1.0)
+    B = _OracleBasis(cols, sign, b * sign)
+    if start is not None:
+        B.basis = np.array(start, dtype=np.intp)
+        B.refactor()
+        np.maximum(B.xB, 0.0, out=B.xB)
+    iterations = _oracle_phase1(B, pivot, feas_tol)
+    z1 = float(B.xB[B.basis >= n].sum())
+    if z1 > feas_tol:
+        return lp.LpResult("infeasible", None, B.duals() * sign, z1, iterations)
+    x = np.zeros(n)
+    structural = B.basis < n
+    x[B.basis[structural]] = B.xB[structural]
+    return lp.LpResult("feasible", x, None, z1, iterations)
+
+
+def _assert_same_solve(res, ref):
+    assert res.status == ref.status
+    assert res.iterations == ref.iterations
+    assert res.phase1_objective == ref.phase1_objective
+    for got, want in ((res.x, ref.x), (res.dual, ref.dual)):
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [(60, 600), (80, 800)])
+@pytest.mark.parametrize("pivot", ["bland", "dantzig"])
+def test_phase1_matches_its_oracle_on_random_systems(size, pivot, monkeypatch):
+    # the feasible and the infeasible system, from the artificial basis and
+    # from the basis a solve reaches after 20 pivots; the inverse is
+    # refactorized every 20 pivots, so the solves cross several
+    # factorizations
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 20)
+    for A, b in _random_systems(*size, seed=0):
+        for start in (None, _basis_after(A, b, pivot, 20, monkeypatch)):
+            res = solve_lp(A, b, pivot=pivot, start=start)
+            assert res.iterations > 3 * lp.REFACTOR_EVERY
+            _assert_same_solve(res, _oracle_solve(lp._DenseColumns(A), b, pivot, start=start))
+
+
+@pytest.mark.parametrize("key, ns_seed, sig_seed", [
+    ((3, 2, 3, 2), 2, 8), ((4, 2, 4, 2), 2, 6), ((3, 3, 3, 3), 2, 1),
+    ((5, 2, 5, 2), 1, 3), ((4, 3, 4, 3), 2, 7),
+])
+def test_phase1_matches_its_oracle_on_membership_lps(key, ns_seed, sig_seed):
+    # one no-signaling and one signaling box per scenario, over the ranked
+    # vertices from the crash basis, as `is_local` solves them (the 5252
+    # no-signaling box is nonlocal, the other four are local)
+    from bellwire.geometry import _Ranked
+
+    sc = bw.Scenario(*key)
+    vertices = Vertices.of(sc)
+    verdicts = []
+    for p in (bw.random_ns_behavior(sc, ns_seed), bw.random_behavior(sc, sig_seed)):
+        b = np.append(p.flat(), 1.0)
+        order = np.argsort(-vertices.price(np.append(p.flat(), 0.0)), kind="stable")
+        start = vertices.crash(b, order)
+        for pivot in ("bland", "dantzig"):
+            res = solve_lp(A=_Ranked(vertices, order), b=b, pivot=pivot, feas_tol=1e-8,
+                           start=start)
+            ref = _oracle_solve(_OracleRanked(vertices, order), b, pivot, 1e-8, start)
+            _assert_same_solve(res, ref)
+            assert res.iterations > 0
+            verdicts.append(res.feasible)
+    assert verdicts == [key != (5, 2, 5, 2)] * 2 + [False] * 2
+
+
+@pytest.mark.parametrize("pivot", ["bland", "dantzig"])
+def test_entering_choice_matches_its_oracle_with_barred_columns(pivot, monkeypatch):
+    # Phase 1 bars a column whose entering column has no positive entry;
+    # the choice must then be the oracle's over the masked reduced costs.
+    # Bases: those a dense and a ranked membership solve pass every few
+    # pivots; barred: the would-be winner, a few random columns and an
+    # artificial, so that both the structural and the artificial winners
+    # move
+    from bellwire.geometry import _Ranked
+
+    rng = np.random.default_rng(3)
+    (A, b), _ = _random_systems(30, 200, seed=1)
+    p = bw.random_ns_behavior(bw.Scenario(3, 3, 3, 3), 2)
+    vertices = Vertices.of(p.scenario)
+    order = np.argsort(-vertices.price(np.append(p.flat(), 0.0)), kind="stable")
+    systems = [(lp._DenseColumns(A), b, lp._DenseColumns(A)),
+               (_Ranked(vertices, order), np.append(p.flat(), 1.0), _OracleRanked(vertices, order))]
+    checked = artificials = 0
+    for cols, b, oracle_cols in systems:
+        bases = []
+
+        class Recording(lp._Basis):
+            def pivot(self, r, j, alpha):
+                super().pivot(r, j, alpha)
+                if self.stale % 3 == 0:
+                    bases.append(self.basis.copy())
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_Basis", Recording)
+            solve_lp(cols, b, pivot=pivot)
+        sign = np.where(b < 0, -1.0, 1.0)  # the dense system flips rows
+        for basis in bases:
+            B = lp._Basis(cols, sign, b * sign)
+            B.basis[:] = basis
+            B.refactor()
+            O = _OracleBasis(oracle_cols, sign, b * sign)
+            O.basis[:] = basis
+            O.refactor()
+            d = O.reduced_costs(O.duals())
+            barred = []
+            while True:
+                allowed = np.ones(B.n + B.m, dtype=bool)
+                allowed[barred] = False
+                col = lp._choose_entering(B, pivot, barred)
+                assert col == _oracle_entering(d, allowed, pivot)
+                checked += 1
+                if col is None or len(barred) > 6:
+                    break
+                barred += [col, int(rng.integers(B.n)), B.n + int(rng.integers(B.m))]
+            # every structural column barred: an artificial or none enters
+            allowed = np.arange(B.n + B.m) >= B.n
+            col = lp._choose_entering(B, pivot, list(range(B.n)))
+            assert col == _oracle_entering(d, allowed, pivot)
+            artificials += col is not None
+    assert checked > 100 and artificials > 0
